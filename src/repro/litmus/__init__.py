@@ -41,7 +41,6 @@ from .zoo import (
     SC_NMCA,
     WO_NMCA,
     ZOO_MODELS,
-    enumerate_outcomes_buffered,
     get_zoo_model,
 )
 from .tests import (
@@ -98,7 +97,6 @@ __all__ = [
     "check_test",
     "classify_robustness",
     "enumerate_outcomes",
-    "enumerate_outcomes_buffered",
     "enumerate_outcomes_non_atomic",
     "enumerator_fingerprint",
     "explore_entry_key",

@@ -14,7 +14,9 @@ This module builds the other half so that the scoping decision can be
 * the writer sees its own stores immediately (store forwarding);
 * :func:`enumerate_outcomes_non_atomic` exhaustively interleaves
   instruction execution with propagation events, per-thread reorderings
-  included, and returns the exact reachable register outcomes.
+  included, and returns the exact reachable register outcomes — the
+  non-atomic flavor of the one step semantics in
+  :mod:`repro.litmus.core`.
 
 The atomicity bench (E15) shows the orthogonality concretely: under
 **SC ordering with non-atomic stores**, store buffering (SB) and IRIW
@@ -26,135 +28,11 @@ paper's choice to study reordering in isolation.
 
 from __future__ import annotations
 
-from itertools import product
-
 from ..core.memory_models import MemoryModel
-from ..errors import LitmusError
-from ..sim.isa import Load, Operation, Store, ThreadProgram
-from .enumerator import Outcome, legal_reorderings
+from ..sim.isa import ThreadProgram
+from .core import Machine, Outcome
 
 __all__ = ["enumerate_outcomes_non_atomic"]
-
-#: A thread's private memory view: sorted (location, value) pairs.
-_View = tuple[tuple[str, int], ...]
-#: One propagation channel's pending stores, oldest first.
-_Channel = tuple[tuple[str, int], ...]
-
-
-def _view_get(view: _View, location: str) -> int:
-    for key, value in view:
-        if key == location:
-            return value
-    return 0
-
-
-def _view_set(view: _View, location: str, value: int) -> _View:
-    entries = dict(view)
-    entries[location] = value
-    return tuple(sorted(entries.items()))
-
-
-def _execute_interleavings_non_atomic(
-    threads: list[tuple[Operation, ...]],
-    thread_names: list[str],
-    initial_memory: dict[str, int],
-) -> set[Outcome]:
-    """All outcomes of one choice of per-thread orders, with propagation.
-
-    The nondeterminism per state: any thread may execute its next
-    operation, or any non-empty propagation channel may deliver its
-    oldest store to its reader's view.  A full fence is the exception:
-    it blocks until the thread's outgoing channels are empty, i.e. its
-    earlier stores have propagated everywhere.
-    """
-    n = len(threads)
-    initial_view: _View = tuple(sorted(initial_memory.items()))
-    initial_views = tuple(initial_view for _ in range(n))
-    empty_channels: tuple[_Channel, ...] = tuple(() for _ in range(n * n))
-
-    outcomes: set[Outcome] = set()
-    seen: set[tuple] = set()
-
-    def channel_index(writer: int, reader: int) -> int:
-        return writer * n + reader
-
-    def record(registers: tuple[tuple[str, int], ...]) -> None:
-        outcomes.add(tuple(sorted(registers)))
-
-    def step(
-        pcs: tuple[int, ...],
-        views: tuple[_View, ...],
-        channels: tuple[_Channel, ...],
-        registers: tuple[tuple[str, int], ...],
-    ) -> None:
-        key = (pcs, views, channels, registers)
-        if key in seen:
-            return
-        seen.add(key)
-        finished = all(pcs[k] >= len(threads[k]) for k in range(n))
-        pending = any(channels)
-        if finished and not pending:
-            record(registers)
-            return
-        if finished:
-            # Remaining propagation cannot change registers; record now and
-            # still drain (cheap) so nested states do not multiply.
-            record(registers)
-
-        # Instruction steps.
-        for k in range(n):
-            if pcs[k] >= len(threads[k]):
-                continue
-            operation = threads[k][pcs[k]]
-            next_pcs = tuple(pc + 1 if i == k else pc for i, pc in enumerate(pcs))
-            if isinstance(operation, Load):
-                value = _view_get(views[k], operation.location)
-                name = f"{thread_names[k]}:{operation.dst}"
-                next_registers = tuple(sorted({**dict(registers), name: value}.items()))
-                step(next_pcs, views, channels, next_registers)
-            elif isinstance(operation, Store):
-                if operation.src is not None:
-                    value = dict(registers).get(
-                        f"{thread_names[k]}:{operation.src}", 0
-                    )
-                else:
-                    assert operation.value is not None
-                    value = operation.value
-                new_views = list(views)
-                new_views[k] = _view_set(views[k], operation.location, value)
-                new_channels = list(channels)
-                for reader in range(n):
-                    if reader != k:
-                        index = channel_index(k, reader)
-                        new_channels[index] = channels[index] + (
-                            (operation.location, value),
-                        )
-                step(next_pcs, tuple(new_views), tuple(new_channels), registers)
-            else:
-                # A full fence drains the thread's outgoing propagation
-                # channels: it may only execute once every other thread
-                # has received all of this thread's earlier stores.  (A
-                # blocked fence never deadlocks — a non-empty outgoing
-                # channel always has a deliverable propagation event.)
-                if any(channels[channel_index(k, reader)] for reader in range(n)):
-                    continue
-                step(next_pcs, views, channels, registers)
-
-        # Propagation events.
-        for writer in range(n):
-            for reader in range(n):
-                index = channel_index(writer, reader)
-                if not channels[index]:
-                    continue
-                (location, value), *rest = channels[index]
-                new_views = list(views)
-                new_views[reader] = _view_set(views[reader], location, value)
-                new_channels = list(channels)
-                new_channels[index] = tuple(rest)
-                step(pcs, tuple(new_views), tuple(new_channels), registers)
-
-    step(tuple([0] * n), initial_views, empty_channels, ())
-    return outcomes
 
 
 def enumerate_outcomes_non_atomic(
@@ -165,17 +43,12 @@ def enumerate_outcomes_non_atomic(
     """Reachable register outcomes with non-atomic stores.
 
     Combines the model's legal per-thread reorderings (as in the atomic
-    enumerator) with asynchronous store propagation.  Final *memory* is
-    ill-defined without a global coherence order, so only register
-    outcomes are supported; pass litmus tests that observe registers.
+    enumerator) with asynchronous store propagation: at every state any
+    thread may run an enabled operation — a full fence only once the
+    thread's outgoing channels are drained, i.e. its earlier stores have
+    propagated everywhere — or any non-empty channel may deliver its
+    oldest store to its reader's view.  Final *memory* is ill-defined
+    without a global coherence order, so only register outcomes are
+    supported; pass litmus tests that observe registers.
     """
-    if not programs:
-        raise LitmusError("a litmus test needs at least one thread")
-    per_thread = [legal_reorderings(program, model) for program in programs]
-    names = [program.name for program in programs]
-    outcomes: set[Outcome] = set()
-    for choice in product(*per_thread):
-        outcomes |= _execute_interleavings_non_atomic(
-            list(choice), names, dict(initial_memory or {})
-        )
-    return outcomes
+    return Machine(programs, model, initial_memory, atomic=False).reachable()

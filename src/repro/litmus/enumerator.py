@@ -17,6 +17,10 @@ straight-line program are exactly:
 A permutation with only swappable inversions is always reachable by
 adjacent swaps of inverted pairs (bubble-sort argument), so pairwise
 inversion-legality coincides with the settling process's reachability.
+By the same argument, choosing the reordering step by step — run any
+operation that no earlier pending one of its thread blocks — gives the
+same executions, which is how :mod:`repro.litmus.core` walks them: one
+search over one memo, not one search per product of reorderings.
 
 For the classic 2–4 thread, 2–3 operation litmus shapes this enumeration
 is tiny, and it yields the *exact* set of reachable outcomes per model —
@@ -25,54 +29,11 @@ experiment E11's ground truth.
 
 from __future__ import annotations
 
-from itertools import permutations, product
-
-from ..core.instructions import InstructionType
 from ..core.memory_models import MemoryModel
-from ..errors import LitmusError
-from ..sim.isa import Load, Operation, Store, ThreadProgram
+from ..sim.isa import Operation, ThreadProgram
+from .core import Machine, Outcome, blocker_masks, legal_orders
 
 __all__ = ["Outcome", "legal_reorderings", "enumerate_outcomes"]
-
-#: A final state: sorted tuple of ("T0:r1", value) register entries plus
-#: ("mem:x", value) entries for observed locations.
-Outcome = tuple[tuple[str, int], ...]
-
-
-def _validate_operation(operation: Operation) -> None:
-    if not (operation.is_load or operation.is_store or operation.is_fence):
-        raise LitmusError(
-            f"litmus programs may contain only loads, stores and fences, got {operation}"
-        )
-
-
-def _operation_type(operation: Operation) -> InstructionType:
-    if operation.is_load:
-        return InstructionType.LOAD
-    if operation.is_store:
-        return InstructionType.STORE
-    raise LitmusError(f"not a memory operation: {operation}")
-
-
-def _depends(earlier: Operation, later: Operation) -> bool:
-    """Register dependency (true, anti, or output) between two operations."""
-    earlier_writes = set(earlier.writes())
-    later_writes = set(later.writes())
-    return bool(
-        earlier_writes & set(later.reads())
-        or set(earlier.reads()) & later_writes
-        or earlier_writes & later_writes
-    )
-
-
-def _pair_may_reorder(model: MemoryModel, earlier: Operation, later: Operation) -> bool:
-    if earlier.is_fence or later.is_fence:
-        return False  # a full fence: nothing crosses it, it never moves
-    if earlier.address is not None and earlier.address == later.address:
-        return False
-    if _depends(earlier, later):
-        return False
-    return model.relaxes(_operation_type(earlier), _operation_type(later))
 
 
 def legal_reorderings(
@@ -81,83 +42,12 @@ def legal_reorderings(
     """All model-legal orderings of one thread's operations.
 
     The identity order is always legal; SC yields exactly one ordering.
+    Orders come lexicographically, from the same blocker masks that the
+    step semantics of :mod:`repro.litmus.core` enables operations by.
     """
-    operations = list(program.operations)
-    for operation in operations:
-        _validate_operation(operation)
-    legal: list[tuple[Operation, ...]] = []
-    for order in permutations(range(len(operations))):
-        position = {original: slot for slot, original in enumerate(order)}
-        ok = True
-        for i in range(len(operations)):
-            for j in range(i + 1, len(operations)):
-                if position[i] > position[j] and not _pair_may_reorder(
-                    model, operations[i], operations[j]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            legal.append(tuple(operations[original] for original in order))
-    return legal
-
-
-def _execute_interleavings(
-    threads: list[tuple[Operation, ...]],
-    thread_names: list[str],
-    initial_memory: dict[str, int],
-    observed_locations: tuple[str, ...],
-) -> set[Outcome]:
-    """All outcomes of all interleavings of fixed per-thread orders.
-
-    DFS over program counters with memoisation on (pcs, memory, registers):
-    distinct interleavings reaching identical states are explored once.
-    """
-    outcomes: set[Outcome] = set()
-    seen: set[tuple] = set()
-    n = len(threads)
-
-    def freeze(pcs: tuple[int, ...], memory: dict[str, int], registers: dict[str, int]):
-        return (pcs, tuple(sorted(memory.items())), tuple(sorted(registers.items())))
-
-    def record(memory: dict[str, int], registers: dict[str, int]) -> None:
-        entries = [(name, value) for name, value in registers.items()]
-        entries += [(f"mem:{loc}", memory.get(loc, 0)) for loc in observed_locations]
-        outcomes.add(tuple(sorted(entries)))
-
-    def step(pcs: tuple[int, ...], memory: dict[str, int], registers: dict[str, int]) -> None:
-        key = freeze(pcs, memory, registers)
-        if key in seen:
-            return
-        seen.add(key)
-        if all(pcs[k] >= len(threads[k]) for k in range(n)):
-            record(memory, registers)
-            return
-        for k in range(n):
-            if pcs[k] >= len(threads[k]):
-                continue
-            operation = threads[k][pcs[k]]
-            new_memory = memory
-            new_registers = registers
-            if isinstance(operation, Load):
-                new_registers = dict(registers)
-                new_registers[f"{thread_names[k]}:{operation.dst}"] = memory.get(
-                    operation.location, 0
-                )
-            elif isinstance(operation, Store):
-                new_memory = dict(memory)
-                if operation.src is not None:
-                    value = registers.get(f"{thread_names[k]}:{operation.src}", 0)
-                else:
-                    assert operation.value is not None
-                    value = operation.value
-                new_memory[operation.location] = value
-            next_pcs = tuple(pc + 1 if index == k else pc for index, pc in enumerate(pcs))
-            step(next_pcs, new_memory, new_registers)
-
-    step(tuple([0] * n), dict(initial_memory), {})
-    return outcomes
+    operations = program.operations
+    return [tuple(operations[index] for index in order)
+            for order in legal_orders(blocker_masks(operations, model))]
 
 
 def enumerate_outcomes(
@@ -167,13 +57,4 @@ def enumerate_outcomes(
     observed_locations: tuple[str, ...] = (),
 ) -> set[Outcome]:
     """The exact reachable-outcome set of a litmus test under ``model``."""
-    if not programs:
-        raise LitmusError("a litmus test needs at least one thread")
-    per_thread = [legal_reorderings(program, model) for program in programs]
-    names = [program.name for program in programs]
-    outcomes: set[Outcome] = set()
-    for choice in product(*per_thread):
-        outcomes |= _execute_interleavings(
-            list(choice), names, dict(initial_memory or {}), observed_locations
-        )
-    return outcomes
+    return Machine(programs, model, initial_memory, observed_locations).reachable()

@@ -25,7 +25,9 @@ workers nor hits its cache entries.
 frequencies for programs too large to enumerate: each trial draws one
 model-legal reordering per thread and one uniformly random interleaving
 from the shard's seed-disciplined stream, executes it on atomic shared
-memory, and tallies the final state.  The run rides
+memory, and tallies the final state.  Both modes walk the same step
+semantics (:mod:`repro.litmus.core`): the exhaustive mode its
+set-valued walk, the pseudorandom mode its sampled walk.  The run rides
 :func:`~repro.stats.parallel.run_sharded` unchanged, so frequency tables
 are **bit-identical for fixed** ``(seed, shards)`` at any worker count,
 under either RNG plan (``spawn``/``philox`` draw different streams, each
@@ -55,15 +57,9 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from ..core.memory_models import (
-    PAPER_MODELS,
-    MemoryModel,
-    get_model,
-    model_digest,
-)
+from ..core.memory_models import PAPER_MODELS, MemoryModel, model_digest
 from ..errors import LitmusError
 from ..runconfig import RunConfig, resolve_run_config
-from ..sim.isa import Fence, Load, Store
 from ..stats.checkpoint import kernel_fingerprint
 from ..stats.parallel import (
     ShardPlan,
@@ -72,19 +68,13 @@ from ..stats.parallel import (
     run_sharded,
 )
 from ..stats.rng import RandomSource
-from .atomicity import (
-    _execute_interleavings_non_atomic,
-    enumerate_outcomes_non_atomic,
-)
+from .atomicity import enumerate_outcomes_non_atomic
 from .checker import outcome_to_string
-from .enumerator import (
-    Outcome,
-    _execute_interleavings,
-    _pair_may_reorder,
-    enumerate_outcomes,
-    legal_reorderings,
-)
+from .core import Machine
+from .core import fingerprint as core_fingerprint
+from .enumerator import Outcome, enumerate_outcomes, legal_reorderings
 from .tests import ALL_TESTS, LitmusTest, get_test
+from .zoo import get_zoo_model
 
 __all__ = [
     "ExhaustiveOutcomes",
@@ -133,18 +123,16 @@ def enumerator_fingerprint() -> str:
 
     :func:`~repro.stats.checkpoint.kernel_fingerprint` of
     :func:`~repro.litmus.enumerator.enumerate_outcomes` only covers that
-    function's own code, so the helpers it calls are folded in as extra
-    salt — any change to reordering legality or interleaving execution
-    (atomic *or* non-atomic: grid points dispatch on the model's
-    atomicity flavor) invalidates every cached outcome set.
+    function's own code, so the other entry points and the step
+    semantics they walk (:func:`repro.litmus.core.fingerprint`: every
+    function and method of the core) are folded in as extra salt — any
+    change to reordering legality, a step, or a walk (atomic *or*
+    non-atomic: grid points dispatch on the model's atomicity flavor)
+    invalidates every cached outcome set.
     """
-    extra = "|".join(
-        kernel_fingerprint(helper)
-        for helper in (legal_reorderings, _pair_may_reorder,
-                       _execute_interleavings,
-                       _execute_interleavings_non_atomic,
-                       enumerate_outcomes_non_atomic)
-    )
+    extra = "|".join([kernel_fingerprint(legal_reorderings),
+                      kernel_fingerprint(enumerate_outcomes_non_atomic),
+                      core_fingerprint()])
     return kernel_fingerprint(enumerate_outcomes, extra=extra)
 
 
@@ -160,11 +148,10 @@ def explore_entry_key(
     let an ad-hoc model shadowing a registry name silently hit the
     registry model's entries; v2 keys on semantics, so two distinct
     models never share a key whatever they are called (v1 entries are
-    orphaned by design).  A registry name is still accepted and resolved
-    for convenience.
+    orphaned by design).  A model name is still accepted and resolved
+    through :func:`~repro.litmus.zoo.get_zoo_model` for convenience.
     """
-    if isinstance(model, str):
-        model = get_model(model)
+    model = _resolve_models([model])[0]
     blob = f"litmus-explore:v2:{digest}:{model_digest(model)}:{fingerprint}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 
@@ -289,19 +276,22 @@ def _resolve_tests(tests) -> list[LitmusTest]:
 def _resolve_models(models) -> list[MemoryModel]:
     if models is None:
         return list(PAPER_MODELS)
-    from .zoo import get_zoo_model
     return [get_zoo_model(model) if isinstance(model, str) else model
             for model in models]
 
 
+def _check_observable(test: LitmusTest, model: MemoryModel) -> None:
+    if model.atomicity == "non_atomic" and test.observed_locations:
+        raise LitmusError(
+            f"{test.name}/{model.name}: final memory is ill-defined under "
+            "non-atomic stores; tests explored under a non_atomic model "
+            "must observe registers only")
+
+
 def _enumerate_for_model(test: LitmusTest, model: MemoryModel) -> frozenset:
     """Enumerate one (test, model) point, dispatching on atomicity."""
+    _check_observable(test, model)
     if model.atomicity == "non_atomic":
-        if test.observed_locations:
-            raise LitmusError(
-                f"{test.name}/{model.name}: final memory is ill-defined "
-                "under non-atomic stores; tests explored under a "
-                "non_atomic model must observe registers only")
         return frozenset(enumerate_outcomes_non_atomic(
             list(test.programs), model, dict(test.initial_memory),
         ))
@@ -444,112 +434,6 @@ def explore_exhaustive(
 # ----------------------------------------------------------------------
 
 
-def _sample_atomic_trial(
-    source: RandomSource,
-    threads: list[tuple],
-    names: list[str],
-    initial_memory: dict[str, int],
-    observed: tuple[str, ...],
-) -> Outcome:
-    """One sampled execution over atomic shared memory.
-
-    Draws a uniformly random interleaving of the given per-thread orders
-    (next thread picked proportionally to its remaining operations) and
-    executes it exactly as the enumerator executes its exhaustive
-    interleavings.
-    """
-    remaining = [len(thread) for thread in threads]
-    pcs = [0] * len(threads)
-    total = sum(remaining)
-    memory = dict(initial_memory)
-    registers: dict[str, int] = {}
-    while total:
-        pick = source.uniform_int(1, total)
-        index = 0
-        while pick > remaining[index]:
-            pick -= remaining[index]
-            index += 1
-        operation = threads[index][pcs[index]]
-        pcs[index] += 1
-        remaining[index] -= 1
-        total -= 1
-        if isinstance(operation, Load):
-            registers[f"{names[index]}:{operation.dst}"] = memory.get(
-                operation.location, 0)
-        elif isinstance(operation, Store):
-            if operation.src is not None:
-                value = registers.get(f"{names[index]}:{operation.src}", 0)
-            else:
-                value = operation.value
-            memory[operation.location] = value
-    entries = list(registers.items())
-    entries += [(f"mem:{location}", memory.get(location, 0))
-                for location in observed]
-    return tuple(sorted(entries))
-
-
-def _sample_non_atomic_trial(
-    source: RandomSource,
-    threads: list[tuple],
-    names: list[str],
-    initial_memory: dict[str, int],
-) -> Outcome:
-    """One sampled execution with non-atomic store propagation.
-
-    Mirrors the non-atomic enumerator's event semantics
-    (:mod:`repro.litmus.atomicity`): each step picks uniformly among the
-    *enabled* events — a thread's next instruction (a full fence only
-    once the thread's outgoing channels are drained) or the delivery of
-    some channel's oldest pending store.  Every sampled execution is a
-    path of the exhaustive event tree, so sampled outcomes converge into
-    the enumerated non-atomic set.  Terminates (every event advances a
-    pc or shrinks a channel) and never deadlocks (a blocked fence implies
-    a non-empty channel, which is a deliverable event).
-    """
-    n = len(threads)
-    views = [dict(initial_memory) for _ in range(n)]
-    channels: list[list[tuple[str, int]]] = [[] for _ in range(n * n)]
-    pcs = [0] * n
-    registers: dict[str, int] = {}
-    while True:
-        events: list[int] = []  # thread k as k, delivery on channel c as n + c
-        for k in range(n):
-            if pcs[k] >= len(threads[k]):
-                continue
-            operation = threads[k][pcs[k]]
-            if isinstance(operation, Fence) and any(
-                    channels[k * n + reader] for reader in range(n)):
-                continue
-            events.append(k)
-        for index in range(n * n):
-            if channels[index]:
-                events.append(n + index)
-        if not events:
-            break
-        event = events[source.uniform_int(0, len(events) - 1)]
-        if event >= n:
-            index = event - n
-            location, value = channels[index].pop(0)
-            views[index % n][location] = value
-            continue
-        operation = threads[event][pcs[event]]
-        pcs[event] += 1
-        if isinstance(operation, Load):
-            registers[f"{names[event]}:{operation.dst}"] = views[event].get(
-                operation.location, 0)
-        elif isinstance(operation, Store):
-            if operation.src is not None:
-                value = registers.get(f"{names[event]}:{operation.src}", 0)
-            else:
-                value = operation.value
-            views[event][operation.location] = value
-            for reader in range(n):
-                if reader != event:
-                    channels[event * n + reader].append(
-                        (operation.location, value))
-    return tuple(sorted(registers.items()))
-
-
 def _random_shard(
     source: RandomSource,
     trials: int,
@@ -557,41 +441,29 @@ def _random_shard(
     test: LitmusTest,
     model: MemoryModel,
     model_identity: str = "",
+    core_identity: str = "",
 ) -> dict[Outcome, int]:
     """One shard of pseudorandom exploration: ``trials`` sampled executions.
 
-    Each trial draws a uniformly random legal reordering per thread and
-    one random execution of the chosen orders — over atomic shared
-    memory, or through the propagation-event sampler when the model's
-    atomicity flavor is ``non_atomic``.  The bound ``test`` and ``model``
-    (both picklable — the model travels **by value**, never re-resolved
-    from a registry) enter the kernel fingerprint via the ``partial``,
-    as does ``model_identity`` — the explicit
-    :func:`~repro.core.memory_models.model_digest` salt, so checkpoints
-    and cache entries key on the actual program *and* the actual model
-    semantics.
+    Each trial is one run of the sampled walk
+    (:meth:`repro.litmus.core.Machine.sample`): a uniformly random legal
+    reordering per thread, then one random schedule — over atomic shared
+    memory, or with propagation events when the model's atomicity flavor
+    is ``non_atomic``.  The bound ``test`` and ``model`` (both picklable
+    — the model travels **by value**, never re-resolved from a registry)
+    enter the kernel fingerprint via the ``partial``, as do two explicit
+    salts: ``model_identity``
+    (:func:`~repro.core.memory_models.model_digest`) and
+    ``core_identity`` (:func:`repro.litmus.core.fingerprint`, the code
+    of the steps and walks this function calls) — so checkpoints and
+    cache entries key on the actual program, the actual model semantics
+    and the actual sampler.
     """
-    del model_identity  # fingerprint salt only
-    orders = [legal_reorderings(program, model) for program in test.programs]
-    names = [program.name for program in test.programs]
-    non_atomic = model.atomicity == "non_atomic"
-    initial_memory = dict(test.initial_memory)
-    observed = test.observed_locations
-    counts: dict[Outcome, int] = {}
-    for _ in range(trials):
-        threads = [
-            choices[source.uniform_int(0, len(choices) - 1)]
-            if len(choices) > 1 else choices[0]
-            for choices in orders
-        ]
-        if non_atomic:
-            outcome = _sample_non_atomic_trial(
-                source, threads, names, initial_memory)
-        else:
-            outcome = _sample_atomic_trial(
-                source, threads, names, initial_memory, observed)
-        counts[outcome] = counts.get(outcome, 0) + 1
-    return counts
+    del model_identity, core_identity  # fingerprint salt only
+    machine = Machine(test.programs, model, test.initial_memory,
+                      test.observed_locations,
+                      atomic=model.atomicity != "non_atomic")
+    return machine.sample(source, trials)
 
 
 def explore_random(
@@ -616,15 +488,12 @@ def explore_random(
     model = _resolve_models([model])[0]
     if trials < 1:
         raise LitmusError(f"trials must be positive, got {trials}")
-    if model.atomicity == "non_atomic" and test.observed_locations:
-        raise LitmusError(
-            f"{test.name}/{model.name}: final memory is ill-defined under "
-            "non-atomic stores; tests explored under a non_atomic model "
-            "must observe registers only")
+    _check_observable(test, model)
     plan = ShardPlan(trials, cfg.resolved_shards(), seed, cfg.rng_plan)
     identity = model_digest(model)
     kernel = partial(_random_shard, test=test, model=model,
-                     model_identity=identity)
+                     model_identity=identity,
+                     core_identity=core_fingerprint())
     label = f"litmus-explore:{test.name}:{model.name}:{identity}"
 
     def execute(observer):
@@ -720,10 +589,8 @@ def check_convergence(
             test = get_test(frequencies.test)
         else:
             test = _resolve_tests([test])[0]
-        if model is None:
-            model = get_model(frequencies.model)
-        else:
-            model = _resolve_models([model])[0]
+        model = _resolve_models(
+            [frequencies.model if model is None else model])[0]
         enumerated = _enumerate_for_model(test, model)
     elif isinstance(enumerated, ExhaustiveOutcomes):
         enumerated = enumerated.outcomes

@@ -2,18 +2,16 @@
 
 The paper's algebra (a :class:`~repro.core.memory_models.MemoryModel` is
 a relaxation set over the four ordered LD/ST pairs) covers far more than
-SC/TSO/PSO/WO, and the two orthogonal executors — the reordering
-enumerator (:mod:`repro.litmus.enumerator`) and the non-atomic
-propagation executor (:mod:`repro.litmus.atomicity`) — cover more than
-the algebra alone.  This module collects the extra inhabitants:
+SC/TSO/PSO/WO, and the one step semantics (:mod:`repro.litmus.core`),
+with atomic or non-atomic stores, covers more than the algebra alone.
+This module collects the extra inhabitants:
 
 * :data:`PSO_WB` — PSO stated *operationally*, dejafu-style: one FIFO
   write buffer **per location** per thread.  Buffering a store past
   later operations yields exactly the ST→LD and ST→ST relaxations, so
-  the algebraic digest is PSO's and cached outcome sets are shared; the
-  operational executor (:func:`enumerate_outcomes_buffered`) is kept as
-  an independent second opinion and asserted equivalent to the algebraic
-  enumeration in the test suite.
+  the algebraic digest is PSO's, cached outcome sets are shared, and
+  the core runs it as PSO.  The operational write-buffer executor lives
+  in the test suite as an oracle, asserted equal to algebraic PSO.
 * :data:`SC_NMCA` / :data:`WO_NMCA` — non-multicopy-atomic (ARM/POWER
   flavored) models: SC or WO ordering composed with asynchronous
   per-(writer, reader) store propagation, executed by
@@ -35,16 +33,13 @@ from ..core.memory_models import (
     MemoryModel,
     get_model,
 )
-from ..errors import LitmusError, ModelDefinitionError
-from ..sim.isa import Fence, Load, Operation, Store, ThreadProgram
-from .enumerator import Outcome
+from ..errors import ModelDefinitionError
 
 __all__ = [
     "PSO_WB",
     "SC_NMCA",
     "WO_NMCA",
     "ZOO_MODELS",
-    "enumerate_outcomes_buffered",
     "get_zoo_model",
 ]
 
@@ -105,122 +100,3 @@ def get_zoo_model(name: str) -> MemoryModel:
         known = ", ".join(sorted(_ZOO_REGISTRY))
         raise ModelDefinitionError(
             f"unknown memory model {name!r}; known: {known}") from None
-
-
-# ----------------------------------------------------------------------
-# The per-location write-buffer executor (operational PSO)
-# ----------------------------------------------------------------------
-
-#: One thread's write buffers: sorted (location, pending values) pairs.
-_Buffers = tuple[tuple[str, tuple[int, ...]], ...]
-
-
-def _buffer_append(buffers: _Buffers, location: str, value: int) -> _Buffers:
-    entries = dict(buffers)
-    entries[location] = entries.get(location, ()) + (value,)
-    return tuple(sorted(entries.items()))
-
-
-def _buffer_pop(buffers: _Buffers, location: str) -> tuple[int, _Buffers]:
-    entries = dict(buffers)
-    value, *rest = entries[location]
-    if rest:
-        entries[location] = tuple(rest)
-    else:
-        del entries[location]
-    return value, tuple(sorted(entries.items()))
-
-
-def enumerate_outcomes_buffered(
-    programs: list[ThreadProgram],
-    initial_memory: dict[str, int] | None = None,
-    observed_locations: tuple[str, ...] = (),
-) -> set[Outcome]:
-    """Exact reachable outcomes under per-location write buffers (PSO).
-
-    Operational semantics, dejafu-style: a store appends to its thread's
-    FIFO buffer *for that location*; a flush event moves some buffer's
-    oldest entry to shared memory (buffers for distinct locations drain
-    in any order — the ST→ST relaxation); a load forwards the newest
-    value from the thread's own buffer, falling back to memory (the
-    ST→LD relaxation plus store forwarding); a full fence blocks until
-    the thread's buffers are empty.  Memory stays multi-copy atomic, so
-    final memory is well-defined and ``observed_locations`` is
-    supported, exactly as in the algebraic enumerator.
-    """
-    if not programs:
-        raise LitmusError("a litmus test needs at least one thread")
-    threads: list[tuple[Operation, ...]] = [
-        program.operations for program in programs]
-    names = [program.name for program in programs]
-    n = len(threads)
-    empty_buffers: tuple[_Buffers, ...] = tuple(() for _ in range(n))
-    initial: tuple[tuple[str, int], ...] = tuple(
-        sorted((initial_memory or {}).items()))
-
-    outcomes: set[Outcome] = set()
-    seen: set[tuple] = set()
-
-    def record(memory, registers) -> None:
-        entries = list(registers)
-        lookup = dict(memory)
-        entries += [(f"mem:{location}", lookup.get(location, 0))
-                    for location in observed_locations]
-        outcomes.add(tuple(sorted(entries)))
-
-    def step(pcs, memory, buffers, registers) -> None:
-        key = (pcs, memory, buffers, registers)
-        if key in seen:
-            return
-        seen.add(key)
-        finished = all(pcs[k] >= len(threads[k]) for k in range(n))
-        if finished and not any(buffers):
-            record(memory, registers)
-            return
-
-        # Instruction steps.
-        for k in range(n):
-            if pcs[k] >= len(threads[k]):
-                continue
-            operation = threads[k][pcs[k]]
-            next_pcs = tuple(pc + 1 if i == k else pc
-                             for i, pc in enumerate(pcs))
-            if isinstance(operation, Load):
-                pending = dict(buffers[k]).get(operation.location)
-                if pending:
-                    value = pending[-1]  # forward the newest own store
-                else:
-                    value = dict(memory).get(operation.location, 0)
-                name = f"{names[k]}:{operation.dst}"
-                next_registers = tuple(sorted(
-                    {**dict(registers), name: value}.items()))
-                step(next_pcs, memory, buffers, next_registers)
-            elif isinstance(operation, Store):
-                if operation.src is not None:
-                    value = dict(registers).get(
-                        f"{names[k]}:{operation.src}", 0)
-                else:
-                    assert operation.value is not None
-                    value = operation.value
-                new_buffers = list(buffers)
-                new_buffers[k] = _buffer_append(
-                    buffers[k], operation.location, value)
-                step(next_pcs, memory, tuple(new_buffers), registers)
-            else:
-                assert isinstance(operation, Fence)
-                if buffers[k]:
-                    continue  # blocked until this thread's buffers drain
-                step(next_pcs, memory, buffers, registers)
-
-        # Flush events: any buffer's oldest entry commits to memory.
-        for k in range(n):
-            for location, _ in buffers[k]:
-                value, new_thread_buffers = _buffer_pop(buffers[k], location)
-                new_buffers = list(buffers)
-                new_buffers[k] = new_thread_buffers
-                new_memory = tuple(sorted(
-                    {**dict(memory), location: value}.items()))
-                step(pcs, new_memory, tuple(new_buffers), registers)
-
-    step(tuple([0] * n), initial, empty_buffers, ())
-    return outcomes

@@ -271,15 +271,22 @@ def test_family_doc_and_e24_documented(litmus_text, api_text):
                    "family_digests", "sweep_family", "get_zoo_model",
                    "PSO-WB", "SC-NMCA", "WO-NMCA", "model_digest",
                    "GENERATOR_LANE", "enumerate_outcomes_buffered",
+                   "test_litmus_oracles.py", "repro.litmus.core",
                    "litmus generate", "--spacing", "--fence-density",
                    "litmus_family", "--family-trials",
                    "BENCH_litmus_family.json"):
         assert needle in litmus_text, f"docs/LITMUS.md lacks {needle!r}"
     # The exports land in the API reference too.
     for needle in ("FamilySpec", "sweep_family", "get_zoo_model",
-                   "enumerate_outcomes_buffered", "model_digest",
+                   "repro.litmus.core", "model_digest",
                    "ATOMICITY_FLAVORS", "litmus generate"):
         assert needle in api_text, f"docs/API.md lacks {needle!r}"
+    # The write-buffer executor is a test oracle, not an export.
+    import repro.litmus
+
+    assert "enumerate_outcomes_buffered" not in repro.litmus.__all__
+    assert "enumerate_outcomes_buffered" not in api_text, (
+        "docs/API.md still lists the write-buffer oracle as an export")
     readme = README.read_text(encoding="utf-8")
     assert "litmus generate" in readme, "README lacks a litmus generate example"
     assert "BENCH_litmus_family.json" in readme

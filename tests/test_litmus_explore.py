@@ -9,8 +9,10 @@ and the robustness analyzer's SC-diff matches the literature pins.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.instructions import LD, ST
 from repro.errors import LitmusError
 from repro.litmus import (
     ALL_TESTS,
+    FamilySpec,
     LitmusTest,
     OutcomeFrequencies,
     assert_convergence,
@@ -30,14 +33,37 @@ from repro.litmus import (
     explore_entry_key,
     explore_exhaustive,
     explore_random,
+    family_member,
     get_test,
+    get_zoo_model,
     program_digest,
     robustness_report,
 )
+from repro.litmus import core
 from repro.runconfig import RunConfig
 from repro.sim import Load, Store, ThreadProgram
 
 CLASSICS = ("SB", "MP", "LB", "IRIW")
+DATA = Path(__file__).parent / "data"
+ZOO_NAMES = ("PSO-WB", "SC-NMCA", "WO-NMCA")
+
+#: Fixed-seed random-mode tables captured before the executors were
+#: merged into one step semantics; every later commit must match them.
+RANDOM_PINS = json.loads(
+    (DATA / "litmus_random_pins.json").read_text(encoding="utf-8"))
+
+
+def _core_qualnames() -> list[str]:
+    """Every function and method defined in repro.litmus.core, by source."""
+    tree = ast.parse(Path(core.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return names
 
 #: SB with renamed threads: semantics identical, labels different.
 RELABELED_SB = LitmusTest(
@@ -410,12 +436,80 @@ class TestRobustness:
 class TestGoldenFile:
     def test_committed_golden_outcome_sets(self):
         """The file the CI smoke diffs against is itself pinned here."""
-        from pathlib import Path
-
-        path = Path(__file__).parent / "data" / "litmus_classic_outcomes.json"
+        path = DATA / "litmus_classic_outcomes.json"
         want = json.loads(path.read_text(encoding="utf-8"))
         got = explore_exhaustive(CLASSICS).to_json_dict()
         assert got == want
+
+    @pytest.mark.parametrize(
+        "pin", RANDOM_PINS["tables"],
+        ids=lambda pin: f"{pin['test']}/{pin['model']}/{pin['rng_plan']}")
+    def test_random_mode_pins(self, pin):
+        member = RANDOM_PINS["member"]
+        test = (family_member(FamilySpec(**member["spec"]), member["seed"],
+                              member["index"])
+                if pin["test"].startswith("fam-") else get_test(pin["test"]))
+        table = explore_random(
+            test, pin["model"], RANDOM_PINS["trials"],
+            seed=RANDOM_PINS["seed"],
+            config=RunConfig(shards=RANDOM_PINS["shards"],
+                             rng_plan=pin["rng_plan"]))
+        assert table.to_json_dict() == pin
+
+
+class TestZooNames:
+    """Model names resolve through get_zoo_model wherever one is accepted."""
+
+    def test_check_convergence_enumerates_zoo_names(self):
+        for name in ZOO_NAMES:
+            frequencies = explore_random("SB", name, 400, seed=3)
+            report = check_convergence(frequencies)
+            assert report.contained, name
+            assert report.enumerated == frozenset(
+                explore_exhaustive(["SB"], [name]).outcome_set("SB", name))
+
+    def test_entry_key_accepts_zoo_names(self):
+        digest = program_digest(get_test("SB"))
+        fingerprint = enumerator_fingerprint()
+        for name in ZOO_NAMES:
+            assert explore_entry_key(digest, name, fingerprint) \
+                == explore_entry_key(digest, get_zoo_model(name), fingerprint)
+
+
+class TestCoreFingerprint:
+    """Every function and method of the step semantics keys both modes:
+    the exhaustive cache (through :func:`enumerator_fingerprint`) and
+    the random-mode run key that names checkpoint journals and cached
+    shards."""
+
+    @staticmethod
+    def _random_run_key(path) -> str:
+        explore_random("SB", "TSO", 8, seed=1,
+                       config=RunConfig(shards=2, checkpoint=str(path)))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return json.loads(lines[0])["key"]
+
+    def test_qualnames_cover_the_walks(self):
+        names = _core_qualnames()
+        for needed in ("Machine.step", "Machine.deliver", "Machine.reachable",
+                       "Machine.sample", "enabled", "blocker_masks"):
+            assert needed in names
+
+    @pytest.mark.parametrize("qualname", _core_qualnames())
+    def test_changing_any_core_code_rekeys_both_modes(
+            self, qualname, monkeypatch, tmp_path):
+        before_exhaustive = enumerator_fingerprint()
+        before_random = self._random_run_key(tmp_path / "before.jsonl")
+        owner = core
+        *path, name = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        function = vars(owner)[name]
+        # An unused constant: the behaviour stays, the code does not.
+        monkeypatch.setattr(function, "__code__", function.__code__.replace(
+            co_consts=function.__code__.co_consts + ("changed",)))
+        assert enumerator_fingerprint() != before_exhaustive
+        assert self._random_run_key(tmp_path / "after.jsonl") != before_random
 
 
 class TestServiceEstimator:

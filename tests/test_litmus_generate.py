@@ -5,8 +5,8 @@ The generator's contracts: a family member is a *pure function* of
 constraint of its :class:`FamilySpec`; enumerated outcome sets grow
 monotonically with the relaxation set (SC at the bottom); sweeps are
 bit-identical for fixed ``(spec, seed, trials, shards, rng_plan)`` at
-any worker count; and the zoo's operational write-buffer executor is an
-independent second opinion that agrees with algebraic PSO everywhere.
+any worker count.  The zoo's operational write-buffer executor, an
+independent second opinion on PSO, is tested in ``test_litmus_oracles``.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from repro.core import ALL_PAIRS, MemoryModel, model_digest
 from repro.core.instructions import LD, ST
 from repro.errors import LitmusError, ModelDefinitionError
 from repro.litmus import (
-    ALL_TESTS,
     FamilySpec,
     PSO_WB,
     SC_NMCA,
     WO_NMCA,
     ZOO_MODELS,
     enumerate_outcomes,
-    enumerate_outcomes_buffered,
     enumerate_outcomes_non_atomic,
     family_digests,
     family_member,
@@ -238,34 +236,6 @@ class TestZoo:
         assert SC_NMCA.atomicity == "non_atomic"
         assert WO_NMCA.atomicity == "non_atomic"
         assert model_digest(SC_NMCA) != model_digest(get_zoo_model("SC"))
-
-
-class TestBufferedExecutor:
-    def test_agrees_with_algebraic_pso_on_the_full_battery(self):
-        """The dejafu-style per-location write-buffer machine reaches
-        exactly the algebraic PSO outcome sets on every registered test
-        — two independent statements of one model."""
-        pso = get_zoo_model("PSO")
-        for test in ALL_TESTS:
-            programs = list(test.programs)
-            buffered = enumerate_outcomes_buffered(
-                programs, dict(test.initial_memory), test.observed_locations)
-            algebraic = enumerate_outcomes(
-                programs, pso, dict(test.initial_memory),
-                test.observed_locations)
-            assert buffered == algebraic, test.name
-
-    def test_empty_program_list_rejected(self):
-        with pytest.raises(LitmusError):
-            enumerate_outcomes_buffered([])
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=seeds)
-    def test_agrees_with_algebraic_pso_on_generated_members(self, seed):
-        test = family_member(FamilySpec(ops_per_thread=3, spacing=1), seed, 0)
-        programs = list(test.programs)
-        assert enumerate_outcomes_buffered(programs) \
-            == enumerate_outcomes(programs, get_zoo_model("PSO"))
 
 
 class TestNonAtomicFamilies:
