@@ -31,6 +31,7 @@ import time
 
 from conftest import results_path, scaled, show, smoke_mode
 
+from repro import RunConfig
 from repro.cache import ShardStore
 from repro.core import PAPER_MODELS, estimate_non_manifestation
 from repro.reporting import render_table
@@ -50,7 +51,7 @@ SPEEDUP_CAP = 8.0
 def _sweep(trials: int, cache: ShardStore | None):
     return tuple(
         estimate_non_manifestation(model, 2, trials, seed=SEED,
-                                   shards=SHARDS, cache=cache)
+                                   config=RunConfig(shards=SHARDS, cache=cache))
         for model in PAPER_MODELS
     )
 

@@ -24,6 +24,7 @@ import time
 
 from conftest import results_path, scaled, show, smoke_mode
 
+from repro import RunConfig
 from repro.core import TSO, estimate_non_manifestation
 from repro.parallel import ScriptedFaults, ShardPlan, run_sharded
 from repro.reporting import render_table
@@ -39,9 +40,10 @@ WORKERS = 2
 CHECKPOINT_OVERHEAD_CEILING = 1.5
 
 
-def _estimate(**options):
+def _estimate(**knobs):
     return estimate_non_manifestation(
-        TSO, 2, TRIALS, seed=SEED, shards=SHARDS, workers=WORKERS, **options
+        TSO, 2, TRIALS, seed=SEED,
+        config=RunConfig(shards=SHARDS, workers=WORKERS, **knobs),
     )
 
 
@@ -146,5 +148,5 @@ def _retried(faults: ScriptedFaults):
                      batch_size=DEFAULT_BATCH_SIZE, confidence=0.99)
     plan = ShardPlan(TRIALS, SHARDS, SEED)
     return merge_bernoulli(run_sharded(
-        kernel, plan, WORKERS, retries=3, fault_injector=faults,
+        kernel, plan, config=RunConfig(workers=WORKERS, retries=3), fault_injector=faults,
     ))

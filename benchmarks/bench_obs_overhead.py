@@ -24,6 +24,7 @@ import time
 
 from conftest import results_path, scaled, show, smoke_mode
 
+from repro import RunConfig
 from repro.core import TSO, estimate_non_manifestation
 from repro.reporting import render_table
 from repro.reporting.io import write_rows
@@ -42,9 +43,10 @@ OBSERVED_OVERHEAD_CEILING = 1.05
 DISABLED_OVERHEAD_CEILING = 1.05
 
 
-def _estimate(**options):
+def _estimate(**knobs):
     return estimate_non_manifestation(
-        TSO, 2, TRIALS, seed=SEED, shards=SHARDS, workers=WORKERS, **options
+        TSO, 2, TRIALS, seed=SEED,
+        config=RunConfig(shards=SHARDS, workers=WORKERS, **knobs),
     )
 
 

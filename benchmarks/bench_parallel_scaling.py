@@ -37,6 +37,7 @@ import time
 import numpy as np
 from conftest import results_path, scaled, show, smoke_mode
 
+from repro import RunConfig
 from repro.core import TSO, estimate_non_manifestation
 from repro.reporting import render_table
 from repro.reporting.io import write_rows
@@ -62,14 +63,14 @@ SPEEDUP_FLOOR = 2.0
 
 def _analytic(workers: int):
     return estimate_non_manifestation(
-        TSO, 2, ANALYTIC_TRIALS, seed=SEED, shards=SHARDS, workers=workers
+        TSO, 2, ANALYTIC_TRIALS, seed=SEED, config=RunConfig(shards=SHARDS, workers=workers)
     )
 
 
 def _machine(workers: int):
     return run_canonical_bug(
         "TSO", threads=2, trials=MACHINE_TRIALS, seed=SEED,
-        body_length=8, shards=SHARDS, workers=workers,
+        body_length=8, config=RunConfig(shards=SHARDS, workers=workers),
     )
 
 
@@ -87,8 +88,9 @@ def _transport_scan() -> tuple[list[dict[str, object]], dict[str, int]]:
     for transport in ("pickle", "shm"):
         start = time.perf_counter()
         results[transport] = measure_critical_windows(
-            "TSO", WINDOW_THREADS, WINDOW_TRIALS, seed=SEED, shards=SHARDS,
-            workers=TRANSPORT_WORKERS, transport=transport,
+            "TSO", WINDOW_THREADS, WINDOW_TRIALS, seed=SEED,
+            config=RunConfig(shards=SHARDS, workers=TRANSPORT_WORKERS,
+                             transport=transport),
         )
         elapsed = time.perf_counter() - start
         rows.append(

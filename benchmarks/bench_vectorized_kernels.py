@@ -41,6 +41,7 @@ import time
 
 from conftest import results_path, scaled, show, smoke_mode
 
+from repro import RunConfig
 from repro.core import TSO, WINDOW_LENGTH_OFFSET
 from repro.core.settling import sample_window_growth
 from repro.core.shift import DEFAULT_SHIFT_RATIO, ShiftProcess
@@ -178,9 +179,9 @@ def _bench_machine(rows) -> float:
     vector_trials = scaled(50_000, 30_000)
 
     def run(backend: str, trials: int):
-        return run_canonical_bug("TSO", 2, trials, seed=SEED, workers=1,
-                                 shards=1, body_length=BODY_LENGTH,
-                                 backend=backend)
+        return run_canonical_bug("TSO", 2, trials, seed=SEED,
+                                 config=RunConfig(workers=1, shards=1, backend=backend),
+                                 body_length=BODY_LENGTH)
 
     scalar_rate = _throughput(
         "machine/scalar", scalar_trials,

@@ -62,6 +62,7 @@ from repro.core import (
     non_manifestation_probability,
     tso_two_thread_bounds,
 )
+from repro.runconfig import RunConfig
 from repro.stats.intervals import wilson_interval
 
 #: Nightly runs are one-sided gates, so use a conservative coverage:
@@ -115,8 +116,9 @@ def main(argv: list[str] | None = None) -> int:
         def estimate(model, n: int):
             return estimate_non_manifestation(
                 model, n, options.trials, seed=options.seed,
-                confidence=CONFIDENCE, workers=options.workers,
-                backend="vectorized", rng_plan=rng_plan,
+                confidence=CONFIDENCE,
+                config=RunConfig(workers=options.workers, backend="vectorized",
+                                 rng_plan=rng_plan),
             )
 
         # --- Theorem 6.2: n = 2, all four models ---------------------
@@ -163,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
             check_convergence,
             explore_random,
         )
-        from repro.runconfig import RunConfig
 
         for test in LITMUS_CLASSICS:
             for model in PAPER_MODELS:
@@ -205,7 +206,6 @@ def main(argv: list[str] | None = None) -> int:
             explore_random,
             generate_family,
         )
-        from repro.runconfig import RunConfig
 
         # A pinned-seed family: generation is a pure function of
         # (spec, seed, index), so tonight's programs are last night's —

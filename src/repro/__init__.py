@@ -65,10 +65,10 @@ from .errors import (
     SimulationError,
     TruncationError,
 )
-from .runconfig import UNSET, RunConfig, resolve_run_config
+from .runconfig import RunConfig
 from .stats import RandomSource
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ALL_PAIRS",
@@ -93,7 +93,6 @@ __all__ = [
     "SimulationError",
     "TruncationError",
     "TSO",
-    "UNSET",
     "ValueWithError",
     "WO",
     "asymptotic_exponent",
@@ -106,7 +105,6 @@ __all__ = [
     "manifestation_probability",
     "non_manifestation_probability",
     "program_from_types",
-    "resolve_run_config",
     "sample_window_growth",
     "table1_rows",
     "theorem_62_reference",

@@ -5,21 +5,22 @@ grids of thread counts, settle probabilities and store probabilities; this
 module centralises those loops and returns plain row dicts ready for the
 reporting layer.
 
-Every sweep takes ``workers``: grid points are independent, so they
-dispatch onto the shared process-pool engine
-(:func:`repro.stats.parallel.parallel_map`) and come back in grid order —
-``workers=1`` (the default) is the plain serial loop, and the row values
-are identical either way because each point is a deterministic analytic
-evaluation.  ``progress=True`` shows a live per-point progress line
-(each grid point counts as one unit; see ``docs/OBSERVABILITY.md``).
+Every sweep takes a keyword-only ``config=``
+:class:`~repro.runconfig.RunConfig`: grid points are independent, so
+they dispatch onto the shared process-pool engine
+(:func:`repro.stats.parallel.parallel_map`) with the config's
+workers/retries/timeout and come back in grid order — ``workers=1``
+(the default) is the plain serial loop, and the row values are identical
+either way because each point is a deterministic analytic evaluation.
+The observability knobs observe the sweep as one run whose shards are
+its grid points (``progress`` shows a live per-point line; see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from ..core.manifestation import (
     estimate_non_manifestation,
@@ -28,24 +29,18 @@ from ..core.manifestation import (
 )
 from ..core.memory_models import PAPER_MODELS, MemoryModel
 from ..core.window_analytic import window_distribution
-from ..runconfig import UNSET, RunConfig, resolve_run_config
+from ..obs import observed_run
+from ..runconfig import RunConfig
 from ..stats.parallel import parallel_map
 
-if TYPE_CHECKING:
-    from ..cache.store import ShardStore
-    from ..stats.checkpoint import ShardCheckpoint
 
+def _sweep(row: Callable[..., dict[str, object]], items: Sequence,
+           config: RunConfig | None, label: str) -> list[dict[str, object]]:
+    """One row per grid point, dispatched onto ``parallel_map``."""
+    cfg = (config or RunConfig()).resolve()
+    return observed_run(cfg, label, lambda observer: parallel_map(
+        row, items, observer=observer, config=cfg))
 
-def _observed_map(function, items, cfg, label):
-    """Dispatch one sweep onto ``parallel_map`` under a resolved config."""
-    observer = cfg.observer(label)
-    try:
-        return parallel_map(function, items, workers=cfg.workers,
-                            retries=cfg.retries, timeout=cfg.timeout,
-                            observer=observer)
-    finally:
-        if observer is not None:
-            observer.finish()
 
 __all__ = ["thread_sweep", "settle_sweep", "store_probability_sweep", "window_pmf_table", "critical_section_sweep", "beta_sweep"]
 
@@ -69,10 +64,7 @@ def thread_sweep(
     models: Iterable[MemoryModel] = PAPER_MODELS,
     store_probability: float = 0.5,
     beta: float = 0.5,
-    workers: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    progress: bool = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> list[dict[str, object]]:
     """``ln Pr[A]`` per model over thread counts (Theorem 6.3's curve).
@@ -83,9 +75,7 @@ def thread_sweep(
     """
     row = partial(_thread_sweep_row, models=list(models),
                   store_probability=store_probability, beta=beta)
-    cfg = resolve_run_config(config, workers=workers, retries=retries,
-                             timeout=timeout, progress=progress).resolve()
-    return _observed_map(row, thread_counts, cfg, "thread-sweep")
+    return _sweep(row, thread_counts, config, "thread-sweep")
 
 
 def _settle_sweep_row(
@@ -111,10 +101,7 @@ def settle_sweep(
     n: int = 2,
     store_probability: float = 0.5,
     beta: float = 0.5,
-    workers: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    progress: bool = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> list[dict[str, object]]:
     """n-thread ``Pr[bug]`` as the swap-success probability ``s`` varies.
@@ -124,9 +111,7 @@ def settle_sweep(
     """
     row = partial(_settle_sweep_row, models=list(models), n=n,
                   store_probability=store_probability, beta=beta)
-    cfg = resolve_run_config(config, workers=workers, retries=retries,
-                             timeout=timeout, progress=progress).resolve()
-    return _observed_map(row, settle_probabilities, cfg, "settle-sweep")
+    return _sweep(row, settle_probabilities, config, "settle-sweep")
 
 
 def _store_probability_sweep_row(
@@ -149,10 +134,7 @@ def store_probability_sweep(
     models: Iterable[MemoryModel] = PAPER_MODELS,
     n: int = 2,
     beta: float = 0.5,
-    workers: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    progress: bool = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> list[dict[str, object]]:
     """n-thread ``Pr[bug]`` as the program's store fraction ``p`` varies.
@@ -161,10 +143,7 @@ def store_probability_sweep(
     SC and WO columns are flat, which the sweep makes visible.
     """
     row = partial(_store_probability_sweep_row, models=list(models), n=n, beta=beta)
-    cfg = resolve_run_config(config, workers=workers, retries=retries,
-                             timeout=timeout, progress=progress).resolve()
-    return _observed_map(row, store_probabilities, cfg,
-                         "store-probability-sweep")
+    return _sweep(row, store_probabilities, config, "store-probability-sweep")
 
 
 def window_pmf_table(
@@ -211,10 +190,7 @@ def critical_section_sweep(
     models: Iterable[MemoryModel] = PAPER_MODELS,
     n: int = 2,
     beta: float = 0.5,
-    workers: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    progress: bool = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> list[dict[str, object]]:
     """``Pr[A]`` as the base critical-section duration L grows.
@@ -227,9 +203,7 @@ def critical_section_sweep(
     both halves visible (each row carries the SC/WO ratio).
     """
     row = partial(_critical_section_sweep_row, models=list(models), n=n, beta=beta)
-    cfg = resolve_run_config(config, workers=workers, retries=retries,
-                             timeout=timeout, progress=progress).resolve()
-    return _observed_map(row, lengths, cfg, "critical-section-sweep")
+    return _sweep(row, lengths, config, "critical-section-sweep")
 
 
 def _beta_sweep_row(
@@ -257,10 +231,7 @@ def beta_sweep(
     models: Iterable[MemoryModel] = PAPER_MODELS,
     n: int = 2,
     store_probability: float = 0.5,
-    workers: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    progress: bool = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> list[dict[str, object]]:
     """``Pr[A]`` as the shift-distribution ratio β varies (§7 robustness).
@@ -273,9 +244,7 @@ def beta_sweep(
     """
     row = partial(_beta_sweep_row, models=list(models), n=n,
                   store_probability=store_probability)
-    cfg = resolve_run_config(config, workers=workers, retries=retries,
-                             timeout=timeout, progress=progress).resolve()
-    return _observed_map(row, betas, cfg, "beta-sweep")
+    return _sweep(row, betas, config, "beta-sweep")
 
 
 def monte_carlo_check(
@@ -283,18 +252,7 @@ def monte_carlo_check(
     n: int,
     trials: int,
     seed: int | None = 0,
-    workers: int | None = UNSET,
-    shards: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
-    cache: str | Path | ShardStore | None = UNSET,
-    manifest: str | Path | None = UNSET,
-    trace: str | Path | None = UNSET,
-    progress: bool = UNSET,
-    backend: str = UNSET,
-    rng_plan: str = UNSET,
-    transport: str = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> list[dict[str, object]]:
     """Analytic vs Monte-Carlo ``Pr[A]`` rows for the verification benches.
@@ -305,21 +263,14 @@ def monte_carlo_check(
     result cache (``cache`` — overlapping sweep points and re-runs fetch
     completed shards instead of recomputing them, see ``docs/CACHING.md``),
     the observability options (``manifest``/``trace``/``progress``), the
-    kernel ``backend``, and the ``rng_plan``/``transport`` engine knobs,
-    with the per-knob keywords as deprecated aliases — to
-    :func:`repro.core.manifestation.estimate_non_manifestation`; the
+    kernel ``backend``, and the ``rng_plan``/``transport`` engine knobs —
+    to :func:`repro.core.manifestation.estimate_non_manifestation`; the
     per-model checkpoint keys keep one journal file safe across the whole
     model loop, and each model's run appends its own labelled record to
     the shared manifest file.  ``seed`` and the knob types follow the
     estimators exactly (``seed=None`` draws fresh entropy).
     """
-    cfg = resolve_run_config(config, workers=workers, shards=shards,
-                             retries=retries, timeout=timeout,
-                             checkpoint=checkpoint, cache=cache,
-                             manifest=manifest, trace=trace,
-                             progress=progress, backend=backend,
-                             rng_plan=rng_plan, transport=transport,
-                             ).resolve(default_backend="vectorized")
+    cfg = (config or RunConfig()).resolve(default_backend="vectorized")
     rows = []
     for model in models:
         analytic = non_manifestation_probability(

@@ -3,8 +3,9 @@
 Built on the corrected v2 checkpoint keys (``trials``/``shards``/``seed``
 /label **plus the kernel fingerprint**), the cache lets re-runs and
 overlapping sweep points fetch completed shards instead of recomputing
-them.  Pass ``cache="auto"`` (or a directory, or a :class:`ShardStore`)
-to any sharded estimator, or use the ``--cache`` CLI flag; inspect and
+them.  Pass ``config=RunConfig(cache="auto")`` (or a directory, or a
+:class:`ShardStore`) to any sharded estimator, or use the ``--cache``
+CLI flag; inspect and
 manage the store with ``repro cache {stats,clear,verify}``.  Semantics,
 key derivation, and the v1 → v2 migration note live in
 ``docs/CACHING.md``.

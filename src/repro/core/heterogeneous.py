@@ -39,7 +39,7 @@ from itertools import permutations
 import numpy as np
 
 from ..errors import ModelDefinitionError
-from ..stats.montecarlo import BernoulliResult, estimate_event
+from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 from .distributions import DiscreteDistribution, ValueWithError
 from .memory_models import PSO, SC, TSO, WO, MemoryModel
@@ -237,4 +237,4 @@ def estimate_heterogeneous_non_manifestation(
         shifts = source.geometric_array(beta, (batch, len(models)))
         return int(batch_disjoint(shifts, lengths).sum())
 
-    return estimate_event(batch_trial, trials, seed=seed, confidence=confidence)
+    return run_event_trials(batch_trial, trials, seed=seed, confidence=confidence)

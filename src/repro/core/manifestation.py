@@ -33,13 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import ModelDefinitionError
-from ..runconfig import UNSET, RunConfig, resolve_run_config
-from ..stats.checkpoint import ShardCheckpoint
+from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 from .distributions import DiscreteDistribution, ValueWithError
@@ -300,19 +298,7 @@ def estimate_non_manifestation(
     body_length: int = DEFAULT_BODY_LENGTH,
     confidence: float = 0.99,
     critical_section_length: int = WINDOW_LENGTH_OFFSET,
-    workers: int | None = UNSET,
-    shards: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
-    fingerprint: str | None = UNSET,
-    cache: object | None = UNSET,
-    manifest: str | Path | None = UNSET,
-    trace: str | Path | None = UNSET,
-    progress: bool = UNSET,
-    backend: str = UNSET,
-    rng_plan: str = UNSET,
-    transport: str = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> BernoulliResult:
     """Simulate the full §6 pipeline and estimate ``Pr[A]``.
@@ -320,19 +306,22 @@ def estimate_non_manifestation(
     Per trial: one shared program, ``n`` independent reorderings, geometric
     shifts, and the closed-interval overlap check on windows of length
     ``γ + 2`` (see :mod:`repro.core.shift` for the convention).
-    ``workers``/``shards`` fan the budget out over seed-disciplined shards
-    (see :mod:`repro.stats.parallel`); fixed ``(seed, shards)`` gives
-    bit-identical results at any worker count.
-    ``retries``/``timeout``/``checkpoint`` configure the fault-tolerance
-    layer; the checkpoint key is salted with the model name and the
-    experiment parameters, so one journal file can hold several models'
-    runs without cross-contamination.  Since the v2 key format the key
-    also folds in the kernel *fingerprint* (derived automatically from
-    the fully-bound trial kernel, or passed explicitly via
-    ``fingerprint=``), which is what distinguishes the two backends —
-    the label no longer carries a ``backend=`` salt.  ``cache=`` enables
-    the content-addressed shard result cache (``"auto"``, a directory,
-    or a :class:`repro.cache.ShardStore`; see ``docs/CACHING.md``).
+
+    ``config`` (a :class:`repro.runconfig.RunConfig`) carries every
+    execution knob below.  ``workers``/``shards`` fan the budget out
+    over seed-disciplined shards (see :mod:`repro.stats.parallel`);
+    fixed ``(seed, shards)`` gives bit-identical results at any worker
+    count.  ``retries``/``timeout``/``checkpoint`` configure the
+    fault-tolerance layer; the checkpoint key is salted with the model
+    name and the experiment parameters, so one journal file can hold
+    several models' runs without cross-contamination.  Since the v2 key
+    format the key also folds in the kernel *fingerprint* (derived
+    automatically from the fully-bound trial kernel, or set explicitly
+    as ``config.fingerprint``), which is what distinguishes the
+    backends — the label no longer carries a ``backend=`` salt.
+    ``cache`` enables the content-addressed shard result cache
+    (``"auto"``, a directory, or a :class:`repro.cache.ShardStore`; see
+    ``docs/CACHING.md``).
     ``manifest``/``trace``/``progress`` are the observability knobs
     (see ``docs/OBSERVABILITY.md``); manifest run records carry the same
     salted label, so one manifest file can hold all four models' runs.
@@ -352,24 +341,13 @@ def estimate_non_manifestation(
     ``rng_plan`` selects the shard-stream derivation (``"spawn"`` is the
     published-numbers default; ``"philox"`` the counter-addressed fast
     path) and ``transport`` the shard result channel — both forwarded to
-    :func:`repro.stats.montecarlo.run_event_trials`.
-
-    ``config`` (a :class:`repro.runconfig.RunConfig`) supplies every
-    execution knob above in one validated record; the per-knob keywords
-    are deprecated aliases that override the matching config field when
-    passed explicitly.  This estimator is the joined-model driver, so the
-    config resolves with every backend allowed and ``"vectorized"`` as
-    the default.
+    :func:`repro.stats.montecarlo.run_event_trials`.  This estimator is
+    the joined-model driver, so the config resolves with every backend
+    allowed and ``"vectorized"`` as the default.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 threads, got {n}")
-    cfg = resolve_run_config(config, workers=workers, shards=shards,
-                             retries=retries, timeout=timeout,
-                             checkpoint=checkpoint, fingerprint=fingerprint,
-                             cache=cache, manifest=manifest, trace=trace,
-                             progress=progress, backend=backend,
-                             rng_plan=rng_plan, transport=transport,
-                             ).resolve(default_backend="vectorized")
+    cfg = (config or RunConfig()).resolve(default_backend="vectorized")
     kernel = {
         "vectorized": _disjointness_batch_trial,
         "scalar": _disjointness_scalar_trial,

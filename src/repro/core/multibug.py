@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelDefinitionError
-from ..stats.montecarlo import BernoulliResult, estimate_event
+from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 from .distributions import ValueWithError
 from .memory_models import MemoryModel
@@ -149,7 +149,7 @@ def estimate_multi_bug_survival(
         survive = (lengths < np.abs(d)[:, np.newaxis]).all(axis=1) & (d != 0)
         return int(survive.sum())
 
-    return estimate_event(batch_trial, trials, seed=seed, confidence=confidence)
+    return run_event_trials(batch_trial, trials, seed=seed, confidence=confidence)
 
 
 def multi_bug_gap_curve(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..stats.montecarlo import BernoulliResult, estimate_event
+from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 
 __all__ = [
@@ -154,4 +154,4 @@ def estimate_disjointness(
     def batch_trial(source: RandomSource, batch: int) -> int:
         return process.count_disjoint(source, lengths, batch)
 
-    return estimate_event(batch_trial, trials, seed=seed, confidence=confidence)
+    return run_event_trials(batch_trial, trials, seed=seed, confidence=confidence)

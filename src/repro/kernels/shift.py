@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from ..core.shift import DEFAULT_SHIFT_RATIO, batch_disjoint
+from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 
@@ -77,14 +78,14 @@ def estimate_shift_disjointness(
     beta: float = DEFAULT_SHIFT_RATIO,
     seed: int | None = 0,
     confidence: float = 0.99,
-    **engine_options,
+    *,
+    config: RunConfig | None = None,
 ) -> BernoulliResult:
     """Monte-Carlo ``Pr[A(γ̄)]`` on the sharded engine, vectorized.
 
     The picklable counterpart of
-    :func:`repro.core.shift.estimate_disjointness`: ``engine_options``
-    (``workers``/``shards``/``retries``/``timeout``/``checkpoint``/
-    ``manifest``/``trace``/``progress``) forward to
+    :func:`repro.core.shift.estimate_disjointness`: ``config`` (a
+    :class:`repro.runconfig.RunConfig`) forwards to
     :func:`repro.stats.montecarlo.run_event_trials`, so the kernel fans
     out over processes and journals/manifests like any other experiment.
     """
@@ -92,4 +93,4 @@ def estimate_shift_disjointness(
     batch_trial = partial(_shift_batch_trial, lengths=lengths, beta=beta)
     label = f"shift:lengths={','.join(map(str, lengths))}:beta={beta}"
     return run_event_trials(batch_trial, trials, seed=seed, confidence=confidence,
-                            checkpoint_label=label, **engine_options)
+                            checkpoint_label=label, config=config)

@@ -54,12 +54,13 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from ..core.memory_models import PAPER_MODELS, MemoryModel, model_digest
 from ..errors import LitmusError
-from ..runconfig import RunConfig, resolve_run_config
+from ..obs import ShardEvent, observed_run
+from ..runconfig import RunConfig
 from ..stats.checkpoint import kernel_fingerprint
 from ..stats.parallel import (
     ShardPlan,
@@ -336,10 +337,12 @@ def explore_exhaustive(
     executing, so a warm re-run executes zero points.  Uncached points
     fan out over :func:`~repro.stats.parallel.parallel_map` with the
     config's workers/retries/timeout.  Observability knobs produce the
-    standard manifest: cached points appear as cached shards and the
-    cache tallies land in ``run.cache_hits``/``run.cache_misses``.
+    standard manifest (one ``litmus-explore`` run whose shards are the
+    grid points, numbered by grid position) and span tree: cached points
+    appear as cached shards and the cache tallies land in
+    ``run.cache_hits``/``run.cache_misses``.
     """
-    cfg = resolve_run_config(config).resolve()
+    cfg = (config or RunConfig()).resolve()
     tests = _resolve_tests(tests)
     models = _resolve_models(models)
     if not tests or not models:
@@ -368,65 +371,64 @@ def explore_exhaustive(
             cached[point] = hit
         else:
             misses.append(point)
-
-    observer = cfg.observer("litmus-explore")
-    if observer is not None:
-        # Each grid point counts as one shard of work, exactly as
-        # parallel_map reports sweep items — the manifest schema's
-        # "sharded" mode covers grid fan-outs too.
-        observer.run_started(
-            trials=len(grid), shards=len(grid), seed=None,
-            workers=resolve_workers(cfg.workers),
-            active_shards=len(grid), retries=cfg.retries,
-            timeout=cfg.timeout,
-        )
     position = {point: index for index, point in enumerate(grid)}
-    if observer is not None:
-        for point in grid:
-            if point in cached:
-                observer.shard_cached(position[point], 1)
 
-    executed = []
-    if misses:
-        executed = parallel_map(
-            _exhaustive_point, [points[point] for point in misses],
-            workers=cfg.workers, retries=cfg.retries, timeout=cfg.timeout,
+    def execute(observer) -> dict[tuple[str, str], frozenset]:
+        if observer is not None:
+            # Each grid point counts as one shard of work, numbered by
+            # grid position; the manifest schema's "sharded" mode covers
+            # grid fan-outs too.
+            observer.run_started(
+                trials=len(grid), shards=len(grid), seed=None,
+                workers=resolve_workers(cfg.workers),
+                active_shards=len(grid), retries=cfg.retries,
+                timeout=cfg.timeout,
+            )
+            for point in grid:
+                if point in cached:
+                    observer.shard_cached(position[point], 1)
+        executed = []
+        if misses:
+            # The points report to this run's observer below, so the
+            # map itself runs unobserved.
+            executed = parallel_map(
+                _exhaustive_point, [points[point] for point in misses],
+                config=replace(cfg, manifest=None, trace=None, progress=False))
+        evictions = 0
+        outcome_sets = dict(cached)
+        for point, (outcomes, seconds, worker) in zip(misses, executed):
+            outcome_sets[point] = outcomes
+            if store is not None:
+                evictions += store.put(keys[point], outcomes)
+            if observer is not None:
+                observer.shard_finished(ShardEvent(
+                    shard=position[point], trials=1, seconds=seconds,
+                    attempts=1, worker=worker,
+                ))
+        if observer is not None:
+            if store is not None:
+                observer.cache_summary(hits=len(cached), misses=len(misses),
+                                       stored=len(misses), evictions=evictions)
+            observer.annotate("explore.grid_points", len(grid), "points")
+            observer.annotate(
+                "explore.outcomes_total",
+                sum(len(outcomes) for outcomes in outcome_sets.values()),
+                "outcomes")
+        return outcome_sets
+
+    def merge(outcome_sets) -> ExplorationReport:
+        return ExplorationReport(
+            results=tuple(
+                ExhaustiveOutcomes(test=test_name, model=model_name,
+                                   outcomes=outcome_sets[(test_name, model_name)],
+                                   cached=(test_name, model_name) in cached)
+                for test_name, model_name in grid),
+            cache_hits=len(cached), cache_misses=len(misses),
+            cache_stored=len(misses) if store is not None else 0,
+            fingerprint=fingerprint,
         )
 
-    evictions = 0
-    outcome_sets: dict[tuple[str, str], frozenset] = dict(cached)
-    for point, (outcomes, seconds, worker) in zip(misses, executed):
-        outcome_sets[point] = outcomes
-        if store is not None:
-            evictions += store.put(keys[point], outcomes)
-        if observer is not None:
-            from ..obs import ShardEvent
-            observer.shard_finished(ShardEvent(
-                shard=position[point], trials=1, seconds=seconds,
-                attempts=1, worker=worker,
-            ))
-
-    stored = len(misses) if store is not None else 0
-    results = tuple(
-        ExhaustiveOutcomes(test=test_name, model=model_name,
-                           outcomes=outcome_sets[(test_name, model_name)],
-                           cached=(test_name, model_name) in cached)
-        for test_name, model_name in grid
-    )
-    report = ExplorationReport(
-        results=results, cache_hits=len(cached), cache_misses=len(misses),
-        cache_stored=stored, fingerprint=fingerprint,
-    )
-    if observer is not None:
-        if store is not None:
-            observer.cache_summary(hits=len(cached), misses=len(misses),
-                                   stored=stored, evictions=evictions)
-        observer.annotate("explore.grid_points", len(grid), "points")
-        observer.annotate(
-            "explore.outcomes_total",
-            sum(len(result.outcomes) for result in results), "outcomes")
-        observer.finish(report.to_json_dict())
-    return report
+    return observed_run(cfg, "litmus-explore", execute, merge)
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +485,7 @@ def explore_random(
     previously-computed shards, and the observability knobs produce the
     standard manifest/trace/progress.
     """
-    cfg = resolve_run_config(config).resolve()
+    cfg = (config or RunConfig()).resolve()
     test = get_test(test) if isinstance(test, str) else test
     model = _resolve_models([model])[0]
     if trials < 1:
@@ -497,9 +499,8 @@ def explore_random(
     label = f"litmus-explore:{test.name}:{model.name}:{identity}"
 
     def execute(observer):
-        return run_sharded(kernel, plan, workers=cfg.workers,
-                           checkpoint_label=label, observer=observer,
-                           **cfg.engine_options())
+        return run_sharded(kernel, plan, checkpoint_label=label,
+                           observer=observer, config=cfg)
 
     def merge(parts) -> OutcomeFrequencies:
         totals: dict[Outcome, int] = {}
@@ -512,16 +513,7 @@ def explore_random(
             counts=tuple(sorted(totals.items())),
         )
 
-    observer = cfg.observer(label)
-    if observer is None:
-        return merge(execute(None))
-    with observer.span("run"):
-        with observer.span("shards"):
-            parts = execute(observer)
-        with observer.span("merge"):
-            merged = merge(parts)
-    observer.finish(merged.to_json_dict())
-    return merged
+    return observed_run(cfg, label, execute, merge)
 
 
 # ----------------------------------------------------------------------

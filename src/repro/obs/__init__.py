@@ -20,8 +20,9 @@ Three modules, one plumbing object:
   ``write_manifest`` / ``load_manifest`` / ``validate_manifest``.
 * :mod:`repro.obs.progress` — the ``--progress`` line and its
   trimmed-mean ETA estimator.
-* :class:`repro.obs.RunObserver` — created from the estimator keywords
-  ``manifest=`` / ``trace=`` / ``progress=`` and fed by the engine.
+* :class:`repro.obs.RunObserver` — derived from a ``RunConfig``'s
+  ``manifest`` / ``trace`` / ``progress`` knobs and fed by the engine;
+  :func:`repro.obs.observed_run` is the one lifecycle around it.
 
 The full operational story — metric catalogue, span reference, manifest
 schema with an annotated example, and a debugging walkthrough — lives in
@@ -48,7 +49,7 @@ from .metrics import (
     merge_registries,
     trimmed_mean,
 )
-from .observer import RunObserver
+from .observer import RunObserver, observed_run
 from .progress import ProgressPrinter, ProgressSnapshot, estimate_eta, format_progress
 from .trace import Span, Tracer, default_tracer, span
 
@@ -73,6 +74,7 @@ __all__ = [
     "format_progress",
     "load_manifest",
     "merge_registries",
+    "observed_run",
     "span",
     "summarise_result",
     "trimmed_mean",

@@ -4,8 +4,8 @@ A finished estimate is one number; an *auditable* estimate needs the
 story behind it — which plan drew the randomness, how long each shard
 took, what failed and was retried, what was resumed from a checkpoint,
 and what the merged result was.  The manifest is that story as JSON,
-written next to the checkpoint journal by the ``manifest=`` keyword /
-``--manifest`` CLI flag.
+written next to the checkpoint journal by the ``RunConfig.manifest``
+knob / ``--manifest`` CLI flag.
 
 One manifest **file** holds one document with a ``runs`` list; each
 sharded run appends one **run record**, so a multi-model command (the
@@ -87,12 +87,15 @@ def summarise_result(result: Any) -> dict[str, object] | None:
     import (observability sits below every layer that defines them):
     Bernoulli (``successes``/``trials``), categorical and machine PMFs
     (``counts`` or ``final_values``), window measurements
-    (``overlap_trials``), and plain dicts.  Anything else falls back to
-    ``repr``.  The summary must be deterministic for a fixed plan — it
-    is the field re-runs are compared on.
+    (``overlap_trials``), and plain dicts; a result with ``to_json_dict``
+    (the litmus reports) is summarised as that dict.  Anything else
+    falls back to ``repr``.  The summary must be deterministic for a
+    fixed plan — it is the field re-runs are compared on.
     """
     if result is None:
         return None
+    if hasattr(result, "to_json_dict"):
+        result = result.to_json_dict()
     summary: dict[str, object] = {"type": type(result).__name__}
     if isinstance(result, dict):
         summary["value"] = {str(key): value for key, value in sorted(result.items())}

@@ -1,7 +1,7 @@
 """The run observer: one object that ties metrics, trace, progress, manifest.
 
-The estimators expose three orthogonal observability knobs —
-``manifest=PATH``, ``trace=PATH``, ``progress=True`` — and
+A :class:`~repro.runconfig.RunConfig` carries three orthogonal
+observability knobs — ``manifest``, ``trace``, ``progress`` — and
 :class:`RunObserver` is the plumbing behind all of them: the engine
 (:func:`repro.stats.parallel.run_sharded` / ``parallel_map``) reports
 run-start, per-shard completion, failures, and pool recycles to it; the
@@ -17,6 +17,11 @@ the tests and tracked by ``benchmarks/bench_obs_overhead.py``).
 and every engine hook is behind an ``if observer is not None`` — the
 un-observed hot path stays exactly as fast as before this layer
 existed.
+
+:func:`observed_run` is the one observer lifecycle every driver uses:
+derive the observer from the config, run the work inside the canonical
+``run`` > ``shards`` / ``merge`` span tree, and finish with the merged
+result.
 """
 
 from __future__ import annotations
@@ -25,14 +30,19 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from contextlib import contextmanager
-from typing import Callable, ContextManager, Iterator
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterator, TypeVar
 
 from .manifest import build_run_record, summarise_result, write_manifest
 from .metrics import MetricsRegistry, ShardEvent
 from .progress import ProgressPrinter, ProgressSnapshot, estimate_eta
 from .trace import Tracer
 
-__all__ = ["RunObserver"]
+if TYPE_CHECKING:
+    from ..runconfig import RunConfig
+
+__all__ = ["RunObserver", "observed_run"]
+
+T = TypeVar("T")
 
 
 @contextmanager
@@ -319,3 +329,34 @@ class RunObserver:
             result=summarise_result(result),
             checkpoint=checkpoint,
         )
+
+
+def observed_run(
+    config: "RunConfig",
+    label: str,
+    execute: Callable[["RunObserver | None"], Any],
+    merge: Callable[[Any], T] | None = None,
+) -> T:
+    """Run ``merge(execute(observer))`` under the observer ``config`` implies.
+
+    ``execute(observer)`` does the work — a driver calls
+    :func:`~repro.stats.parallel.run_sharded` or
+    :func:`~repro.stats.parallel.parallel_map` in it, forwarding the
+    observer — and ``merge`` pools what it returns.  With an observer
+    the two run inside the canonical span tree (``run`` > ``shards`` /
+    ``merge``) and :meth:`RunObserver.finish` seals progress, trace and
+    manifest with the merged result.  ``merge=None`` returns the parts
+    unmerged and records no result (bare engine calls and sweeps).  With
+    no observability knob set this is just ``merge(execute(None))``.
+    """
+    observer = config.observer(label)
+    if observer is None:
+        parts = execute(None)
+        return parts if merge is None else merge(parts)
+    with observer.span("run"):
+        with observer.span("shards"):
+            parts = execute(observer)
+        with observer.span("merge"):
+            merged = parts if merge is None else merge(parts)
+    observer.finish(None if merge is None else merged)
+    return merged

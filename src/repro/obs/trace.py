@@ -21,7 +21,8 @@ only that span).
 
 The engine emits ``run`` (the whole sharded run), ``shards`` (fan-out
 and harvest) and ``merge`` (result merging) spans when tracing is
-enabled via the ``trace=`` keyword / ``--trace`` CLI flag; kernels and
+enabled via the ``RunConfig.trace`` knob / ``--trace`` CLI flag (one
+place opens them: :func:`repro.obs.observed_run`); kernels and
 callers are free to add their own (``span("settle")``) either on a
 :class:`Tracer` they own or on the module-level :func:`span` default.
 The reference of engine-emitted spans lives in ``docs/OBSERVABILITY.md``.
@@ -159,8 +160,8 @@ def span(name: str, **attributes: object) -> Iterator[None]:
     """Time a block on the module-level default tracer.
 
     The zero-setup form for exploratory use — library runs that need a
-    durable trace should pass ``trace=PATH`` to an estimator (or own a
-    :class:`Tracer`) instead.
+    durable trace should pass ``config=RunConfig(trace=PATH)`` to an
+    estimator (or own a :class:`Tracer`) instead.
     """
     with _DEFAULT.span(name, **attributes):
         yield

@@ -5,7 +5,8 @@ across processes:
 
 >>> from repro.parallel import ShardPlan, run_sharded
 >>> plan = ShardPlan(trials=10_000, shards=8, seed=42)
->>> # results = run_sharded(kernel, plan, workers=4, retries=2)
+>>> # results = run_sharded(kernel, plan,
+>>> #                         config=RunConfig(workers=4, retries=2))
 
 The engine lives in :mod:`repro.stats.parallel`; the fault-tolerance
 layer (bounded retry, per-shard timeouts, ``BrokenProcessPool``
@@ -28,22 +29,22 @@ counter-addressed streams — same guarantees, different (never silently
 mixed) draws — and the :mod:`repro.stats.transport` layouts route shard
 results home through shared memory instead of pickle, bit-identically.
 
-Observability: pass a :class:`repro.obs.RunObserver` (re-exported here)
-as ``observer=`` to :func:`run_sharded` / :func:`parallel_map` — or use
-the estimators' ``manifest=`` / ``trace=`` / ``progress=`` knobs — to
+All of the execution knobs above travel together as one validated
+:class:`repro.runconfig.RunConfig` (re-exported here): build it once and
+pass it as ``config=`` — the only way to pass an engine knob — to any
+estimator or to :func:`run_sharded` / :func:`parallel_map` (see
+``docs/API.md``, "RunConfig").
+
+Observability: the config's ``manifest`` / ``trace`` / ``progress``
+knobs — or a :class:`repro.obs.RunObserver` (re-exported here) passed
+as ``observer=`` to :func:`run_sharded` / :func:`parallel_map` —
 collect per-shard wall times, the retry/timeout ledger, a span trace,
 and a validated run manifest, without touching any number
 (``docs/OBSERVABILITY.md``).
-
-All of the execution knobs above travel together as one validated
-:class:`repro.runconfig.RunConfig` (re-exported here): build it once,
-pass ``config=`` to any estimator or to :func:`run_sharded` /
-:func:`parallel_map`, and the per-knob keywords become deprecated
-aliases (see ``docs/API.md``, "RunConfig").
 """
 
 from .obs import RunObserver
-from .runconfig import UNSET, RunConfig, resolve_run_config
+from .runconfig import RunConfig
 from .stats.checkpoint import ShardCheckpoint, kernel_fingerprint, plan_key
 from .stats.faults import (
     InjectedFault,
@@ -92,7 +93,6 @@ __all__ = [
     "ShardTable",
     "TRANSPORTS",
     "TaskTelemetry",
-    "UNSET",
     "WindowLayout",
     "execute_tasks",
     "is_picklable",
@@ -105,7 +105,6 @@ __all__ = [
     "plan_key",
     "plan_shards",
     "resolve_rng_plan",
-    "resolve_run_config",
     "resolve_shards",
     "resolve_transport",
     "resolve_workers",

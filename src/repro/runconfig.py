@@ -31,13 +31,11 @@ Design rules:
   v2 ``plan_key``; see :meth:`plan_key_inputs`) — everything else is a
   scheduling or observability concern that can never change a merged
   number.
-* **Keyword aliases keep working.**  Every estimator still accepts the
-  historical per-knob keywords; they are deprecated aliases that fold
-  into the config via :func:`resolve_run_config` (an explicit keyword
-  overrides the same field of a passed ``config``).  Defaults are
-  identical, so fixed-seed outputs and v2 plan keys are byte-for-byte
-  unchanged.  See ``docs/API.md`` ("RunConfig") for the knob table and
-  the deprecation policy.
+* **One way in.**  ``config=`` is the only parameter that carries an
+  engine knob: every estimator, sweep and engine entry point takes it
+  keyword-only, and none takes a knob as a keyword of its own (the
+  per-knob keyword aliases of the 1.x series were removed in 2.0).  See
+  ``docs/API.md`` ("RunConfig") for the knob table.
 * **The CLI builds exactly one.**  :meth:`RunConfig.from_args` maps the
   global engine flags onto the config in one place; every subcommand
   handler forwards ``args.run_config`` instead of hand-picking keywords,
@@ -62,30 +60,7 @@ if TYPE_CHECKING:  # real types without runtime import cycles
     from repro.obs import RunObserver
     from repro.stats.checkpoint import ShardCheckpoint
 
-__all__ = ["UNSET", "RunConfig", "resolve_run_config"]
-
-
-class _Unset:
-    """Sentinel type for "keyword alias not passed" (singleton ``UNSET``)."""
-
-    _instance: "_Unset | None" = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSET"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Default for the estimators' deprecated per-knob keyword aliases:
-#: distinguishes "caller said nothing" (the ``config``/default value
-#: applies) from an explicit override, including explicit ``None``.
-UNSET: Any = _Unset()
+__all__ = ["RunConfig"]
 
 
 def _knob(default: Any, cli: str | None, args: str | None = None,
@@ -275,19 +250,13 @@ class RunConfig:
         live objects (a pre-keyed ``ShardCheckpoint``, a ``ShardStore``,
         a progress callback) raise ``TypeError`` — the wire is for
         configs a *client* can express, and live objects are
-        process-local by nature.  :data:`UNSET` can never leak: it is
-        not a valid field value (only the deprecated keyword aliases use
-        it) and is rejected here as a safety net.  The round-trip
+        process-local by nature.  The round-trip
         ``from_json_dict(json.loads(json.dumps(to_json_dict())))`` is
         byte-identical (tested field by field).
         """
         wire: dict[str, Any] = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if value is UNSET:
-                raise ValueError(
-                    f"RunConfig.{spec.name} holds UNSET; the sentinel must "
-                    "never reach a constructed config, let alone the wire")
             if isinstance(value, Path):
                 value = str(value)
             allowed = self._WIRE_TYPES[spec.name]
@@ -314,8 +283,7 @@ class RunConfig:
         built to kill) and wrongly-typed values raise ``TypeError``.
         Keys the payload *omits* keep the value from ``base`` (default:
         the all-defaults config) — this is how the service folds a
-        request's config over the server's, without an ``UNSET`` ever
-        appearing on the wire.  The result is validated via
+        request's config over the server's.  The result is validated via
         :meth:`resolve` before it is returned.
         """
         if not isinstance(payload, dict):
@@ -386,19 +354,6 @@ class RunConfig:
     # Derivations
     # ------------------------------------------------------------------
 
-    def updated(self, **overrides: Any) -> "RunConfig":
-        """A copy with every non-``UNSET`` override applied.
-
-        The folding primitive behind the deprecated keyword aliases: an
-        estimator collects its per-knob keywords (defaulted to
-        :data:`UNSET`) and folds the explicitly-passed ones over the
-        ``config`` — so a keyword always wins over the same field of a
-        passed config, and an untouched keyword never masks it.
-        """
-        updates = {name: value for name, value in overrides.items()
-                   if value is not UNSET}
-        return replace(self, **updates) if updates else self
-
     def observer(self, label: str = "") -> "RunObserver | None":
         """The :class:`~repro.obs.RunObserver` the observability knobs imply.
 
@@ -432,29 +387,3 @@ class RunConfig:
             "rng_plan": self.rng_plan,
             "fingerprint": self.fingerprint,
         }
-
-    def engine_options(self) -> dict[str, Any]:
-        """The knobs :func:`~repro.stats.parallel.run_sharded` consumes
-        directly, ready to splat (``workers`` and the observer travel
-        separately; ``backend`` is resolved before the kernel is built)."""
-        return {
-            "retries": self.retries,
-            "timeout": self.timeout,
-            "checkpoint": self.checkpoint,
-            "fingerprint": self.fingerprint,
-            "cache": self.cache,
-            "transport": self.transport,
-        }
-
-
-def resolve_run_config(config: RunConfig | None = None,
-                       **overrides: Any) -> RunConfig:
-    """Fold deprecated per-knob keyword aliases into one ``RunConfig``.
-
-    ``config=None`` starts from the all-defaults config (the historical
-    serial behaviour); ``overrides`` are the estimator's keyword aliases,
-    ignored when :data:`UNSET`.  The caller still runs
-    :meth:`RunConfig.resolve` to validate and apply its backend policy.
-    """
-    base = config if config is not None else RunConfig()
-    return base.updated(**overrides)

@@ -11,8 +11,7 @@ subtly different estimate.
 The config a client submits is a *partial* wire dict (any subset of the
 ``RunConfig`` fields); the server folds it over its own default config
 via :meth:`RunConfig.from_json_dict`, so an omitted knob means "the
-server's default", never ``UNSET`` (the sentinel cannot appear on the
-wire — :meth:`RunConfig.to_json_dict` rejects it outright).
+server's default".
 """
 
 from __future__ import annotations

@@ -17,19 +17,20 @@ scale across cores while staying bit-reproducible for a fixed
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
-from pathlib import Path
 
-from ..runconfig import UNSET, RunConfig, resolve_run_config
-from ..stats.checkpoint import ShardCheckpoint
+from ..obs import observed_run
+from ..runconfig import RunConfig
 from ..stats.intervals import Proportion, wilson_interval
 from ..stats.montecarlo import CategoricalResult, merge_categorical
 from ..stats.parallel import ShardPlan, resolve_shards, run_sharded
 from ..stats.rng import RandomSource, iter_batches
 from ..stats.transport import CategoricalLayout
+from .cpu import CORE_KINDS, Core
 from .isa import ThreadProgram
 from .machine import Machine
 from .programs import (
@@ -51,12 +52,34 @@ TRIAL_SPAWN_BATCH = 1024
 VECTORIZED_TRIAL_BATCH = 4096
 
 
+def _check_core_options(model_name: str, core_options: dict[str, object]) -> None:
+    """Raise ``TypeError`` for an option the ``model_name`` core cannot take.
+
+    Runs before any planning, so a typo — or an engine knob passed as a
+    keyword instead of through ``config=`` — fails at the call site
+    instead of inside the first shard, where the engine would retry it
+    as if it were a transient fault.  An unknown model is left to
+    :func:`~repro.sim.cpu.make_core` to report.
+    """
+    kind = CORE_KINDS.get(model_name.upper())
+    if kind is None:
+        return
+    accepted = (inspect.signature(kind).parameters.keys()
+                - inspect.signature(Core).parameters.keys())
+    knobs = {spec.name for spec in fields(RunConfig)}
+    for option in sorted(set(core_options) - accepted):
+        if option in knobs:
+            raise TypeError(f"{option!r} is an engine knob, not a core option: "
+                            f"pass config=RunConfig({option}=...)")
+        raise TypeError(f"the {model_name} core takes no option {option!r} "
+                        f"(it accepts: {', '.join(sorted(accepted)) or 'none'})")
+
+
 def _machine_backend_beta(
     model_name: str,
     scheduler: Scheduler | None,
     fenced: bool,
     atomic: bool,
-    core_options: dict[str, object],
 ) -> float:
     """Validate vectorized-backend constraints; returns the launch β.
 
@@ -83,13 +106,6 @@ def _machine_backend_beta(
         raise SimulationError(
             "backend='vectorized' requires the geometric-launch scheduler "
             f"(got {type(scheduler).__name__}); use backend='scalar'"
-        )
-    unknown = set(core_options) - {"drain_probability", "buffer_capacity"}
-    if unknown:
-        raise SimulationError(
-            "backend='vectorized' accepts only drain_probability/"
-            f"buffer_capacity core options (got {sorted(unknown)}); "
-            "use backend='scalar'"
         )
     return scheduler.beta if scheduler is not None else GeometricLaunchScheduler().beta
 
@@ -198,19 +214,7 @@ def run_canonical_bug(
     fenced: bool = False,
     atomic: bool = False,
     confidence: float = 0.99,
-    workers: int | None = UNSET,
-    shards: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
-    fingerprint: str | None = UNSET,
-    cache: object | None = UNSET,
-    manifest: str | Path | None = UNSET,
-    trace: str | Path | None = UNSET,
-    progress: bool = UNSET,
-    backend: str = UNSET,
-    rng_plan: str = UNSET,
-    transport: str = UNSET,
+    *,
     config: RunConfig | None = None,
     **core_options,
 ) -> CanonicalBugResult:
@@ -233,54 +237,44 @@ def run_canonical_bug(
     atomic:
         Replace the racy load/increment/store with one atomic fetch-and-add
         (the bug's fix; mutually exclusive with ``fenced``).
-    workers, shards:
-        Fan the trial budget out over seed-disciplined shards on a process
-        pool (:mod:`repro.stats.parallel`); fixed ``(seed, shards)`` is
-        bit-reproducible at any worker count.  ``shards=None`` defaults to
-        the fixed :data:`~repro.stats.parallel.DEFAULT_SHARDS` whenever
-        parallelism is requested (never the worker count), and to a
-        single shard for the serial ``workers=1`` case.
-    retries, timeout, checkpoint:
-        Fault-tolerance options (per-shard retry, per-shard pooled
-        timeout, resumable shard journal); see
-        :func:`repro.stats.parallel.run_sharded`.  The checkpoint key is
-        salted with the model/threads/variant, so one journal file can
-        hold several machine experiments.  Since the v2 key format the
-        key also folds in the kernel fingerprint (derived automatically,
-        or passed via ``fingerprint=``), which distinguishes the two
-        backends — the label carries no ``backend=`` salt.
-    fingerprint, cache:
-        The v2 keying and caching channel: ``fingerprint`` overrides the
-        derived kernel fingerprint; ``cache`` enables the
-        content-addressed shard result cache (``"auto"``, a directory,
-        or a :class:`repro.cache.ShardStore` — see ``docs/CACHING.md``).
-    manifest, trace, progress:
-        Observability knobs (run manifest JSON, JSONL span trace, live
-        stderr progress); read-only with respect to the result — see
-        ``docs/OBSERVABILITY.md``.
-    backend:
-        ``"scalar"`` (default) runs the cycle-accurate object machine;
-        ``"vectorized"`` runs the whole-array kernel of
-        :mod:`repro.kernels.machine` — statistically equivalent,
-        typically an order of magnitude faster, but restricted to the
-        racy variant on SC/TSO/PSO under the geometric-launch scheduler
-        (anything else raises).  The machine has no fused kernel, so
-        ``backend="fused"`` is rejected explicitly.  See
-        ``docs/KERNELS.md``.
-    rng_plan, transport:
-        The shard-stream derivation (``"spawn"`` default / ``"philox"``
-        counter-addressed fast path) and the shard result channel; see
-        :class:`repro.stats.parallel.ShardPlan` and
-        :mod:`repro.stats.transport`.
     config:
-        A :class:`repro.runconfig.RunConfig` supplying every execution
-        knob above in one validated record; the per-knob keywords are
-        deprecated aliases that override the matching config field when
-        passed explicitly.  The machine is a scalar-default driver
-        without a fused kernel, so the config resolves with
-        ``allowed_backends=("scalar", "vectorized")``.
+        A :class:`repro.runconfig.RunConfig` carrying every execution
+        knob:
+
+        * ``workers``/``shards`` fan the trial budget out over
+          seed-disciplined shards on a process pool
+          (:mod:`repro.stats.parallel`); fixed ``(seed, shards)`` is
+          bit-reproducible at any worker count.  ``shards=None``
+          defaults to the fixed
+          :data:`~repro.stats.parallel.DEFAULT_SHARDS` whenever
+          parallelism is requested (never the worker count), and to a
+          single shard for the serial ``workers=1`` case.
+        * ``retries``/``timeout``/``checkpoint`` are the fault-tolerance
+          options (see :func:`repro.stats.parallel.run_sharded`).  The
+          checkpoint key is salted with the model/threads/variant, so
+          one journal file can hold several machine experiments, and
+          folds in the kernel fingerprint (derived automatically, or
+          ``fingerprint``), which distinguishes the two backends.
+        * ``cache`` enables the content-addressed shard result cache
+          (see ``docs/CACHING.md``).
+        * ``manifest``/``trace``/``progress`` are the observability
+          knobs, read-only with respect to the result (see
+          ``docs/OBSERVABILITY.md``).
+        * ``backend``: ``"scalar"`` (default) runs the cycle-accurate
+          object machine; ``"vectorized"`` runs the whole-array kernel
+          of :mod:`repro.kernels.machine` — statistically equivalent,
+          typically an order of magnitude faster, but restricted to the
+          racy variant on SC/TSO/PSO under the geometric-launch
+          scheduler (anything else raises).  The machine has no fused
+          kernel, so ``backend="fused"`` is rejected (the config
+          resolves with ``allowed_backends=("scalar", "vectorized")``).
+          See ``docs/KERNELS.md``.
+        * ``rng_plan``/``transport`` select the shard-stream derivation
+          and the shard result channel.
     core_options:
         Forwarded to the core constructor (e.g. ``drain_probability``).
+        An option the model's core does not accept raises
+        ``TypeError`` before any shard runs.
     """
     if threads < 2:
         raise ValueError(f"the race needs at least 2 threads, got {threads}")
@@ -288,23 +282,17 @@ def run_canonical_bug(
         raise ValueError(f"trials must be positive, got {trials}")
     if fenced and atomic:
         raise ValueError("fenced and atomic variants are mutually exclusive")
+    _check_core_options(model_name, core_options)
     if atomic:
         builder = canonical_increment_atomic
     elif fenced:
         builder = canonical_increment_fenced
     else:
         builder = canonical_increment
-    cfg = resolve_run_config(config, workers=workers, shards=shards,
-                             retries=retries, timeout=timeout,
-                             checkpoint=checkpoint, fingerprint=fingerprint,
-                             cache=cache, manifest=manifest, trace=trace,
-                             progress=progress, backend=backend,
-                             rng_plan=rng_plan, transport=transport,
-                             ).resolve(default_backend="scalar",
-                                       allowed_backends=("scalar", "vectorized"))
+    cfg = (config or RunConfig()).resolve(
+        default_backend="scalar", allowed_backends=("scalar", "vectorized"))
     if cfg.backend == "vectorized":
-        beta = _machine_backend_beta(model_name, scheduler, fenced, atomic,
-                                     core_options)
+        beta = _machine_backend_beta(model_name, scheduler, fenced, atomic)
         kernel = partial(
             _canonical_bug_vectorized_shard,
             model_name=model_name,
@@ -330,7 +318,11 @@ def run_canonical_bug(
     variant = "atomic" if atomic else ("fenced" if fenced else "racy")
     label = (f"canonical:{model_name}:n={threads}:body={body_length}"
              f":variant={variant}")
-    observer = cfg.observer(label)
+
+    def execute(observer):
+        return run_sharded(kernel, plan, checkpoint_label=label,
+                           observer=observer,
+                           layout=CategoricalLayout(confidence), config=cfg)
 
     def build(parts: list[CategoricalResult]) -> CanonicalBugResult:
         merged = merge_categorical(parts)
@@ -342,19 +334,4 @@ def run_canonical_bug(
             confidence=confidence,
         )
 
-    layout = CategoricalLayout(confidence)
-    if observer is None:
-        return build(run_sharded(
-            kernel, plan, cfg.workers, checkpoint_label=label,
-            layout=layout, **cfg.engine_options(),
-        ))
-    with observer.span("run"):
-        with observer.span("shards"):
-            parts = run_sharded(
-                kernel, plan, cfg.workers, checkpoint_label=label,
-                observer=observer, layout=layout, **cfg.engine_options(),
-            )
-        with observer.span("merge"):
-            result = build(parts)
-    observer.finish(result)
-    return result
+    return observed_run(cfg, label, execute, build)

@@ -23,18 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..runconfig import UNSET, RunConfig, resolve_run_config
+from ..obs import observed_run
+from ..runconfig import RunConfig
 from ..stats.bootstrap import BootstrapInterval, bootstrap_mean_interval
-from ..stats.checkpoint import ShardCheckpoint
 from ..stats.parallel import ShardPlan, resolve_shards, run_sharded
 from ..stats.transport import WindowLayout
 from ..stats.rng import RandomSource, iter_batches
-from .executor import TRIAL_SPAWN_BATCH, _machine_backend_beta
+from .executor import TRIAL_SPAWN_BATCH, _check_core_options, _machine_backend_beta
 from .machine import Machine, MachineResult
 from .memory import AccessKind
 from .programs import SHARED_COUNTER, canonical_increment, sample_body_types
@@ -216,19 +215,7 @@ def measure_critical_windows(
     seed: int | None = 0,
     body_length: int = 8,
     scheduler: Scheduler | None = None,
-    workers: int | None = UNSET,
-    shards: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
-    fingerprint: str | None = UNSET,
-    cache: object | None = UNSET,
-    manifest: str | Path | None = UNSET,
-    trace: str | Path | None = UNSET,
-    progress: bool = UNSET,
-    backend: str = UNSET,
-    rng_plan: str = UNSET,
-    transport: str = UNSET,
+    *,
     config: RunConfig | None = None,
     **core_options,
 ) -> WindowMeasurement:
@@ -236,12 +223,14 @@ def measure_critical_windows(
 
     Also verifies, trial by trial, the §3.2 implication *manifestation ⇒
     window overlap* (counted in ``manifest_without_overlap``, which must
-    be zero — asserted in the tests).  ``workers``/``shards`` follow the
-    library-wide sharding discipline (:mod:`repro.stats.parallel`): shard
-    aggregates concatenate in shard order, so fixed ``(seed, shards)`` is
-    bit-reproducible at any worker count (``shards=None`` defaults to the
-    fixed :data:`~repro.stats.parallel.DEFAULT_SHARDS` whenever
-    parallelism is requested, never the worker count).
+    be zero — asserted in the tests).  ``config`` (a
+    :class:`repro.runconfig.RunConfig`) carries every execution knob.
+    ``workers``/``shards`` follow the library-wide sharding discipline
+    (:mod:`repro.stats.parallel`): shard aggregates concatenate in shard
+    order, so fixed ``(seed, shards)`` is bit-reproducible at any worker
+    count (``shards=None`` defaults to the fixed
+    :data:`~repro.stats.parallel.DEFAULT_SHARDS` whenever parallelism is
+    requested, never the worker count).
     ``retries``/``timeout``/``checkpoint`` configure the fault-tolerance
     layer (:func:`repro.stats.parallel.run_sharded`);
     ``fingerprint``/``cache`` the v2 checkpoint keying (the kernel
@@ -256,29 +245,22 @@ def measure_critical_windows(
     explicitly.  ``rng_plan``/``transport`` select the shard-stream
     derivation and the shard result channel (see
     :class:`repro.stats.parallel.ShardPlan` and
-    :mod:`repro.stats.transport`).  ``config`` (a
-    :class:`repro.runconfig.RunConfig`) supplies every execution knob in
-    one validated record, the per-knob keywords acting as deprecated
-    aliases that override the matching config field when passed
-    explicitly; like :func:`~repro.sim.executor.run_canonical_bug` this
-    is a scalar-default machine driver, so the config resolves with
-    ``allowed_backends=("scalar", "vectorized")``.
+    :mod:`repro.stats.transport`).  Like
+    :func:`~repro.sim.executor.run_canonical_bug` this is a
+    scalar-default machine driver, so the config resolves with
+    ``allowed_backends=("scalar", "vectorized")``, and ``core_options``
+    the model's core does not accept raise ``TypeError`` before any
+    shard runs.
     """
     if threads < 2:
         raise ValueError(f"need at least 2 threads, got {threads}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    cfg = resolve_run_config(config, workers=workers, shards=shards,
-                             retries=retries, timeout=timeout,
-                             checkpoint=checkpoint, fingerprint=fingerprint,
-                             cache=cache, manifest=manifest, trace=trace,
-                             progress=progress, backend=backend,
-                             rng_plan=rng_plan, transport=transport,
-                             ).resolve(default_backend="scalar",
-                                       allowed_backends=("scalar", "vectorized"))
+    _check_core_options(model_name, core_options)
+    cfg = (config or RunConfig()).resolve(
+        default_backend="scalar", allowed_backends=("scalar", "vectorized"))
     if cfg.backend == "vectorized":
-        beta = _machine_backend_beta(model_name, scheduler, False, False,
-                                     core_options)
+        beta = _machine_backend_beta(model_name, scheduler, False, False)
         kernel = partial(
             _window_shard_vectorized,
             model_name=model_name,
@@ -299,7 +281,11 @@ def measure_critical_windows(
     plan = ShardPlan(trials, resolve_shards(cfg.workers, cfg.shards), seed,
                      cfg.rng_plan)
     label = f"windows:{model_name}:n={threads}:body={body_length}"
-    observer = cfg.observer(label)
+
+    def execute(observer):
+        return run_sharded(kernel, plan, checkpoint_label=label,
+                           observer=observer, layout=WindowLayout(threads),
+                           config=cfg)
 
     def build(parts: list[_WindowShard]) -> WindowMeasurement:
         return WindowMeasurement(
@@ -313,17 +299,4 @@ def measure_critical_windows(
                                          for part in parts),
         )
 
-    layout = WindowLayout(threads)
-    if observer is None:
-        return build(run_sharded(kernel, plan, cfg.workers,
-                                 checkpoint_label=label, layout=layout,
-                                 **cfg.engine_options()))
-    with observer.span("run"):
-        with observer.span("shards"):
-            parts = run_sharded(kernel, plan, cfg.workers,
-                                checkpoint_label=label, observer=observer,
-                                layout=layout, **cfg.engine_options())
-        with observer.span("merge"):
-            result = build(parts)
-    observer.finish(result)
-    return result
+    return observed_run(cfg, label, execute, build)

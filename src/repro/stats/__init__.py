@@ -24,7 +24,6 @@ from .intervals import (
 from .montecarlo import (
     BernoulliResult,
     CategoricalResult,
-    estimate_event,
     merge_bernoulli,
     merge_categorical,
     run_bernoulli_trials,
@@ -70,7 +69,6 @@ __all__ = [
     "ShardCheckpoint",
     "ShardExecutionError",
     "clopper_pearson_interval",
-    "estimate_event",
     "estimate_to_precision",
     "iter_batches",
     "kernel_fingerprint",

@@ -12,11 +12,12 @@ The harness standardises three things across the library:
    confidence level) for the benchmark harness to print self-describing
    rows.
 
-Every estimator additionally exposes the observability knobs
-``manifest=PATH`` (append a validated run manifest), ``trace=PATH``
-(JSONL span trace: ``run`` > ``shards`` > ``merge``), and
-``progress=True`` (live stderr progress line) — all off by default and
-all strictly read-only with respect to the estimates (see
+Every estimator takes its engine knobs as one keyword-only
+``config=`` :class:`~repro.runconfig.RunConfig`, including the
+observability knobs ``manifest`` (append a validated run manifest),
+``trace`` (JSONL span trace: ``run`` > ``shards`` / ``merge``), and
+``progress`` (live stderr progress line) — all off by default and all
+strictly read-only with respect to the estimates (see
 ``docs/OBSERVABILITY.md``).
 """
 
@@ -28,12 +29,11 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path
+from typing import Any
 
-from repro.obs import RunObserver, ShardEvent
+from repro.obs import RunObserver, ShardEvent, observed_run
 
-from ..runconfig import UNSET, RunConfig, resolve_run_config
-from .checkpoint import ShardCheckpoint
+from ..runconfig import RunConfig
 from .intervals import Proportion, wilson_interval
 from .parallel import ShardPlan, resolve_shards, run_sharded
 from .rng import RandomSource, iter_batches
@@ -45,7 +45,6 @@ __all__ = [
     "run_bernoulli_trials",
     "run_categorical_trials",
     "run_event_trials",
-    "estimate_event",
     "merge_bernoulli",
     "merge_categorical",
 ]
@@ -169,10 +168,8 @@ def _event_shard(
     return BernoulliResult(successes, shard_trials, confidence, None)
 
 
-def _resolve_plan(
-    trials: int, seed: int | None, workers: int | None, shards: int | None,
-    rng_plan: str = "spawn",
-) -> ShardPlan | None:
+def _resolve_plan(trials: int, seed: int | None,
+                  cfg: RunConfig) -> ShardPlan | None:
     """The shard plan for a run, or ``None`` for the legacy serial path.
 
     ``shards=None`` with ``workers=1`` keeps the historical single-stream
@@ -190,51 +187,44 @@ def _resolve_plan(
     a (possibly single-shard) plan — there is no pre-plan derivation to
     stay bit-compatible with.
     """
-    if rng_plan == "spawn" and shards is None and workers == 1:
+    if cfg.rng_plan == "spawn" and cfg.shards is None and cfg.workers == 1:
         return None
-    return ShardPlan(trials, resolve_shards(workers, shards), seed, rng_plan)
+    return ShardPlan(trials, resolve_shards(cfg.workers, cfg.shards), seed,
+                     cfg.rng_plan)
 
 
-def _run_observed(observer, execute, merge, seed):
-    """Run a sharded estimation, optionally under a :class:`RunObserver`.
+def _estimate(cfg: RunConfig, label: str, trials: int, seed: int | None,
+              compute: Callable[[], Any], kernel: Callable[..., Any],
+              layout: Any, merge: Callable[[list], Any]) -> Any:
+    """One estimation under :func:`~repro.obs.observed_run`.
 
-    ``execute(observer)`` must return the per-shard results (it forwards
-    the observer into :func:`~repro.stats.parallel.run_sharded`);
-    ``merge`` pools them.  With an observer the work is wrapped in the
-    canonical span tree (``run`` > ``shards`` / ``merge``) and
-    ``observer.finish`` seals progress, trace, and manifest.
+    With a shard plan, ``kernel`` runs on
+    :func:`~repro.stats.parallel.run_sharded` and ``merge`` pools its
+    shards.  Without one (the legacy single-stream serial path), the
+    whole budget is ``compute()``, and an observer records one synthetic
+    shard covering it, timed around the call (``mode="serial-legacy"``).
     """
-    if observer is None:
-        return replace(merge(execute(None)), seed=seed)
-    with observer.span("run"):
-        with observer.span("shards"):
-            parts = execute(observer)
-        with observer.span("merge"):
-            merged = replace(merge(parts), seed=seed)
-    observer.finish(merged)
-    return merged
-
-
-def _run_legacy_observed(observer, label, trials, seed, compute):
-    """Observe the legacy single-stream serial path (``mode="serial-legacy"``).
-
-    The legacy derivation has no shard plan, so the manifest records one
-    synthetic shard covering the whole budget, timed around ``compute``.
-    """
-    if observer is None:
-        return compute()
-    observer.run_started(trials=trials, shards=1, seed=seed, workers=1,
-                         label=label, mode="serial-legacy")
-    with observer.span("run"):
-        with observer.span("shards"):
+    plan = _resolve_plan(trials, seed, cfg)
+    if plan is None:
+        def execute_legacy(observer: RunObserver | None) -> Any:
+            if observer is None:
+                return compute()
+            observer.run_started(trials=trials, shards=1, seed=seed, workers=1,
+                                 label=label, mode="serial-legacy")
             started = time.perf_counter()
             result = compute()
             observer.shard_finished(ShardEvent(
-                shard=0, trials=trials,
-                seconds=time.perf_counter() - started,
+                shard=0, trials=trials, seconds=time.perf_counter() - started,
                 attempts=1, worker=os.getpid()))
-    observer.finish(result)
-    return result
+            return result
+        return observed_run(cfg, label, execute_legacy, lambda result: result)
+
+    def execute(observer: RunObserver | None) -> list:
+        return run_sharded(kernel, plan, checkpoint_label=label,
+                           observer=observer, layout=layout, config=cfg)
+
+    return observed_run(cfg, label, execute,
+                        lambda parts: replace(merge(parts), seed=seed))
 
 
 def run_bernoulli_trials(
@@ -242,18 +232,7 @@ def run_bernoulli_trials(
     trials: int,
     seed: int | None = 0,
     confidence: float = 0.99,
-    workers: int | None = UNSET,
-    shards: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
-    fingerprint: str | None = UNSET,
-    cache: object | None = UNSET,
-    manifest: str | Path | None = UNSET,
-    trace: str | Path | None = UNSET,
-    progress: bool = UNSET,
-    rng_plan: str = UNSET,
-    transport: str = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> BernoulliResult:
     """Run ``trials`` independent Bernoulli trials of ``trial``.
@@ -261,6 +240,8 @@ def run_bernoulli_trials(
     ``trial`` receives a fresh independent :class:`RandomSource` for each
     invocation and returns whether the event occurred.
 
+    ``config`` (a :class:`repro.runconfig.RunConfig`; default: all
+    defaults, the legacy serial path) carries every execution knob.
     With parallelism requested (``workers`` unset or above 1) the budget
     splits into seed-disciplined shards — ``shards`` if given, else the
     fixed :data:`~repro.stats.parallel.DEFAULT_SHARDS` — fanned out over
@@ -283,42 +264,22 @@ def run_bernoulli_trials(
     the shard result channel (see :mod:`repro.stats.transport`); neither
     affects which estimate a fixed plan computes, and plan-dependent
     streams are never silently mixed.
-
-    ``config`` (a :class:`repro.runconfig.RunConfig`) supplies every
-    execution knob above in one validated record.  The per-knob keywords
-    are deprecated aliases: each one, when passed explicitly, overrides
-    the matching config field — defaults are identical either way, so
-    existing calls keep their exact fixed-seed results.
     """
     _check_trials(trials)
-    cfg = resolve_run_config(config, workers=workers, shards=shards,
-                             retries=retries, timeout=timeout,
-                             checkpoint=checkpoint, fingerprint=fingerprint,
-                             cache=cache, manifest=manifest, trace=trace,
-                             progress=progress, rng_plan=rng_plan,
-                             transport=transport).resolve()
-    plan = _resolve_plan(trials, seed, cfg.workers, cfg.shards, cfg.rng_plan)
-    observer = cfg.observer("bernoulli")
-    if plan is None:
-        def compute() -> BernoulliResult:
-            root = RandomSource(seed)
-            successes = 0
-            for batch in iter_batches(trials, DEFAULT_BATCH_SIZE):
-                batch_source = root.child()
-                sources = batch_source.spawn(batch)
-                successes += sum(1 for source in sources if trial(source))
-            return BernoulliResult(successes, trials, confidence, seed)
-        return _run_legacy_observed(observer, "bernoulli", trials, seed, compute)
-    kernel = partial(_bernoulli_shard, trial=trial, confidence=confidence)
 
-    def execute(obs: RunObserver | None) -> list[BernoulliResult]:
-        return run_sharded(
-            kernel, plan, cfg.workers, checkpoint_label="bernoulli",
-            observer=obs, layout=BernoulliLayout(confidence),
-            **cfg.engine_options(),
-        )
+    def compute() -> BernoulliResult:
+        root = RandomSource(seed)
+        successes = 0
+        for batch in iter_batches(trials, DEFAULT_BATCH_SIZE):
+            batch_source = root.child()
+            sources = batch_source.spawn(batch)
+            successes += sum(1 for source in sources if trial(source))
+        return BernoulliResult(successes, trials, confidence, seed)
 
-    return _run_observed(observer, execute, merge_bernoulli, seed)
+    return _estimate(
+        (config or RunConfig()).resolve(), "bernoulli", trials, seed, compute,
+        partial(_bernoulli_shard, trial=trial, confidence=confidence),
+        BernoulliLayout(confidence), merge_bernoulli)
 
 
 def run_categorical_trials(
@@ -326,60 +287,31 @@ def run_categorical_trials(
     trials: int,
     seed: int | None = 0,
     confidence: float = 0.99,
-    workers: int | None = UNSET,
-    shards: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
-    fingerprint: str | None = UNSET,
-    cache: object | None = UNSET,
-    manifest: str | Path | None = UNSET,
-    trace: str | Path | None = UNSET,
-    progress: bool = UNSET,
-    rng_plan: str = UNSET,
-    transport: str = UNSET,
+    *,
     config: RunConfig | None = None,
 ) -> CategoricalResult:
     """Run ``trials`` independent categorical trials of ``trial``.
 
     ``trial`` returns an integer category (e.g. the observed critical-window
     growth γ); the result aggregates the counts into an empirical PMF.
-    Sharding/parallelism/fault tolerance, the ``fingerprint``/``cache``
-    keying and caching channel, the
-    ``manifest``/``trace``/``progress`` observability knobs, the
-    ``rng_plan``/``transport`` engine knobs, and the ``config`` record
-    (with its deprecated keyword aliases) follow
+    The ``config`` record and every engine knob it carries follow
     :func:`run_bernoulli_trials`.
     """
     _check_trials(trials)
-    cfg = resolve_run_config(config, workers=workers, shards=shards,
-                             retries=retries, timeout=timeout,
-                             checkpoint=checkpoint, fingerprint=fingerprint,
-                             cache=cache, manifest=manifest, trace=trace,
-                             progress=progress, rng_plan=rng_plan,
-                             transport=transport).resolve()
-    plan = _resolve_plan(trials, seed, cfg.workers, cfg.shards, cfg.rng_plan)
-    observer = cfg.observer("categorical")
-    if plan is None:
-        def compute() -> CategoricalResult:
-            root = RandomSource(seed)
-            counts: Counter[int] = Counter()
-            for batch in iter_batches(trials, DEFAULT_BATCH_SIZE):
-                batch_source = root.child()
-                sources = batch_source.spawn(batch)
-                counts.update(trial(source) for source in sources)
-            return CategoricalResult(dict(counts), trials, confidence, seed)
-        return _run_legacy_observed(observer, "categorical", trials, seed, compute)
-    kernel = partial(_categorical_shard, trial=trial, confidence=confidence)
 
-    def execute(obs: RunObserver | None) -> list[CategoricalResult]:
-        return run_sharded(
-            kernel, plan, cfg.workers, checkpoint_label="categorical",
-            observer=obs, layout=CategoricalLayout(confidence),
-            **cfg.engine_options(),
-        )
+    def compute() -> CategoricalResult:
+        root = RandomSource(seed)
+        counts: Counter[int] = Counter()
+        for batch in iter_batches(trials, DEFAULT_BATCH_SIZE):
+            batch_source = root.child()
+            sources = batch_source.spawn(batch)
+            counts.update(trial(source) for source in sources)
+        return CategoricalResult(dict(counts), trials, confidence, seed)
 
-    return _run_observed(observer, execute, merge_categorical, seed)
+    return _estimate(
+        (config or RunConfig()).resolve(), "categorical", trials, seed, compute,
+        partial(_categorical_shard, trial=trial, confidence=confidence),
+        CategoricalLayout(confidence), merge_categorical)
 
 
 def run_event_trials(
@@ -388,19 +320,8 @@ def run_event_trials(
     seed: int | None = 0,
     confidence: float = 0.99,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int | None = UNSET,
-    shards: int | None = UNSET,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
+    *,
     checkpoint_label: str = "event",
-    fingerprint: str | None = UNSET,
-    cache: object | None = UNSET,
-    manifest: str | Path | None = UNSET,
-    trace: str | Path | None = UNSET,
-    progress: bool = UNSET,
-    rng_plan: str = UNSET,
-    transport: str = UNSET,
     config: RunConfig | None = None,
 ) -> BernoulliResult:
     """Vectorised Bernoulli estimation.
@@ -412,10 +333,9 @@ def run_event_trials(
     fast path for numpy-vectorisable events (e.g. shift-process
     disjointness), where spawning one :class:`RandomSource` per trial
     would dominate runtime — the :mod:`repro.kernels` batch kernels all
-    ride this entry point.  Sharding/parallelism/fault tolerance, the
-    ``fingerprint``/``cache`` keying and caching channel, and the
-    ``manifest``/``trace``/``progress`` observability knobs follow
-    :func:`run_bernoulli_trials`; ``checkpoint_label`` lets callers key
+    ride this entry point.  The ``config`` record and every engine knob
+    it carries follow :func:`run_bernoulli_trials`; ``checkpoint_label``
+    lets callers key
     the checkpoint by their experiment parameters (different events with
     the same ``(trials, shards, seed)`` must not share journal records)
     and doubles as the manifest run label.  Since the v2 key format the
@@ -423,50 +343,26 @@ def run_event_trials(
     *different* ``batch_trial`` callables can no longer silently share a
     journal even under an identical label.
 
-    ``rng_plan``/``transport`` follow :func:`run_bernoulli_trials`; note
-    that under ``rng_plan="philox"`` the per-batch stream a kernel's
+    Under ``rng_plan="philox"`` the per-batch stream a kernel's
     ``source.child()`` yields is the counter address ``(seed, shard,
     batch_index)`` — derivable after the fact without replaying the run.
-
-    ``config`` (with its deprecated per-knob keyword aliases) follows
-    :func:`run_bernoulli_trials`.  ``estimate_event`` is the historical
-    name for this function and remains available as an alias.
     """
     _check_trials(trials)
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    cfg = resolve_run_config(config, workers=workers, shards=shards,
-                             retries=retries, timeout=timeout,
-                             checkpoint=checkpoint, fingerprint=fingerprint,
-                             cache=cache, manifest=manifest, trace=trace,
-                             progress=progress, rng_plan=rng_plan,
-                             transport=transport).resolve()
-    plan = _resolve_plan(trials, seed, cfg.workers, cfg.shards, cfg.rng_plan)
-    observer = cfg.observer(checkpoint_label)
-    if plan is None:
-        def compute() -> BernoulliResult:
-            root = RandomSource(seed)
-            successes = 0
-            for batch in iter_batches(trials, batch_size):
-                successes += int(batch_trial(root.child(), batch))
-            return BernoulliResult(successes, trials, confidence, seed)
-        return _run_legacy_observed(observer, checkpoint_label, trials, seed,
-                                    compute)
-    kernel = partial(_event_shard, batch_trial=batch_trial,
-                     batch_size=batch_size, confidence=confidence)
 
-    def execute(obs: RunObserver | None) -> list[BernoulliResult]:
-        return run_sharded(
-            kernel, plan, cfg.workers, checkpoint_label=checkpoint_label,
-            observer=obs, layout=BernoulliLayout(confidence),
-            **cfg.engine_options(),
-        )
+    def compute() -> BernoulliResult:
+        root = RandomSource(seed)
+        successes = 0
+        for batch in iter_batches(trials, batch_size):
+            successes += int(batch_trial(root.child(), batch))
+        return BernoulliResult(successes, trials, confidence, seed)
 
-    return _run_observed(observer, execute, merge_bernoulli, seed)
-
-
-#: Historical alias for :func:`run_event_trials` (the pre-kernels name).
-estimate_event = run_event_trials
+    return _estimate(
+        (config or RunConfig()).resolve(), checkpoint_label, trials, seed, compute,
+        partial(_event_shard, batch_trial=batch_trial, batch_size=batch_size,
+                confidence=confidence),
+        BernoulliLayout(confidence), merge_bernoulli)
 
 
 def merge_bernoulli(results: Iterable[BernoulliResult]) -> BernoulliResult:

@@ -34,11 +34,14 @@ process fan-out, under one discipline:
   channel; enabling it cannot perturb the seeding discipline or any
   merged number (see ``docs/OBSERVABILITY.md``).
 
-The consuming layers (:mod:`repro.stats.montecarlo`,
-:mod:`repro.sim.executor`, :mod:`repro.sim.measurement`,
-:mod:`repro.analysis.sweeps`) build their ``workers=``/``shards=`` paths
-on :func:`run_sharded` and :func:`parallel_map`; ``repro.parallel`` is the
-user-facing facade.
+Both entry points take their knobs (workers, retries, timeout,
+checkpoint, cache, transport, observability) as one keyword-only
+``config=`` :class:`~repro.runconfig.RunConfig`.  The consuming layers
+(:mod:`repro.stats.montecarlo`, :mod:`repro.sim.executor`,
+:mod:`repro.sim.measurement`, :mod:`repro.analysis.sweeps`,
+:mod:`repro.litmus.explore`) call :func:`run_sharded` and
+:func:`parallel_map` inside :func:`repro.obs.observed_run`;
+``repro.parallel`` is the user-facing facade.
 """
 
 from __future__ import annotations
@@ -48,14 +51,14 @@ import pickle
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 from typing import Any, TypeVar
 
 import numpy as np
 
-from repro.obs import RunObserver, ShardEvent
+from repro.obs import RunObserver, ShardEvent, observed_run
 
-from ..runconfig import UNSET, RunConfig, resolve_run_config
+from ..runconfig import RunConfig
 from .checkpoint import ShardCheckpoint, kernel_fingerprint, plan_key
 from .faults import RetryPolicy, execute_tasks
 from .rng import PhiloxSource, RandomSource, resolve_rng_plan
@@ -215,17 +218,10 @@ def _kernel_picklable(kernel: Any, fingerprint: str | None) -> bool:
 def run_sharded(
     kernel: Callable[[RandomSource, int], T],
     plan: ShardPlan,
-    workers: int | None = UNSET,
     *,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
-    checkpoint: str | Path | ShardCheckpoint | None = UNSET,
     checkpoint_label: str = "",
-    fingerprint: str | None = UNSET,
-    cache: Any = UNSET,
     fault_injector: Callable[[int, int], None] | None = None,
     observer: RunObserver | None = None,
-    transport: str = UNSET,
     layout: Any = None,
     config: RunConfig | None = None,
 ) -> list[T]:
@@ -235,10 +231,17 @@ def run_sharded(
     completion order, so any merge of the returned list is deterministic.
     Shards the plan left empty (``shards > trials``) are skipped outright
     — no kernel call, no pool transport — so the returned list holds one
-    result per *non-empty* shard.  ``workers=1`` (the default), at most
-    one outstanding shard, and kernels that cannot be pickled all take
-    the serial path — same results, no pool.  ``workers=None`` uses one
-    worker per CPU.
+    result per *non-empty* shard.
+
+    ``config`` (a :class:`repro.runconfig.RunConfig`, default: all
+    defaults) carries every execution knob below.  The plan — not the
+    config — is the run's statistical identity, so ``config.shards`` and
+    ``config.rng_plan`` are ignored here (they matter to the callers
+    that *build* the plan), as is ``config.backend``.
+
+    ``workers=1`` (the default), at most one outstanding shard, and
+    kernels that cannot be pickled all take the serial path — same
+    results, no pool.  ``workers=None`` uses one worker per CPU.
 
     Fault tolerance (:mod:`repro.stats.faults`): ``retries`` extra
     attempts per shard with exponential backoff, ``timeout`` seconds per
@@ -247,8 +250,9 @@ def run_sharded(
     pre-keyed :class:`~repro.stats.checkpoint.ShardCheckpoint`) journals
     each completed shard; a resumed run loads the finished shards and
     executes only the remainder — bit-identical to an uninterrupted run.
-    ``checkpoint_label`` salts the checkpoint key (callers encode their
-    experiment parameters; ignored when ``checkpoint`` is pre-keyed).
+    The ``checkpoint_label`` argument salts the checkpoint key (callers
+    encode their experiment parameters; ignored when ``checkpoint`` is
+    pre-keyed) and doubles as the manifest run label.
     ``fingerprint`` is the kernel fingerprint folded into the v2 key;
     left ``None``, it is derived from ``kernel`` via
     :func:`~repro.stats.checkpoint.kernel_fingerprint` whenever a
@@ -271,8 +275,9 @@ def run_sharded(
     ``shard_resumed``/``shard_finished`` per shard (with in-worker wall
     time and pid), every failed attempt, and every pool recycle.
     Observation rides the existing result channel and cannot change any
-    number; ``observer=None`` (the default) leaves the hot path
-    untouched.
+    number.  With ``observer=None`` (the default) and observability
+    knobs in the config, the call runs under :func:`repro.obs.observed_run`
+    as a run of its own; with neither, the hot path is untouched.
 
     ``transport``/``layout`` select the shard result channel (see
     :mod:`repro.stats.transport`).  With a ``layout`` describing the
@@ -285,29 +290,25 @@ def run_sharded(
     historical channel.  The transport is a scheduling concern like
     ``workers``: it is absent from every checkpoint/cache key and the
     merged numbers are bit-identical across transports.
-
-    ``config`` (a :class:`repro.runconfig.RunConfig`) supplies every one
-    of the knobs above in a single validated record; the per-knob
-    keywords are deprecated aliases that override the matching config
-    field when passed explicitly.  The plan — not the config — is the
-    run's statistical identity, so ``config.shards``/``config.rng_plan``
-    are ignored here (they matter to the callers that *build* the plan).
-    When the config carries observability knobs and no ``observer`` was
-    passed, the implied observer is created — and finished — in-house.
     """
-    cfg = resolve_run_config(config, workers=workers, retries=retries,
-                             timeout=timeout, checkpoint=checkpoint,
-                             fingerprint=fingerprint, cache=cache,
-                             transport=transport).resolve()
-    owned_observer = False
-    if observer is None and config is not None:
-        observer = cfg.observer(checkpoint_label)
-        owned_observer = observer is not None
-    if owned_observer and observer.tracer is not None:
-        # Estimators open the run/shards spans themselves; a bare
-        # run_sharded(config=...) call owns its observer, so the whole
-        # call is the "run" span (closed by finish() below).
-        observer.tracer.start_span("run")
+    cfg = (config or RunConfig()).resolve()
+    execute = partial(_execute_shards, kernel, plan, cfg, checkpoint_label,
+                      fault_injector, layout)
+    if observer is None:
+        return observed_run(cfg, checkpoint_label, execute)
+    return execute(observer)
+
+
+def _execute_shards(
+    kernel: Callable[[RandomSource, int], T],
+    plan: ShardPlan,
+    cfg: RunConfig,
+    checkpoint_label: str,
+    fault_injector: Callable[[int, int], None] | None,
+    layout: Any,
+    observer: RunObserver | None,
+) -> list[T]:
+    """The body of :func:`run_sharded` for one resolved config."""
     retries, timeout, transport = cfg.retries, cfg.timeout, cfg.transport
     checkpoint, fingerprint, cache = cfg.checkpoint, cfg.fingerprint, cfg.cache
     workers = resolve_workers(cfg.workers)
@@ -489,18 +490,13 @@ def run_sharded(
                                misses=len(cache_misses),
                                stored=cache_stored,
                                evictions=cache_evicted)
-    if owned_observer:
-        observer.finish()
     return results
 
 
 def parallel_map(
     function: Callable[[U], T],
     items: Iterable[U] | Sequence[U],
-    workers: int | None = UNSET,
     *,
-    retries: int = UNSET,
-    timeout: float | None = UNSET,
     observer: RunObserver | None = None,
     config: RunConfig | None = None,
 ) -> list[T]:
@@ -509,30 +505,30 @@ def parallel_map(
     The grid-point analogue of :func:`run_sharded`: parameter sweeps fan
     their (independent, deterministic) point evaluations onto the same
     process pool, with the same per-task retry/timeout machinery
-    (``retries`` extra attempts, ``timeout`` seconds per pooled attempt,
-    ``BrokenProcessPool`` recovery).  Serial fallback rules match
-    ``run_sharded`` — one worker, one item, or an unpicklable
-    function/item runs inline.  ``observer`` receives per-item telemetry
-    exactly as :func:`run_sharded` does per shard (each item counts as
-    one "trial" of the observed run).  ``config`` follows
-    :func:`run_sharded`: one validated record for
-    ``workers``/``retries``/``timeout``, with the per-knob keywords as
-    deprecated aliases that win when passed explicitly, and an implied
-    observer created (and finished) in-house when the config carries
-    observability knobs and none was passed.
+    (``config.retries`` extra attempts, ``config.timeout`` seconds per
+    pooled attempt, ``BrokenProcessPool`` recovery).  Serial fallback
+    rules match ``run_sharded`` — one worker, one item, or an
+    unpicklable function/item runs inline.  ``observer`` receives
+    per-item telemetry exactly as :func:`run_sharded` does per shard
+    (each item counts as one "trial" of the observed run); with no
+    ``observer`` and observability knobs in the config, the call runs
+    under :func:`repro.obs.observed_run`, as in :func:`run_sharded`.
     """
-    cfg = resolve_run_config(config, workers=workers, retries=retries,
-                             timeout=timeout).resolve()
-    owned_observer = False
-    if observer is None and config is not None:
-        observer = cfg.observer()
-        owned_observer = observer is not None
-    if owned_observer and observer.tracer is not None:
-        # As in run_sharded: the whole owned call is the "run" span,
-        # closed by finish() in the finally below.
-        observer.tracer.start_span("run")
+    cfg = (config or RunConfig()).resolve()
+    execute = partial(_map_items, function, list(items), cfg)
+    if observer is None:
+        return observed_run(cfg, "", execute)
+    return execute(observer)
+
+
+def _map_items(
+    function: Callable[[U], T],
+    items: list[U],
+    cfg: RunConfig,
+    observer: RunObserver | None,
+) -> list[T]:
+    """The body of :func:`parallel_map` for one resolved config."""
     retries, timeout = cfg.retries, cfg.timeout
-    items = list(items)
     workers = resolve_workers(cfg.workers)
     serial = (
         workers == 1
@@ -562,15 +558,11 @@ def parallel_map(
             elif name == "pool_recycled":
                 _observer.pool_recycled()
 
-    try:
-        return execute_tasks(
-            function,
-            [(item,) for item in items],
-            workers=workers,
-            policy=RetryPolicy(retries=retries, timeout=timeout),
-            serial=serial,
-            on_event=on_event,
-        )
-    finally:
-        if owned_observer:
-            observer.finish()
+    return execute_tasks(
+        function,
+        [(item,) for item in items],
+        workers=workers,
+        policy=RetryPolicy(retries=retries, timeout=timeout),
+        serial=serial,
+        on_event=on_event,
+    )

@@ -39,7 +39,7 @@ def estimate_to_precision(
     ----------
     batch_trial:
         ``(source, size) -> successes`` — the same vectorised contract as
-        :func:`repro.stats.montecarlo.estimate_event`.
+        :func:`repro.stats.montecarlo.run_event_trials`.
     half_width:
         Target half-width of the Wilson interval.
     initial_batch, growth:

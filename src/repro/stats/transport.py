@@ -27,7 +27,7 @@ more distinct categories than the layout's capacity) is returned through
 the normal pickle channel instead — packing is an optimisation with an
 **automatic per-shard fallback**, never a constraint on what kernels may
 produce.  The same holds for the transport as a whole:
-``run_sharded(transport="auto")`` uses shared memory only when a layout
+``RunConfig(transport="auto")`` uses shared memory only when a layout
 is supplied and a pool is actually in play, and ``transport="pickle"``
 forces the historical channel (see :mod:`repro.stats.parallel`).
 

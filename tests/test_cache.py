@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import RunConfig
 from repro.cache import (
     CacheStats,
     ShardStore,
@@ -266,30 +267,32 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_cold_warm_uncached_are_bit_identical(self, tmp_path, workers):
         store = ShardStore(tmp_path / "cache")
-        kwargs = dict(trials=8_000, seed=42, shards=8, workers=workers)
-        uncached = run_bernoulli_trials(_coin, **kwargs)
-        cold = run_bernoulli_trials(_coin, cache=store, **kwargs)
+        plain = RunConfig(shards=8, workers=workers)
+        cached = RunConfig(shards=8, workers=workers, cache=store)
+        uncached = run_bernoulli_trials(_coin, 8_000, seed=42, config=plain)
+        cold = run_bernoulli_trials(_coin, 8_000, seed=42, config=cached)
         assert store.stats().hits == 0
         assert store.stats().stored == 8
-        warm = run_bernoulli_trials(_coin, cache=store, **kwargs)
+        warm = run_bernoulli_trials(_coin, 8_000, seed=42, config=cached)
         assert store.stats().hits == 8
         assert cold == uncached
         assert warm == uncached     # bit-identical, not statistically close
 
     def test_overlapping_runs_share_entries_but_kernels_do_not(self, tmp_path):
         store = ShardStore(tmp_path)
-        run_bernoulli_trials(_coin, 4_000, seed=7, shards=8, cache=store)
-        run_bernoulli_trials(_heads_biased, 4_000, seed=7, shards=8, cache=store)
+        config = RunConfig(shards=8, cache=store)
+        run_bernoulli_trials(_coin, 4_000, seed=7, config=config)
+        run_bernoulli_trials(_heads_biased, 4_000, seed=7, config=config)
         assert store.stats().hits == 0      # different fingerprints, no reuse
         assert store.stats().entries == 16
 
     def test_cache_hits_are_journaled_back_into_the_checkpoint(self, tmp_path):
         store = ShardStore(tmp_path / "cache")
         plan = ShardPlan(trials=4_000, shards=8, seed=5)
-        first = run_sharded(_sum_kernel, plan, cache=store)
+        first = run_sharded(_sum_kernel, plan, config=RunConfig(cache=store))
         journal_path = tmp_path / "run.jsonl"
-        second = run_sharded(_sum_kernel, plan, cache=store,
-                             checkpoint=journal_path)
+        second = run_sharded(_sum_kernel, plan,
+                             config=RunConfig(cache=store, checkpoint=journal_path))
         assert second == first
         journal = ShardCheckpoint.for_plan(
             journal_path, plan, fingerprint=kernel_fingerprint(_sum_kernel))
@@ -297,9 +300,9 @@ class TestEngineIntegration:
 
     def test_manifest_and_metrics_record_cache_traffic(self, tmp_path):
         store = ShardStore(tmp_path / "cache")
-        kwargs = dict(trials=4_000, seed=3, shards=8, cache=store)
-        run_bernoulli_trials(_coin, manifest=tmp_path / "cold.json", **kwargs)
-        run_bernoulli_trials(_coin, manifest=tmp_path / "warm.json", **kwargs)
+        for name in ("cold", "warm"):
+            run_bernoulli_trials(_coin, 4_000, seed=3, config=RunConfig(
+                shards=8, cache=store, manifest=tmp_path / f"{name}.json"))
         cold = json.loads((tmp_path / "cold.json").read_text())["runs"][0]
         warm = json.loads((tmp_path / "warm.json").read_text())["runs"][0]
         assert cold["metrics"]["run.cache_stored"]["value"] == 8
@@ -310,15 +313,16 @@ class TestEngineIntegration:
         assert warm["result"] == cold["result"]
 
     def test_torn_journal_lines_are_surfaced(self, tmp_path, capsys):
-        kwargs = dict(trials=4_000, seed=11, shards=8)
         path = tmp_path / "run.jsonl"
-        baseline = run_bernoulli_trials(_coin, checkpoint=path, **kwargs)
+        baseline = run_bernoulli_trials(
+            _coin, 4_000, seed=11, config=RunConfig(shards=8, checkpoint=path))
         lines = path.read_text().splitlines()
         torn = lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
         path.write_text("\n".join(torn) + "\n")
         capsys.readouterr()
-        resumed = run_bernoulli_trials(_coin, checkpoint=path,
-                                       manifest=tmp_path / "m.json", **kwargs)
+        resumed = run_bernoulli_trials(
+            _coin, 4_000, seed=11, config=RunConfig(
+                shards=8, checkpoint=path, manifest=tmp_path / "m.json"))
         assert resumed == baseline      # torn shard re-executed
         assert "skipp" in capsys.readouterr().err
         record = json.loads((tmp_path / "m.json").read_text())["runs"][0]

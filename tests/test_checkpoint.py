@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro import RunConfig
 from repro.core import SC, WO, estimate_non_manifestation
 from repro.parallel import (
     ShardCheckpoint,
@@ -91,14 +92,16 @@ class TestCrossKernelRegression:
     def test_different_kernels_never_share_a_journal(self, tmp_path):
         plan = ShardPlan(trials=4000, shards=8, seed=77)
         path = tmp_path / "shared.jsonl"
-        heads = run_sharded(_heads_kernel, plan, workers=1, checkpoint=path)
-        tails = run_sharded(_tails_kernel, plan, workers=1, checkpoint=path)
+        heads = run_sharded(_heads_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
+        tails = run_sharded(_tails_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
         # Under key reuse, tails would *be* heads' journaled shards.
         assert tails != heads
         assert sum(tails) < plan.trials // 2 < sum(heads)
         # And each kernel's own resume is still exact.
-        assert run_sharded(_heads_kernel, plan, workers=1, checkpoint=path) == heads
-        assert run_sharded(_tails_kernel, plan, workers=1, checkpoint=path) == tails
+        assert run_sharded(_heads_kernel, plan,
+                           config=RunConfig(workers=1, checkpoint=path)) == heads
+        assert run_sharded(_tails_kernel, plan,
+                           config=RunConfig(workers=1, checkpoint=path)) == tails
 
 
 class TestShardCheckpoint:
@@ -147,7 +150,7 @@ class TestShardCheckpoint:
 class TestResumeEqualsUninterrupted:
     def test_engine_resume_after_k_of_n_shards(self, tmp_path):
         plan = ShardPlan(trials=2000, shards=8, seed=31)
-        uninterrupted = run_sharded(_sum_kernel, plan, workers=1)
+        uninterrupted = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         # Simulate an interruption after 3 of 8 shards by journaling only
         # that prefix, then resume at a *different* worker count.
         journal = ShardCheckpoint.for_plan(
@@ -155,13 +158,13 @@ class TestResumeEqualsUninterrupted:
             fingerprint=kernel_fingerprint(_sum_kernel))
         for shard in range(3):
             journal.record(shard, uninterrupted[shard])
-        resumed = run_sharded(_sum_kernel, plan, workers=2, checkpoint=journal)
+        resumed = run_sharded(_sum_kernel, plan, config=RunConfig(workers=2, checkpoint=journal))
         assert resumed == uninterrupted
 
     def test_resume_with_complete_journal_executes_nothing(self, tmp_path):
         plan = ShardPlan(trials=1000, shards=4, seed=33)
         path = tmp_path / "run.jsonl"
-        first = run_sharded(_sum_kernel, plan, workers=1, checkpoint=path)
+        first = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
 
         def exploding_kernel(source, shard_trials):
             raise AssertionError("a fully-journaled run must not re-execute")
@@ -171,61 +174,61 @@ class TestResumeEqualsUninterrupted:
         # pre-keyed journal opened with the original kernel's fingerprint.
         journal = ShardCheckpoint.for_plan(
             path, plan, fingerprint=kernel_fingerprint(_sum_kernel))
-        resumed = run_sharded(exploding_kernel, plan, workers=1,
-                              checkpoint=journal)
+        resumed = run_sharded(exploding_kernel, plan,
+                              config=RunConfig(workers=1, checkpoint=journal))
         assert resumed == first
 
     def test_checkpoint_run_journals_every_shard(self, tmp_path):
         plan = ShardPlan(trials=1000, shards=4, seed=35)
         path = tmp_path / "run.jsonl"
-        results = run_sharded(_sum_kernel, plan, workers=1, checkpoint=path)
+        results = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
         journal = ShardCheckpoint.for_plan(
             path, plan, fingerprint=kernel_fingerprint(_sum_kernel))
         assert journal.load() == dict(enumerate(results))
 
     def test_bernoulli_interrupted_resume_bit_identical(self, tmp_path):
         path = tmp_path / "bernoulli.jsonl"
-        full = run_bernoulli_trials(_coin, 4000, seed=41, shards=8, workers=1)
+        full = run_bernoulli_trials(_coin, 4000, seed=41, config=RunConfig(shards=8, workers=1))
         # A journaling run writes all 8 shard records; keep the first 5 to
         # simulate an interruption, then resume at a different worker count.
-        run_bernoulli_trials(_coin, 4000, seed=41, shards=8, workers=1,
-                             checkpoint=path)
+        run_bernoulli_trials(_coin, 4000, seed=41,
+                             config=RunConfig(shards=8, workers=1, checkpoint=path))
         lines = path.read_text().splitlines()
         assert len(lines) == 8
         path.write_text("\n".join(lines[:5]) + "\n")
-        resumed = run_bernoulli_trials(_coin, 4000, seed=41, shards=8,
-                                       workers=2, checkpoint=path)
+        resumed = run_bernoulli_trials(_coin, 4000, seed=41,
+                                       config=RunConfig(shards=8, workers=2, checkpoint=path))
         assert (resumed.successes, resumed.trials, resumed.seed) \
             == (full.successes, full.trials, full.seed)
 
     def test_categorical_resume_bit_identical(self, tmp_path):
         path = tmp_path / "categorical.jsonl"
-        full = run_categorical_trials(_geom, 3000, seed=43, shards=8, workers=1)
-        first = run_categorical_trials(_geom, 3000, seed=43, shards=8,
-                                       workers=1, checkpoint=path)
-        resumed = run_categorical_trials(_geom, 3000, seed=43, shards=8,
-                                         workers=2, checkpoint=path)
+        full = run_categorical_trials(_geom, 3000, seed=43, config=RunConfig(shards=8, workers=1))
+        first = run_categorical_trials(_geom, 3000, seed=43,
+                                       config=RunConfig(shards=8, workers=1, checkpoint=path))
+        resumed = run_categorical_trials(_geom, 3000, seed=43,
+                                         config=RunConfig(shards=8, workers=2, checkpoint=path))
         assert first.counts == full.counts
         assert resumed.counts == full.counts
         assert resumed.trials == 3000
 
     def test_models_do_not_cross_contaminate_one_journal(self, tmp_path):
         path = tmp_path / "models.jsonl"
-        sc_clean = estimate_non_manifestation(SC, 2, 8000, seed=47, shards=4)
-        wo_clean = estimate_non_manifestation(WO, 2, 8000, seed=47, shards=4)
-        sc = estimate_non_manifestation(SC, 2, 8000, seed=47, shards=4,
-                                        checkpoint=path)
-        wo = estimate_non_manifestation(WO, 2, 8000, seed=47, shards=4,
-                                        checkpoint=path)
+        sc_clean = estimate_non_manifestation(SC, 2, 8000, seed=47, config=RunConfig(shards=4))
+        wo_clean = estimate_non_manifestation(WO, 2, 8000, seed=47, config=RunConfig(shards=4))
+        sc = estimate_non_manifestation(SC, 2, 8000, seed=47,
+                                        config=RunConfig(shards=4, checkpoint=path))
+        wo = estimate_non_manifestation(WO, 2, 8000, seed=47,
+                                        config=RunConfig(shards=4, checkpoint=path))
         # Same (trials, shards, seed): only the label separates the runs.
         assert sc.successes == sc_clean.successes
         assert wo.successes == wo_clean.successes
         # Resuming each from the shared journal stays bit-identical.
         assert estimate_non_manifestation(
-            SC, 2, 8000, seed=47, shards=4, checkpoint=path
+            SC, 2, 8000, seed=47, config=RunConfig(shards=4, checkpoint=path)
         ).successes == sc_clean.successes
         assert estimate_non_manifestation(
-            WO, 2, 8000, seed=47, shards=4, checkpoint=path
+            WO, 2, 8000, seed=47, config=RunConfig(shards=4, checkpoint=path)
         ).successes == wo_clean.successes
 
 
@@ -234,16 +237,17 @@ class TestRetryWithCheckpoint:
         from repro.parallel import ScriptedFaults, ShardExecutionError
 
         plan = ShardPlan(trials=2000, shards=6, seed=51)
-        clean = run_sharded(_sum_kernel, plan, workers=1)
+        clean = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         path = tmp_path / "run.jsonl"
         # First run dies on shard 4 (no retries): completed shards are
         # journaled, the failure propagates.
         with pytest.raises(ShardExecutionError):
-            run_sharded(_sum_kernel, plan, workers=1, checkpoint=path,
-                        fault_injector=ScriptedFaults(failures={4: 99}))
+            run_sharded(_sum_kernel, plan,
+                        config=RunConfig(workers=1, checkpoint=path),
+                                         fault_injector=ScriptedFaults(failures={4: 99}))
         journaled = ShardCheckpoint.for_plan(
             path, plan, fingerprint=kernel_fingerprint(_sum_kernel)).load()
         assert set(journaled) == {0, 1, 2, 3}  # serial order up to the crash
         # Second run (fault gone) resumes the remainder only.
-        resumed = run_sharded(_sum_kernel, plan, workers=2, checkpoint=path)
+        resumed = run_sharded(_sum_kernel, plan, config=RunConfig(workers=2, checkpoint=path))
         assert resumed == clean

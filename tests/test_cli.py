@@ -154,18 +154,41 @@ class TestObservabilityFlags:
         document = load_manifest(manifest)
         assert document["runs"][0]["label"].startswith("canonical:SC")
 
-    def test_trace_and_progress(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, progress", [
+        pytest.param(["machine", "--model", "SC", "--trials", "50",
+                      "--seed", "5", "--shards", "2"], "shards 2/2",
+                     id="machine"),
+        pytest.param(["thm62", "--trials", "2000", "--seed", "3"],
+                     "shards 1/1", id="thm62"),
+        pytest.param(["scaling", "--max-n", "3"], "shards 2/2",
+                     id="scaling"),
+        pytest.param(["critical-section", "--lengths", "2", "4"],
+                     "shards 2/2", id="critical-section"),
+        pytest.param(["litmus", "explore", "--tests", "SB", "--models", "TSO"],
+                     "shards 1/1", id="litmus-explore"),
+    ])
+    def test_trace_and_progress(self, capsys, tmp_path, argv, progress):
+        """Every observed command traces ``run`` > ``shards`` / ``merge``
+        once per manifest run record."""
         import json
 
-        trace = tmp_path / "spans.jsonl"
-        assert main(["machine", "--model", "SC", "--trials", "50",
-                     "--seed", "5", "--shards", "2", "--trace", str(trace),
-                     "--progress"]) == 0
+        from repro.obs import load_manifest
+
+        trace, manifest = tmp_path / "spans.jsonl", tmp_path / "m.json"
+        assert main([*argv, "--trace", str(trace), "--manifest",
+                     str(manifest), "--progress"]) == 0
         captured = capsys.readouterr()
-        names = [json.loads(line)["name"]
-                 for line in trace.read_text().splitlines()]
-        assert names == ["shards", "merge", "run"]  # children close first
-        assert "shards 2/2" in captured.err
+        runs = load_manifest(manifest)["runs"]
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        # Children close first, so each run is shards, merge, then run.
+        assert [span["name"] for span in spans] == \
+            ["shards", "merge", "run"] * len(runs)
+        for span in spans:
+            if span["name"] == "run":
+                assert (span["depth"], span["parent"]) == (0, None)
+            else:
+                assert (span["depth"], span["parent"]) == (1, "run")
+        assert progress in captured.err
 
     def test_scaling_accepts_progress(self, capsys):
         out = run_cli(capsys, "scaling", "--max-n", "4", "--progress")

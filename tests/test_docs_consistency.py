@@ -121,31 +121,35 @@ def test_backend_flag_and_e20_documented(api_text, kernels_text):
 
 
 def test_run_event_trials_documented(api_text):
+    """``run_event_trials`` is documented; its old alias is not exported."""
+    import repro.stats as stats
+    import repro.stats.montecarlo as montecarlo
+
     assert "run_event_trials" in api_text
     assert "estimate_event" in api_text, (
-        "the historical estimate_event alias should stay documented"
+        "docs/API.md should record that the estimate_event alias was removed"
     )
+    for module in (stats, montecarlo):
+        assert "estimate_event" not in module.__all__
+        assert not hasattr(module, "estimate_event")
 
 
 def test_estimate_event_only_ever_described_as_alias():
-    """Prose may mention ``estimate_event`` only *as* the historical alias.
+    """Prose may mention ``estimate_event`` only as the *removed* alias.
 
-    The rename to ``run_event_trials`` is done; any line presenting the
-    old name as current API (as docs/OBSERVABILITY.md once did) is a
-    regression.  Qualifier words: "alias", "historical", "renamed",
-    "old name".
+    The alias of ``run_event_trials`` was removed in 2.0.0; any line
+    presenting the old name as current API is a regression.  Every line
+    naming it must say "removed".
     """
-    qualifiers = ("alias", "historical", "renamed", "old name")
     offenders = []
     for path in sorted(DOCS.glob("*.md")) + [README]:
         for number, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), start=1):
-            if "estimate_event" in line and not any(
-                    q in line.lower() for q in qualifiers):
+            if "estimate_event" in line and "removed" not in line.lower():
                 offenders.append(f"{path.name}:{number}: {line.strip()}")
     assert not offenders, (
         "estimate_event mentioned as if it were current API "
-        f"(say 'alias'/'historical' on the same line): {offenders}"
+        f"(say 'removed' on the same line): {offenders}"
     )
 
 
@@ -219,15 +223,17 @@ def test_runconfig_fields_in_api_table_and_cli(api_text):
 
 
 def test_runconfig_examples_migrated(api_text, obs_text, caching_text):
-    """The canonical docs teach the config style, not just the aliases."""
+    """The canonical docs teach ``config=`` as the one way to pass knobs."""
     readme = README.read_text(encoding="utf-8")
     for text, where in ((readme, "README.md"),
                         (api_text, "docs/API.md"),
                         (obs_text, "docs/OBSERVABILITY.md"),
                         (caching_text, "docs/CACHING.md")):
         assert "RunConfig" in text, f"{where} never mentions RunConfig"
-    assert "deprecated alias" in api_text, (
-        "docs/API.md must state the keyword-alias deprecation policy"
+    flat_api = " ".join(api_text.split())
+    assert "`config=` is the only way to pass engine knobs" in flat_api, (
+        "docs/API.md must state that config= is the only way to pass "
+        "engine knobs"
     )
     assert "config=" in readme, "README lacks a config= example"
 

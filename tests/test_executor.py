@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import run_canonical_bug
+import repro.sim.executor as executor_module
+import repro.sim.measurement as measurement_module
+from repro import RunConfig
+from repro.sim import measure_critical_windows, run_canonical_bug
 from repro.sim.scheduler import LockStepScheduler
 
 
@@ -77,3 +80,48 @@ class TestRunCanonicalBug:
         result = run_canonical_bug("SC", threads=2, trials=50, seed=29, body_length=2)
         text = str(result)
         assert "SC" in text and "n=2" in text
+
+
+MACHINE_DRIVERS = [
+    pytest.param(executor_module, run_canonical_bug, id="run_canonical_bug"),
+    pytest.param(measurement_module, measure_critical_windows,
+                 id="measure_critical_windows"),
+]
+
+
+class TestCoreOptionsCheckedUpFront:
+    """A bad core option fails at the call, not inside a retried shard."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        calls = []
+        for module in (executor_module, measurement_module):
+            monkeypatch.setattr(module, "run_sharded",
+                                lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("module, driver", MACHINE_DRIVERS)
+    def test_typo_raises_type_error_before_any_shard(self, engine_calls,
+                                                     module, driver):
+        with pytest.raises(TypeError, match="drain_probabilityy"):
+            driver("TSO", 2, 10, drain_probabilityy=0.3,
+                   config=RunConfig(retries=3, shards=2))
+        assert engine_calls == []
+
+    @pytest.mark.parametrize("knob", ["workers", "backend", "shards"])
+    @pytest.mark.parametrize("module, driver", MACHINE_DRIVERS)
+    def test_stale_knob_keyword_names_the_config(self, engine_calls, module,
+                                                 driver, knob):
+        with pytest.raises(TypeError, match=r"config=RunConfig\("):
+            driver("TSO", 2, 10, **{knob: 2})
+        assert engine_calls == []
+
+    def test_option_of_another_core_is_rejected(self, engine_calls):
+        with pytest.raises(TypeError, match="window_size"):
+            run_canonical_bug("TSO", 2, 10, window_size=4)
+        assert engine_calls == []
+
+    def test_accepted_options_still_reach_the_core(self):
+        result = run_canonical_bug("WO", 2, 20, seed=1, body_length=2,
+                                   window_size=2)
+        assert result.trials == 20

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro import RunConfig
 from repro.parallel import (
     InjectedFault,
     RetryPolicy,
@@ -138,29 +139,30 @@ class TestExecuteTasksPooled:
 
     def test_retry_heals_raised_faults(self):
         plan = ShardPlan(trials=1200, shards=4, seed=5)
-        clean = run_sharded(_sum_kernel, plan, workers=1)
+        clean = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         faults = ScriptedFaults(failures={1: 1, 3: 2})
-        healed = run_sharded(_sum_kernel, plan, workers=2, retries=2,
-                             fault_injector=faults)
+        healed = run_sharded(_sum_kernel, plan,
+                             config=RunConfig(workers=2, retries=2), fault_injector=faults)
         assert healed == clean
 
     def test_broken_pool_recovery_reexecutes_lost_shards(self):
         plan = ShardPlan(trials=1200, shards=4, seed=6)
-        clean = run_sharded(_sum_kernel, plan, workers=1)
+        clean = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         # kind="exit" hard-kills the worker: the executor breaks and every
         # unfinished shard must be recovered on a fresh pool.
         faults = ScriptedFaults(failures={2: 1}, kind="exit")
-        recovered = run_sharded(_sum_kernel, plan, workers=2, retries=2,
-                                fault_injector=faults)
+        recovered = run_sharded(_sum_kernel, plan,
+                                config=RunConfig(workers=2, retries=2), fault_injector=faults)
         assert recovered == clean
 
     def test_timeout_charges_attempt_and_recovers(self):
         plan = ShardPlan(trials=400, shards=3, seed=8)
-        clean = run_sharded(_sum_kernel, plan, workers=1)
+        clean = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         slow = _SleepOnFirstAttempt(index=1, seconds=5.0)
         start = time.perf_counter()
-        healed = run_sharded(_sum_kernel, plan, workers=2, retries=1,
-                             timeout=0.5, fault_injector=slow)
+        healed = run_sharded(_sum_kernel, plan,
+                             config=RunConfig(workers=2, retries=1, timeout=0.5),
+                                              fault_injector=slow)
         elapsed = time.perf_counter() - start
         assert healed == clean
         assert elapsed < 5.0  # did not wait out the wedged attempt
@@ -169,25 +171,26 @@ class TestExecuteTasksPooled:
         plan = ShardPlan(trials=400, shards=2, seed=9)
         always_failing = ScriptedFaults(failures={0: 99})
         with pytest.raises(ShardExecutionError):
-            run_sharded(_sum_kernel, plan, workers=2, retries=1,
-                        fault_injector=always_failing)
+            run_sharded(_sum_kernel, plan,
+                        config=RunConfig(workers=2, retries=1), fault_injector=always_failing)
 
 
 class TestRunShardedFaultPlumbing:
     def test_serial_injector_heals_identically(self):
         plan = ShardPlan(trials=1000, shards=4, seed=12)
-        clean = run_sharded(_sum_kernel, plan, workers=1)
-        healed = run_sharded(_sum_kernel, plan, workers=1, retries=3,
-                             fault_injector=ScriptedFaults(failures={0: 2}))
+        clean = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
+        healed = run_sharded(_sum_kernel, plan,
+                             config=RunConfig(workers=1, retries=3),
+                                              fault_injector=ScriptedFaults(failures={0: 2}))
         assert healed == clean
 
     def test_unpicklable_injector_falls_back_to_serial(self):
         plan = ShardPlan(trials=1000, shards=4, seed=13)
-        clean = run_sharded(_sum_kernel, plan, workers=1)
+        clean = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         failures = {1: 1}
         injector = lambda index, attempt: (  # noqa: E731 — deliberately unpicklable
             (_ for _ in ()).throw(InjectedFault("boom"))
             if attempt < failures.get(index, 0) else None)
-        healed = run_sharded(_sum_kernel, plan, workers=4, retries=1,
-                             fault_injector=injector)
+        healed = run_sharded(_sum_kernel, plan,
+                             config=RunConfig(workers=4, retries=1), fault_injector=injector)
         assert healed == clean

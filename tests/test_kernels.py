@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.core import (
     SC,
     TSO,
@@ -167,10 +168,10 @@ class TestShiftKernel:
         assert result.agrees_with(1.0 / 6.0)
 
     def test_estimator_is_worker_invariant(self):
-        serial = estimate_shift_disjointness((1, 3), 8_000, seed=9, shards=4,
-                                             workers=1)
+        serial = estimate_shift_disjointness((1, 3), 8_000, seed=9,
+                                             config=RunConfig(shards=4, workers=1))
         parallel = estimate_shift_disjointness((1, 3), 8_000, seed=9,
-                                               shards=4, workers=2)
+                                               config=RunConfig(shards=4, workers=2))
         assert serial.successes == parallel.successes
 
 
@@ -189,12 +190,12 @@ class TestJoinedKernel:
         )
 
     def test_three_thread_pin_survives_sharding(self):
-        result = estimate_non_manifestation(TSO, 3, 20_000, seed=0, shards=8)
+        result = estimate_non_manifestation(TSO, 3, 20_000, seed=0, config=RunConfig(shards=8))
         assert result.successes == 54
 
     def test_scalar_backend_agrees_with_theorem_62(self):
         result = estimate_non_manifestation(SC, 2, 20_000, seed=0,
-                                            backend="scalar")
+                                            config=RunConfig(backend="scalar"))
         assert result.successes == 3347  # deterministic in (seed, shards)
         assert result.agrees_with(1.0 / 6.0)
 
@@ -222,7 +223,7 @@ class TestJoinedKernel:
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="backend"):
-            estimate_non_manifestation(SC, 2, 1_000, backend="cuda")
+            estimate_non_manifestation(SC, 2, 1_000, config=RunConfig(backend="cuda"))
 
 
 class TestFusedKernel:
@@ -291,14 +292,15 @@ class TestFusedKernel:
     def test_estimator_backend_lands_on_the_exact_value(self):
         result = estimate_non_manifestation(WO, 2, 60_000, seed=8,
                                             confidence=0.999,
-                                            backend="fused")
+                                            config=RunConfig(backend="fused"))
         assert result.agrees_with(non_manifestation_probability(WO, 2).value)
 
     def test_estimator_backend_survives_sharding(self):
-        serial = estimate_non_manifestation(TSO, 2, 8_000, seed=9, shards=4,
-                                            backend="fused")
-        parallel = estimate_non_manifestation(TSO, 2, 8_000, seed=9, shards=4,
-                                              workers=2, backend="fused")
+        serial = estimate_non_manifestation(TSO, 2, 8_000, seed=9,
+                                            config=RunConfig(shards=4, backend="fused"))
+        parallel = estimate_non_manifestation(TSO, 2, 8_000, seed=9,
+                                              config=RunConfig(shards=4, workers=2,
+                                                               backend="fused"))
         assert serial.successes == parallel.successes
 
     def test_machine_paths_reject_fused(self):
@@ -306,6 +308,6 @@ class TestFusedKernel:
         from repro.sim.measurement import measure_critical_windows
 
         with pytest.raises(ValueError, match="not supported here"):
-            run_canonical_bug("TSO", threads=2, trials=100, backend="fused")
+            run_canonical_bug("TSO", threads=2, trials=100, config=RunConfig(backend="fused"))
         with pytest.raises(ValueError, match="not supported here"):
-            measure_critical_windows("TSO", 2, 100, backend="fused")
+            measure_critical_windows("TSO", 2, 100, config=RunConfig(backend="fused"))

@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.errors import SimulationError
 from repro.kernels.validation import assert_equivalent_proportions
 from repro.sim import run_canonical_bug
@@ -36,9 +37,9 @@ class TestStatisticalEquivalence:
     @pytest.mark.parametrize("model", ["SC", "TSO", "PSO"])
     def test_canonical_bug_backends_agree(self, model):
         scalar = run_canonical_bug(model, 2, SCALAR_TRIALS, seed=101,
-                                   backend="scalar")
+                                   config=RunConfig(backend="scalar"))
         vectorized = run_canonical_bug(model, 2, VECTOR_TRIALS, seed=102,
-                                       backend="vectorized")
+                                       config=RunConfig(backend="vectorized"))
         assert_equivalent_proportions(
             _manifestations(scalar), SCALAR_TRIALS,
             _manifestations(vectorized), VECTOR_TRIALS,
@@ -48,9 +49,9 @@ class TestStatisticalEquivalence:
     @pytest.mark.parametrize("model", ["TSO", "PSO"])
     def test_window_overlap_rates_agree(self, model):
         scalar = measure_critical_windows(model, 2, SCALAR_TRIALS, seed=103,
-                                          backend="scalar")
+                                          config=RunConfig(backend="scalar"))
         vectorized = measure_critical_windows(model, 2, VECTOR_TRIALS,
-                                              seed=104, backend="vectorized")
+                                              seed=104, config=RunConfig(backend="vectorized"))
         assert_equivalent_proportions(
             scalar.overlap_trials, scalar.trials,
             vectorized.overlap_trials, vectorized.trials,
@@ -63,15 +64,15 @@ class TestStatisticalEquivalence:
     def test_sc_windows_are_deterministic_on_both_backends(self):
         for backend in ("scalar", "vectorized"):
             measurement = measure_critical_windows("SC", 2, 400, seed=105,
-                                                   backend=backend)
+                                                   config=RunConfig(backend=backend))
             assert measurement.deterministic, backend
 
     def test_custom_core_options_accepted(self):
         scalar = run_canonical_bug("PSO", 3, 600, seed=106, body_length=12,
-                                   backend="scalar", drain_probability=0.3,
+                                   config=RunConfig(backend="scalar"), drain_probability=0.3,
                                    buffer_capacity=2)
         vectorized = run_canonical_bug("PSO", 3, 6_000, seed=107,
-                                       body_length=12, backend="vectorized",
+                                       body_length=12, config=RunConfig(backend="vectorized"),
                                        drain_probability=0.3,
                                        buffer_capacity=2)
         assert_equivalent_proportions(
@@ -83,16 +84,16 @@ class TestStatisticalEquivalence:
 
 class TestStructuralInvariants:
     def test_vectorized_is_worker_invariant(self):
-        serial = run_canonical_bug("TSO", 2, 4_000, seed=21, shards=4,
-                                   workers=1, backend="vectorized")
-        parallel = run_canonical_bug("TSO", 2, 4_000, seed=21, shards=4,
-                                     workers=2, backend="vectorized")
+        serial = run_canonical_bug("TSO", 2, 4_000, seed=21,
+                                   config=RunConfig(shards=4, workers=1, backend="vectorized"))
+        parallel = run_canonical_bug("TSO", 2, 4_000, seed=21,
+                                     config=RunConfig(shards=4, workers=2, backend="vectorized"))
         assert serial.final_values == parallel.final_values
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     def test_manifestation_implies_overlap(self, backend):
         measurement = measure_critical_windows("TSO", 2, 3_000, seed=22,
-                                               backend=backend)
+                                               config=RunConfig(backend=backend))
         assert measurement.manifest_without_overlap == 0
 
     def test_backend_distinguished_by_fingerprint_not_label(self, tmp_path):
@@ -101,10 +102,10 @@ class TestStructuralInvariants:
         # not by a label salt — the label stays backend-free while the
         # two backends' run keys differ.
         path = tmp_path / "manifest.json"
-        run_canonical_bug("TSO", 2, 400, seed=23, backend="vectorized",
-                          manifest=path)
-        run_canonical_bug("TSO", 2, 400, seed=23, backend="scalar",
-                          manifest=path)
+        run_canonical_bug("TSO", 2, 400, seed=23,
+                          config=RunConfig(backend="vectorized", manifest=path))
+        run_canonical_bug("TSO", 2, 400, seed=23,
+                          config=RunConfig(backend="scalar", manifest=path))
         runs = json.loads(path.read_text())["runs"]
         labels = [run["label"] for run in runs]
         assert all(":backend=" not in label for label in labels)
@@ -115,29 +116,31 @@ class TestStructuralInvariants:
 class TestGuardRails:
     def test_wo_is_not_vectorizable(self):
         with pytest.raises(SimulationError, match="WO"):
-            run_canonical_bug("WO", 2, 100, backend="vectorized")
+            run_canonical_bug("WO", 2, 100, config=RunConfig(backend="vectorized"))
 
     @pytest.mark.parametrize("variant", ["fenced", "atomic"])
     def test_protected_variants_refuse_vectorized(self, variant):
         with pytest.raises(SimulationError):
-            run_canonical_bug("TSO", 2, 100, backend="vectorized",
+            run_canonical_bug("TSO", 2, 100, config=RunConfig(backend="vectorized"),
                               **{variant: True})
 
     def test_non_geometric_scheduler_refused(self):
         with pytest.raises(SimulationError):
-            run_canonical_bug("TSO", 2, 100, backend="vectorized",
+            run_canonical_bug("TSO", 2, 100, config=RunConfig(backend="vectorized"),
                               scheduler=LockStepScheduler())
 
     def test_unknown_core_options_refused(self):
-        with pytest.raises(SimulationError):
-            run_canonical_bug("TSO", 2, 100, backend="vectorized",
+        # Checked against the core constructor for every backend, before
+        # any planning: a bad keyword is a TypeError.
+        with pytest.raises(TypeError, match="exotic_knob"):
+            run_canonical_bug("TSO", 2, 100, config=RunConfig(backend="vectorized"),
                               exotic_knob=1)
 
     def test_scheduler_beta_is_honoured(self):
         """A non-default launch spread changes the vectorized numbers."""
         default = run_canonical_bug("TSO", 2, 4_000, seed=31,
-                                    backend="vectorized")
+                                    config=RunConfig(backend="vectorized"))
         spread = run_canonical_bug("TSO", 2, 4_000, seed=31,
-                                   backend="vectorized",
+                                   config=RunConfig(backend="vectorized"),
                                    scheduler=GeometricLaunchScheduler(0.9))
         assert default.final_values != spread.final_values

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.stats import (
-    estimate_event,
     merge_bernoulli,
     run_bernoulli_trials,
     run_categorical_trials,
+    run_event_trials,
 )
 
 
@@ -73,7 +73,7 @@ class TestCategoricalTrials:
 
 class TestEstimateEvent:
     def test_vectorised_counting(self):
-        result = estimate_event(
+        result = run_event_trials(
             lambda source, batch: int(source.bernoulli_array(0.5, batch).sum()),
             trials=20_000,
             seed=11,
@@ -88,13 +88,13 @@ class TestEstimateEvent:
             sizes.append(batch)
             return 0
 
-        estimate_event(batch_trial, trials=10_000, seed=0, batch_size=3000)
+        run_event_trials(batch_trial, trials=10_000, seed=0, batch_size=3000)
         assert sum(sizes) == 10_000
         assert max(sizes) <= 3000
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
-            estimate_event(lambda s, b: 0, trials=10, batch_size=0)
+            run_event_trials(lambda s, b: 0, trials=10, batch_size=0)
 
 
 class TestMerge:

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro import RunConfig
 from repro.obs import (
     METRICS_CATALOGUE,
     ManifestError,
@@ -141,10 +142,10 @@ class TestProgress:
 
 
 class TestManifest:
-    def _observed_record(self, tmp_path, **options):
+    def _observed_record(self, tmp_path, **knobs):
         observer = RunObserver(manifest=tmp_path / "m.json")
-        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), workers=1,
-                    observer=observer, **options)
+        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), observer=observer,
+                    config=RunConfig(workers=1, **knobs))
         return observer.finish()
 
     def test_round_trip_write_validate_load(self, tmp_path):
@@ -181,8 +182,8 @@ class TestManifest:
         """Regression: ScriptedFaults retries must appear in the manifest."""
         observer = RunObserver(manifest=tmp_path / "m.json")
         faults = ScriptedFaults(failures={2: 1, 5: 1})
-        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), workers=1,
-                    retries=2, fault_injector=faults, observer=observer)
+        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), config=RunConfig(workers=1, retries=2),
+                    fault_injector=faults, observer=observer)
         record = observer.finish()
         ledger = record["retry_ledger"]
         assert [(entry["shard"], entry["kind"]) for entry in ledger] == [
@@ -195,8 +196,8 @@ class TestManifest:
 
     def test_checkpoint_resume_recorded_as_lineage(self, tmp_path):
         journal = tmp_path / "ckpt.jsonl"
-        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), workers=1,
-                    checkpoint=journal)
+        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11),
+                    config=RunConfig(workers=1, checkpoint=journal))
         # Keep half the journal, resume under observation.
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:4]) + "\n")
@@ -211,29 +212,29 @@ class TestManifest:
 
 class TestObservationIsInert:
     def test_sharded_results_identical_under_observation(self, tmp_path):
-        plain = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), workers=1)
+        plain = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), config=RunConfig(workers=1))
         observer = RunObserver(manifest=tmp_path / "m.json",
                                trace=tmp_path / "t.jsonl",
                                progress=lambda snapshot: None)
-        observed = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), workers=1,
+        observed = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), config=RunConfig(workers=1),
                                observer=observer)
         observer.finish()
         assert observed == plain
 
     def test_estimator_knobs_do_not_change_numbers(self, tmp_path):
-        plain = run_bernoulli_trials(_trial, 4000, seed=9, shards=8)
+        plain = run_bernoulli_trials(_trial, 4000, seed=9, config=RunConfig(shards=8))
         observed = run_bernoulli_trials(
-            _trial, 4000, seed=9, shards=8,
-            manifest=tmp_path / "m.json", trace=tmp_path / "t.jsonl",
+            _trial, 4000, seed=9, config=RunConfig(shards=8, manifest=tmp_path / "m.json",
+                                                   trace=tmp_path / "t.jsonl"),
         )
         assert observed == plain
         document = load_manifest(tmp_path / "m.json")
         assert document["runs"][0]["result"]["successes"] == plain.successes
 
     def test_worker_invariance_with_observer(self, tmp_path):
-        serial = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), workers=1)
+        serial = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), config=RunConfig(workers=1))
         observer = RunObserver(manifest=tmp_path / "m.json")
-        pooled = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), workers=2,
+        pooled = run_sharded(_sum_kernel, ShardPlan(2000, 8, 3), config=RunConfig(workers=2),
                              observer=observer)
         record = observer.finish()
         assert pooled == serial
@@ -244,7 +245,7 @@ class TestObservationIsInert:
 class TestLegacySerialPath:
     def test_legacy_run_manifest(self, tmp_path):
         result = run_bernoulli_trials(_trial, 3000, seed=5,
-                                      manifest=tmp_path / "m.json")
+                                      config=RunConfig(manifest=tmp_path / "m.json"))
         plain = run_bernoulli_trials(_trial, 3000, seed=5)
         assert result == plain  # the legacy stream derivation is untouched
         document = load_manifest(tmp_path / "m.json")
@@ -264,7 +265,7 @@ class TestObserverLifecycle:
     def test_progress_sink_sees_every_shard(self):
         snapshots: list[ProgressSnapshot] = []
         observer = RunObserver(progress=snapshots.append)
-        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), workers=1,
+        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), config=RunConfig(workers=1),
                     observer=observer)
         observer.finish()
         assert [snapshot.done_shards for snapshot in snapshots] == list(range(1, 9))

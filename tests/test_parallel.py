@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.core import SC, WO, estimate_non_manifestation, non_manifestation_probability
 from repro.parallel import (
     DEFAULT_SHARDS,
@@ -27,9 +28,9 @@ from repro.parallel import (
 )
 from repro.sim import measure_critical_windows, run_canonical_bug
 from repro.stats import (
-    estimate_event,
     run_bernoulli_trials,
     run_categorical_trials,
+    run_event_trials,
 )
 from repro.analysis import beta_sweep, settle_sweep, thread_sweep
 
@@ -129,55 +130,55 @@ class TestDefaultShardsWorkerInvariance:
 
     def test_bernoulli_defaults_identical_across_workers(self):
         results = [
-            run_bernoulli_trials(_coin, 5000, seed=3, workers=w)
+            run_bernoulli_trials(_coin, 5000, seed=3, config=RunConfig(workers=w))
             for w in (2, 4, None)
         ]
         # workers=1 keeps the legacy single-stream path unless shards is
         # given; pinning shards=DEFAULT_SHARDS joins it to the family.
-        results.append(run_bernoulli_trials(_coin, 5000, seed=3, workers=1,
-                                            shards=DEFAULT_SHARDS))
+        results.append(run_bernoulli_trials(_coin, 5000, seed=3,
+                                            config=RunConfig(workers=1, shards=DEFAULT_SHARDS)))
         assert len({r.successes for r in results}) == 1
         assert all(r.trials == 5000 and r.seed == 3 for r in results)
 
     def test_estimate_event_defaults_identical_across_workers(self):
         results = [
-            estimate_event(_batch_coin, 20_000, seed=7, workers=w)
+            run_event_trials(_batch_coin, 20_000, seed=7, config=RunConfig(workers=w))
             for w in (2, 4, None)
         ]
-        results.append(estimate_event(_batch_coin, 20_000, seed=7, workers=1,
-                                      shards=DEFAULT_SHARDS))
+        results.append(run_event_trials(_batch_coin, 20_000, seed=7,
+                                        config=RunConfig(workers=1, shards=DEFAULT_SHARDS)))
         assert len({r.successes for r in results}) == 1
 
     def test_categorical_defaults_identical_across_workers(self):
         results = [
-            run_categorical_trials(_geom, 5000, seed=5, workers=w)
+            run_categorical_trials(_geom, 5000, seed=5, config=RunConfig(workers=w))
             for w in (2, 4, None)
         ]
-        results.append(run_categorical_trials(_geom, 5000, seed=5, workers=1,
-                                              shards=DEFAULT_SHARDS))
+        results.append(run_categorical_trials(_geom, 5000, seed=5,
+                                              config=RunConfig(workers=1, shards=DEFAULT_SHARDS)))
         assert len({tuple(sorted(r.counts.items())) for r in results}) == 1
 
     def test_estimator_defaults_identical_across_workers(self):
         results = [
-            estimate_non_manifestation(SC, 2, 10_000, seed=41, workers=w)
+            estimate_non_manifestation(SC, 2, 10_000, seed=41, config=RunConfig(workers=w))
             for w in (2, 4, None)
         ]
         results.append(estimate_non_manifestation(SC, 2, 10_000, seed=41,
-                                                  workers=1,
-                                                  shards=DEFAULT_SHARDS))
+                                                  config=RunConfig(workers=1,
+                                                                   shards=DEFAULT_SHARDS)))
         assert len({r.successes for r in results}) == 1
 
 
 class TestRunSharded:
     def test_results_in_shard_order(self):
         plan = ShardPlan(trials=10, shards=4, seed=0)
-        counts = run_sharded(lambda source, n: n, plan, workers=1)
+        counts = run_sharded(lambda source, n: n, plan, config=RunConfig(workers=1))
         assert tuple(counts) == plan.shard_trials()
 
     def test_pool_matches_serial(self):
         plan = ShardPlan(trials=4096, shards=4, seed=21)
-        serial = run_sharded(_sum_kernel, plan, workers=1)
-        pooled = run_sharded(_sum_kernel, plan, workers=4)
+        serial = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
+        pooled = run_sharded(_sum_kernel, plan, config=RunConfig(workers=4))
         assert serial == pooled
 
 
@@ -197,13 +198,13 @@ class TestEmptyShards:
     def test_zero_trial_shards_never_reach_the_kernel(self):
         plan = ShardPlan(trials=5, shards=16, seed=1)
         assert plan.shard_trials().count(0) == 11
-        serial = run_sharded(_positive_kernel, plan, workers=1)
-        pooled = run_sharded(_positive_kernel, plan, workers=2)
+        serial = run_sharded(_positive_kernel, plan, config=RunConfig(workers=1))
+        pooled = run_sharded(_positive_kernel, plan, config=RunConfig(workers=2))
         assert serial == pooled
         assert sum(serial) <= 5
 
     def test_harness_tolerates_more_shards_than_trials(self):
-        result = run_bernoulli_trials(_coin, 5, seed=1, shards=16)
+        result = run_bernoulli_trials(_coin, 5, seed=1, config=RunConfig(shards=16))
         assert result.trials == 5
 
 
@@ -212,7 +213,7 @@ class TestShardedHarness:
 
     def test_bernoulli_identical_across_workers(self):
         results = [
-            run_bernoulli_trials(_coin, 5000, seed=3, shards=4, workers=w)
+            run_bernoulli_trials(_coin, 5000, seed=3, config=RunConfig(shards=4, workers=w))
             for w in WORKER_COUNTS
         ]
         assert len({r.successes for r in results}) == 1
@@ -220,7 +221,7 @@ class TestShardedHarness:
 
     def test_categorical_identical_across_workers(self):
         results = [
-            run_categorical_trials(_geom, 5000, seed=5, shards=4, workers=w)
+            run_categorical_trials(_geom, 5000, seed=5, config=RunConfig(shards=4, workers=w))
             for w in WORKER_COUNTS
         ]
         assert len({tuple(sorted(r.counts.items())) for r in results}) == 1
@@ -228,7 +229,7 @@ class TestShardedHarness:
 
     def test_estimate_event_identical_across_workers(self):
         results = [
-            estimate_event(_batch_coin, 20_000, seed=7, shards=8, workers=w)
+            run_event_trials(_batch_coin, 20_000, seed=7, config=RunConfig(shards=8, workers=w))
             for w in WORKER_COUNTS
         ]
         assert len({r.successes for r in results}) == 1
@@ -237,21 +238,22 @@ class TestShardedHarness:
     def test_result_depends_on_shard_count(self):
         # (seed, shards) is the statistical identity: changing shards
         # legitimately changes the drawn streams.
-        two = run_bernoulli_trials(_coin, 5000, seed=3, shards=2)
-        four = run_bernoulli_trials(_coin, 5000, seed=3, shards=4)
+        two = run_bernoulli_trials(_coin, 5000, seed=3, config=RunConfig(shards=2))
+        four = run_bernoulli_trials(_coin, 5000, seed=3, config=RunConfig(shards=4))
         assert two.successes != four.successes
 
     def test_non_picklable_trial_falls_back_to_serial(self):
         flip = lambda source: source.bernoulli(0.5)  # noqa: E731 — deliberately unpicklable
         assert not is_picklable(flip)
-        parallel = run_bernoulli_trials(flip, 2000, seed=2, shards=3, workers=4)
-        serial = run_bernoulli_trials(flip, 2000, seed=2, shards=3, workers=1)
+        parallel = run_bernoulli_trials(flip, 2000, seed=2, config=RunConfig(shards=3, workers=4))
+        serial = run_bernoulli_trials(flip, 2000, seed=2, config=RunConfig(shards=3, workers=1))
         assert parallel.successes == serial.successes
 
     def test_legacy_serial_path_unchanged(self):
         # workers=1, shards=None must keep the historical derivation.
         legacy = run_bernoulli_trials(_coin, 3000, seed=11)
-        again = run_bernoulli_trials(_coin, 3000, seed=11, workers=1, shards=None)
+        again = run_bernoulli_trials(_coin, 3000, seed=11,
+                                     config=RunConfig(workers=1, shards=None))
         assert legacy.successes == again.successes
 
 
@@ -345,17 +347,20 @@ class TestParallelAgreesWithClosedForms:
     the sharded estimator must land inside its own interval around them."""
 
     def test_sc_one_sixth(self):
-        result = estimate_non_manifestation(SC, 2, 40_000, seed=17, shards=4, workers=2)
+        result = estimate_non_manifestation(SC, 2, 40_000, seed=17,
+                                            config=RunConfig(shards=4, workers=2))
         assert result.agrees_with(1.0 / 6.0)
 
     def test_wo_seven_fifty_fourths(self):
-        result = estimate_non_manifestation(WO, 2, 40_000, seed=19, shards=4, workers=2)
+        result = estimate_non_manifestation(WO, 2, 40_000, seed=19,
+                                            config=RunConfig(shards=4, workers=2))
         assert result.agrees_with(7.0 / 54.0)
         assert result.agrees_with(non_manifestation_probability(WO).value)
 
     def test_identical_across_workers(self):
         results = [
-            estimate_non_manifestation(SC, 2, 20_000, seed=23, shards=4, workers=w)
+            estimate_non_manifestation(SC, 2, 20_000, seed=23,
+                                       config=RunConfig(shards=4, workers=w))
             for w in WORKER_COUNTS
         ]
         assert len({r.successes for r in results}) == 1
@@ -365,7 +370,7 @@ class TestShardedMachineExperiments:
     def test_canonical_bug_identical_across_workers(self):
         results = [
             run_canonical_bug("TSO", 2, 300, seed=29, body_length=4,
-                              shards=4, workers=w)
+                              config=RunConfig(shards=4, workers=w))
             for w in WORKER_COUNTS
         ]
         assert all(r.final_values == results[0].final_values for r in results)
@@ -374,7 +379,7 @@ class TestShardedMachineExperiments:
     def test_window_measurement_identical_across_workers(self):
         results = [
             measure_critical_windows("TSO", 2, 200, seed=31, body_length=4,
-                                     shards=4, workers=w)
+                                     config=RunConfig(shards=4, workers=w))
             for w in WORKER_COUNTS
         ]
         assert all(np.array_equal(r.durations, results[0].durations) for r in results)
@@ -384,17 +389,24 @@ class TestShardedMachineExperiments:
 
 class TestParallelMap:
     def test_preserves_order(self):
-        assert parallel_map(_double, range(10), workers=2) == [2 * i for i in range(10)]
+        assert parallel_map(_double, range(10),
+                            config=RunConfig(workers=2)) == [2 * i for i in range(10)]
 
     def test_unpicklable_function_falls_back(self):
         offset = 3
-        assert parallel_map(lambda x: x + offset, [1, 2], workers=4) == [4, 5]
+        assert parallel_map(lambda x: x + offset, [1, 2], config=RunConfig(workers=4)) == [4, 5]
 
     def test_sweeps_identical_across_workers(self):
-        assert thread_sweep([2, 4, 8], workers=2) == thread_sweep([2, 4, 8], workers=1)
+        assert thread_sweep([2, 4, 8],
+                            config=RunConfig(workers=2)) == thread_sweep([2, 4, 8],
+                                             config=RunConfig(workers=1))
         grid = [0.1, 0.5, 0.9]
-        assert settle_sweep(grid, workers=2) == settle_sweep(grid, workers=1)
-        assert beta_sweep(grid, workers=2) == beta_sweep(grid, workers=1)
+        assert settle_sweep(grid,
+                            config=RunConfig(workers=2)) == settle_sweep(grid,
+                                             config=RunConfig(workers=1))
+        assert beta_sweep(grid,
+                          config=RunConfig(workers=2)) == beta_sweep(grid,
+                                           config=RunConfig(workers=1))
 
 
 class TestCliWorkers:

@@ -23,6 +23,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.core.manifestation import estimate_non_manifestation
 from repro.core.memory_models import TSO
 from repro.kernels import assert_equivalent_proportions
@@ -127,17 +128,17 @@ class TestPhiloxPlan:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_merged_numbers_are_worker_invariant(self, workers):
-        baseline = run_event_trials(_event_batch, 4_000, seed=17, shards=6,
-                                    workers=1, rng_plan="philox")
-        result = run_event_trials(_event_batch, 4_000, seed=17, shards=6,
-                                  workers=workers, rng_plan="philox")
+        baseline = run_event_trials(_event_batch, 4_000, seed=17,
+                                    config=RunConfig(shards=6, workers=1, rng_plan="philox"))
+        result = run_event_trials(_event_batch, 4_000, seed=17,
+                                  config=RunConfig(shards=6, workers=workers, rng_plan="philox"))
         assert (result.successes, result.trials) == (baseline.successes,
                                                      baseline.trials)
 
     def test_plans_draw_different_streams_same_law(self):
-        spawn = run_event_trials(_event_batch, 40_000, seed=17, shards=8)
-        philox = run_event_trials(_event_batch, 40_000, seed=17, shards=8,
-                                  rng_plan="philox")
+        spawn = run_event_trials(_event_batch, 40_000, seed=17, config=RunConfig(shards=8))
+        philox = run_event_trials(_event_batch, 40_000, seed=17,
+                                  config=RunConfig(shards=8, rng_plan="philox"))
         assert (spawn.successes, spawn.trials) != (philox.successes,
                                                    philox.trials)
         assert_equivalent_proportions(
@@ -147,9 +148,9 @@ class TestPhiloxPlan:
         )
 
     def test_philox_joined_model_agrees_with_spawn(self):
-        spawn = estimate_non_manifestation(TSO, 2, 30_000, seed=5, shards=8)
-        philox = estimate_non_manifestation(TSO, 2, 30_000, seed=5, shards=8,
-                                            rng_plan="philox")
+        spawn = estimate_non_manifestation(TSO, 2, 30_000, seed=5, config=RunConfig(shards=8))
+        philox = estimate_non_manifestation(TSO, 2, 30_000, seed=5,
+                                            config=RunConfig(shards=8, rng_plan="philox"))
         assert_equivalent_proportions(
             spawn.successes, spawn.trials,
             philox.successes, philox.trials,
@@ -157,10 +158,10 @@ class TestPhiloxPlan:
         )
 
     def test_philox_runs_are_deterministic(self):
-        first = estimate_non_manifestation(TSO, 2, 5_000, seed=5, shards=4,
-                                           rng_plan="philox")
-        second = estimate_non_manifestation(TSO, 2, 5_000, seed=5, shards=4,
-                                            rng_plan="philox")
+        first = estimate_non_manifestation(TSO, 2, 5_000, seed=5,
+                                           config=RunConfig(shards=4, rng_plan="philox"))
+        second = estimate_non_manifestation(TSO, 2, 5_000, seed=5,
+                                            config=RunConfig(shards=4, rng_plan="philox"))
         assert (first.successes, first.trials) == (second.successes,
                                                    second.trials)
 
@@ -168,8 +169,8 @@ class TestPhiloxPlan:
         # The legacy no-plan serial path is spawn-only: philox must shard
         # (with shards=1 for workers=1) so its numbers are plan-keyed.
         result = run_event_trials(_event_batch, 2_000, seed=3,
-                                  rng_plan="philox")
-        expected = run_event_trials(_event_batch, 2_000, seed=3, shards=1,
-                                    workers=1, rng_plan="philox")
+                                  config=RunConfig(rng_plan="philox"))
+        expected = run_event_trials(_event_batch, 2_000, seed=3,
+                                    config=RunConfig(shards=1, workers=1, rng_plan="philox"))
         assert (result.successes, result.trials) == (expected.successes,
                                                      expected.trials)

@@ -5,16 +5,15 @@ programming error, so the engine must never emit an empty batch — even
 for budgets that do not divide evenly across shards and batch sizes.
 These tests pin that contract (the regression shape: ``trials=96,
 shards=6, batch_size=16`` — every shard ends on an exact batch boundary,
-historically a corner that produced zero-size leftovers) and the
-``estimate_event`` → ``run_event_trials`` rename.
+historically a corner that produced zero-size leftovers).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import RunConfig
 from repro.stats import RandomSource, run_event_trials
-from repro.stats.montecarlo import estimate_event
 
 
 def _counting_kernel(log: list[int]):
@@ -31,7 +30,7 @@ class TestBatchSizes:
         exact batch; the kernel must see only positive sizes summing to 96."""
         sizes: list[int] = []
         result = run_event_trials(_counting_kernel(sizes), 96, seed=0,
-                                  shards=6, batch_size=16)
+                                  config=RunConfig(shards=6), batch_size=16)
         assert all(size >= 1 for size in sizes), sizes
         assert sum(sizes) == 96
         assert result.trials == 96
@@ -45,7 +44,7 @@ class TestBatchSizes:
     def test_kernel_only_sees_positive_sizes(self, trials, shards, batch_size):
         sizes: list[int] = []
         result = run_event_trials(_counting_kernel(sizes), trials, seed=3,
-                                  shards=shards, batch_size=batch_size)
+                                  config=RunConfig(shards=shards), batch_size=batch_size)
         assert all(size >= 1 for size in sizes), sizes
         assert sum(sizes) == trials
         assert result.trials == trials
@@ -59,19 +58,6 @@ class TestBatchSizes:
                 raise ValueError(f"empty batch {batch} reached the kernel")
             return int(source.bernoulli_array(0.25, batch).sum())
 
-        result = run_event_trials(strict, 96, seed=7, shards=6, batch_size=16)
+        result = run_event_trials(strict, 96, seed=7, config=RunConfig(shards=6), batch_size=16)
         assert result.trials == 96
 
-
-class TestRename:
-    def test_estimate_event_is_the_same_function(self):
-        assert estimate_event is run_event_trials
-
-    def test_alias_and_new_name_are_bit_identical(self):
-        def kernel(source: RandomSource, batch: int) -> int:
-            return int(source.bernoulli_array(0.5, batch).sum())
-
-        new = run_event_trials(kernel, 2_000, seed=11, shards=4)
-        old = estimate_event(kernel, 2_000, seed=11, shards=4)
-        assert new.successes == old.successes
-        assert new.trials == old.trials

@@ -1,20 +1,26 @@
 """The unified RunConfig execution context (``repro.runconfig``).
 
-Three layers of coverage:
+Four layers of coverage:
 
 1. The record itself — validation at the single ``resolve()`` point,
-   keyword-alias folding (``UNSET`` semantics), CLI binding metadata.
+   CLI binding metadata.
 2. Knob propagation — a ``RunConfig`` with a distinctive value in every
    field, driven through each public estimator with ``run_sharded`` /
-   ``parallel_map`` monkeypatched to record what actually arrives at the
-   engine.  This is the test that would have caught the historical
-   "flag parsed but silently dropped" CLI bugs.
-3. Golden byte-identity — fixed-seed merged numbers and v2 plan keys
+   ``parallel_map`` monkeypatched to record the ``config`` that actually
+   arrives at the engine.  This is the test that would have caught the
+   historical "flag parsed but silently dropped" CLI bugs.
+3. One way to pass a knob — every public function that takes ``config``
+   takes it keyword-only and takes no knob as a parameter of its own.
+4. Golden byte-identity — fixed-seed merged numbers and v2 plan keys
    over the full spawn/philox × pickle/shm × scalar/vectorized/fused
    matrix, pinned to the values the pre-RunConfig code produced.
 """
 
 from __future__ import annotations
+
+import importlib
+import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ import repro.analysis.sweeps as sweeps_module
 import repro.sim.executor as executor_module
 import repro.sim.measurement as measurement_module
 import repro.stats.montecarlo as montecarlo_module
-from repro import RunConfig, UNSET, resolve_run_config
+from repro import RunConfig
 from repro.analysis import (
     beta_sweep,
     critical_section_sweep,
@@ -38,7 +44,7 @@ from repro.core.manifestation import (
     _disjointness_scalar_trial,
     estimate_non_manifestation,
 )
-from repro.core.memory_models import SC, TSO
+from repro.core.memory_models import TSO
 from repro.obs import load_manifest
 from repro.sim.executor import run_canonical_bug
 from repro.sim.measurement import _WindowShard, measure_critical_windows
@@ -52,7 +58,7 @@ from repro.stats.montecarlo import (
 
 
 # ----------------------------------------------------------------------
-# The record: validation, folding, metadata
+# The record: validation, metadata
 # ----------------------------------------------------------------------
 
 
@@ -85,34 +91,6 @@ class TestResolve:
 
     def test_fused_allowed_on_unrestricted_drivers(self):
         assert RunConfig(backend="fused").resolve().backend == "fused"
-
-
-class TestFolding:
-    def test_unset_alias_does_not_mask_config(self):
-        config = RunConfig(workers=4, rng_plan="philox")
-        folded = resolve_run_config(config, workers=UNSET, rng_plan=UNSET)
-        assert folded == config
-
-    def test_explicit_alias_overrides_config(self):
-        config = RunConfig(workers=4, retries=3)
-        folded = resolve_run_config(config, workers=2, retries=UNSET)
-        assert folded.workers == 2
-        assert folded.retries == 3
-
-    def test_explicit_none_is_an_override_not_unset(self):
-        config = RunConfig(timeout=30.0, shards=8)
-        folded = resolve_run_config(config, timeout=None, shards=UNSET)
-        assert folded.timeout is None
-        assert folded.shards == 8
-
-    def test_no_config_starts_from_defaults(self):
-        assert resolve_run_config(None) == RunConfig()
-        assert resolve_run_config(None, workers=2).workers == 2
-
-    def test_unset_is_falsy_singleton(self):
-        assert not UNSET
-        assert repr(UNSET) == "UNSET"
-        assert type(UNSET)() is UNSET
 
 
 class TestMetadata:
@@ -186,9 +164,9 @@ class _EngineRecorder:
         self.make_result = make_result
         self.calls = []
 
-    def __call__(self, kernel, plan, workers=1, **kwargs):
-        self.calls.append({"kernel": kernel, "plan": plan,
-                           "workers": workers, **kwargs})
+    def __call__(self, kernel, plan, *, config, observer=None, **kwargs):
+        self.calls.append({"kernel": kernel, "plan": plan, "config": config,
+                           "observer": observer, **kwargs})
         return [self.make_result(plan.trials)]
 
     @property
@@ -198,16 +176,16 @@ class _EngineRecorder:
 
 
 def _assert_engine_saw_probe(call, config):
-    plan = call["plan"]
+    plan, seen = call["plan"], call["config"]
     assert plan.shards == config.shards
     assert plan.rng_plan == config.rng_plan
-    assert call["workers"] == config.workers
-    assert call["retries"] == config.retries
-    assert call["timeout"] == config.timeout
-    assert call["checkpoint"] == config.checkpoint
-    assert call["fingerprint"] == config.fingerprint
-    assert call["cache"] == config.cache
-    assert call["transport"] == config.transport
+    assert seen.workers == config.workers
+    assert seen.retries == config.retries
+    assert seen.timeout == config.timeout
+    assert seen.checkpoint == config.checkpoint
+    assert seen.fingerprint == config.fingerprint
+    assert seen.cache == config.cache
+    assert seen.transport == config.transport
     assert call["observer"] is not None  # the trace knob, derived
 
 
@@ -293,18 +271,6 @@ class TestKnobPropagation:
         with pytest.raises(ValueError, match="fused"):
             measure_critical_windows("TSO", 2, 100, config=config)
 
-    def test_keyword_alias_overrides_config_in_estimator(self, tmp_path,
-                                                         monkeypatch):
-        recorder = _EngineRecorder(_bernoulli)
-        monkeypatch.setattr(montecarlo_module, "run_sharded", recorder)
-        config = _probe_config(tmp_path)
-        run_event_trials(lambda s, b: b, 100, config=config, retries=7,
-                         transport="shm")
-        call = recorder.only_call
-        assert call["retries"] == 7
-        assert call["transport"] == "shm"
-        assert call["timeout"] == config.timeout  # untouched knobs survive
-
     SWEEPS = [
         pytest.param(lambda cfg: thread_sweep([2, 3], config=cfg),
                      id="thread_sweep"),
@@ -324,10 +290,10 @@ class TestKnobPropagation:
                                             drive):
         calls = []
 
-        def fake_map(function, items, workers=1, *, retries=0, timeout=None,
-                     observer=None, config=None):
-            calls.append({"workers": workers, "retries": retries,
-                          "timeout": timeout, "observer": observer})
+        def fake_map(function, items, *, observer=None, config=None):
+            calls.append({"workers": config.workers,
+                          "retries": config.retries,
+                          "timeout": config.timeout, "observer": observer})
             return [function(item) for item in items]
 
         monkeypatch.setattr(sweeps_module, "parallel_map", fake_map)
@@ -369,6 +335,63 @@ class TestRunShardedConfig:
             config=RunConfig(retries=1, trace=tmp_path / "pm.jsonl"))
         assert result == [2, 4, 6]
         assert (tmp_path / "pm.jsonl").exists()
+
+
+# ----------------------------------------------------------------------
+# One way to pass a knob
+# ----------------------------------------------------------------------
+
+#: The public surfaces a caller passes engine knobs through.
+PUBLIC_MODULES = ("repro", "repro.parallel", "repro.stats", "repro.sim",
+                  "repro.analysis", "repro.kernels", "repro.litmus")
+
+
+def _public_config_functions():
+    """``(qualified name, function)`` for every export taking ``config``."""
+    for module_name in PUBLIC_MODULES:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            value = getattr(module, name)
+            if (inspect.isfunction(value)
+                    and "config" in inspect.signature(value).parameters):
+                yield f"{module_name}.{name}", value
+
+
+class TestOneWayToPassAKnob:
+    def test_config_is_keyword_only(self):
+        functions = dict(_public_config_functions())
+        for expected in ("run_sharded", "parallel_map", "run_event_trials",
+                         "estimate_non_manifestation", "run_canonical_bug",
+                         "measure_critical_windows", "thread_sweep",
+                         "monte_carlo_check", "estimate_shift_disjointness",
+                         "explore_exhaustive"):
+            assert any(name.endswith(f".{expected}") for name in functions), \
+                expected
+        for name, function in functions.items():
+            kind = inspect.signature(function).parameters["config"].kind
+            assert kind is inspect.Parameter.KEYWORD_ONLY, name
+
+    def test_no_knob_is_a_parameter_of_its_own(self):
+        knobs = {spec.name for spec in fields(RunConfig)}
+        offenders = {}
+        for name, function in _public_config_functions():
+            shared = knobs & set(inspect.signature(function).parameters)
+            if shared:
+                offenders[name] = sorted(shared)
+        assert not offenders
+
+    @pytest.mark.parametrize("removed", ["UNSET", "resolve_run_config",
+                                         "estimate_event"])
+    def test_removed_names_are_exported_nowhere(self, removed):
+        for module_name in (*PUBLIC_MODULES, "repro.runconfig",
+                            "repro.stats.montecarlo", "repro.stats.parallel"):
+            module = importlib.import_module(module_name)
+            assert removed not in getattr(module, "__all__", ()), module_name
+            assert not hasattr(module, removed), module_name
+
+    def test_removed_methods_are_gone(self):
+        assert not hasattr(RunConfig, "updated")
+        assert not hasattr(RunConfig, "engine_options")
 
 
 def _shard_sum(source, shard_trials):
@@ -435,11 +458,3 @@ class TestGoldenByteIdentity:
         assert result.manifestations == manifestations
         assert result.trials == 400
         assert load_manifest(manifest)["runs"][0]["plan"]["key"] == key
-
-    def test_config_and_alias_calls_are_identical(self):
-        via_alias = estimate_non_manifestation(SC, 2, 2000, seed=3, shards=4,
-                                               rng_plan="philox")
-        via_config = estimate_non_manifestation(
-            SC, 2, 2000, seed=3,
-            config=RunConfig(shards=4, rng_plan="philox"))
-        assert via_alias.successes == via_config.successes

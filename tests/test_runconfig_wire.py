@@ -4,20 +4,20 @@ The service serialises configs across the HTTP boundary, so the wire
 format carries the same guarantees as the record itself: every field
 survives the round trip byte-identically, unknown fields fail loudly
 (the "flag parsed but silently dropped" bug class must not reappear one
-layer up), live objects and the ``UNSET`` sentinel can never leak onto
-the wire, and partial payloads fold over a ``base`` config exactly the
-way the service folds a request over the server default.
+layer up), live objects can never leak onto the wire, and partial
+payloads fold over a ``base`` config exactly the way the service folds a
+request over the server default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from repro import RunConfig, UNSET
+from repro import RunConfig
 from repro.cache import ShardStore
 from repro.stats.checkpoint import ShardCheckpoint
 
@@ -104,17 +104,6 @@ class TestRejection:
 
 
 class TestUnsetAndLiveObjects:
-    def test_unset_never_leaks_to_wire(self):
-        # UNSET is not a constructible field value, but defend in depth:
-        # a config smuggling the sentinel must fail to serialise.
-        broken = replace(RunConfig(), fingerprint=UNSET)
-        with pytest.raises(ValueError, match="UNSET"):
-            broken.to_json_dict()
-
-    def test_unset_not_accepted_from_wire(self):
-        with pytest.raises(TypeError):
-            RunConfig.from_json_dict({"fingerprint": UNSET})
-
     def test_live_checkpoint_not_wire_representable(self, tmp_path):
         checkpoint = ShardCheckpoint(tmp_path / "run.jsonl", key="k" * 16)
         with pytest.raises(TypeError, match="checkpoint"):

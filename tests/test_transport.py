@@ -16,6 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.sim.measurement import _WindowShard, measure_critical_windows
 from repro.stats.montecarlo import (
     BernoulliResult,
@@ -162,50 +163,49 @@ class TestTransportBitIdentity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_bernoulli_kind(self, workers):
         baseline = run_bernoulli_trials(_bernoulli_trial, 600, seed=11,
-                                        shards=6, workers=1,
-                                        transport="pickle")
+                                        config=RunConfig(shards=6, workers=1, transport="pickle"))
         shm = run_bernoulli_trials(_bernoulli_trial, 600, seed=11,
-                                   shards=6, workers=workers,
-                                   transport="shm")
+                                   config=RunConfig(shards=6, workers=workers, transport="shm"))
         assert (shm.successes, shm.trials) == (baseline.successes,
                                                baseline.trials)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_categorical_kind(self, workers):
         baseline = run_categorical_trials(_categorical_trial, 600, seed=12,
-                                          shards=6, workers=1,
-                                          transport="pickle")
+                                          config=RunConfig(shards=6, workers=1,
+                                                           transport="pickle"))
         shm = run_categorical_trials(_categorical_trial, 600, seed=12,
-                                     shards=6, workers=workers,
-                                     transport="shm")
+                                     config=RunConfig(shards=6, workers=workers, transport="shm"))
         assert shm.counts == baseline.counts
         assert shm.trials == baseline.trials
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_event_kind(self, workers):
-        baseline = run_event_trials(_event_batch, 4_000, seed=13, shards=6,
-                                    workers=1, transport="pickle")
-        shm = run_event_trials(_event_batch, 4_000, seed=13, shards=6,
-                               workers=workers, transport="shm")
+        baseline = run_event_trials(_event_batch, 4_000, seed=13,
+                                    config=RunConfig(shards=6, workers=1, transport="pickle"))
+        shm = run_event_trials(_event_batch, 4_000, seed=13,
+                               config=RunConfig(shards=6, workers=workers, transport="shm"))
         assert (shm.successes, shm.trials) == (baseline.successes,
                                                baseline.trials)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_window_kind(self, workers):
-        baseline = measure_critical_windows("TSO", 2, 60, seed=14, shards=4,
-                                            workers=1, transport="pickle")
-        shm = measure_critical_windows("TSO", 2, 60, seed=14, shards=4,
-                                       workers=workers, transport="shm")
+        baseline = measure_critical_windows("TSO", 2, 60, seed=14,
+                                            config=RunConfig(shards=4, workers=1,
+                                                             transport="pickle"))
+        shm = measure_critical_windows("TSO", 2, 60, seed=14,
+                                       config=RunConfig(shards=4, workers=workers,
+                                                        transport="shm"))
         np.testing.assert_array_equal(shm.durations, baseline.durations)
         assert shm.overlap_trials == baseline.overlap_trials
         assert shm.manifest_trials == baseline.manifest_trials
         assert shm.manifest_without_overlap == baseline.manifest_without_overlap
 
     def test_auto_matches_both(self):
-        auto = run_event_trials(_event_batch, 4_000, seed=13, shards=6,
-                                workers=2, transport="auto")
-        pickled = run_event_trials(_event_batch, 4_000, seed=13, shards=6,
-                                   workers=2, transport="pickle")
+        auto = run_event_trials(_event_batch, 4_000, seed=13,
+                                config=RunConfig(shards=6, workers=2, transport="auto"))
+        pickled = run_event_trials(_event_batch, 4_000, seed=13,
+                                   config=RunConfig(shards=6, workers=2, transport="pickle"))
         assert (auto.successes, auto.trials) == (pickled.successes,
                                                  pickled.trials)
 
@@ -214,4 +214,4 @@ class TestTransportBitIdentity:
 
         with pytest.raises(ValueError, match="layout"):
             run_sharded(lambda source, count: None,
-                        ShardPlan(10, 2, 0), workers=1, transport="shm")
+                        ShardPlan(10, 2, 0), config=RunConfig(workers=1, transport="shm"))
