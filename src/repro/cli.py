@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 from collections.abc import Sequence
+from dataclasses import fields as dataclass_fields
 
 from .analysis import (
     critical_section_sweep,
@@ -94,7 +95,7 @@ from .core import (
 )
 from .litmus import ALL_TESTS, check_all, check_test, get_test
 from .reporting import EXPERIMENTS, render_table
-from .runconfig import RunConfig
+from .runconfig import RunConfig, positive_int
 from .sim import run_canonical_bug
 
 __all__ = ["main", "build_parser"]
@@ -374,8 +375,6 @@ def _cmd_multibug(args: argparse.Namespace) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> None:
     """Fast paper-vs-library checklist (analytic checks only)."""
-    import math
-
     from .core import (
         SC,
         TSO,
@@ -511,104 +510,28 @@ def _cmd_experiments(args: argparse.Namespace) -> None:
     print(render_table(rows, title="Experiment registry (see DESIGN.md / EXPERIMENTS.md)"))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
 def _add_engine_options(parser: argparse.ArgumentParser,
                         suppress: bool = False) -> None:
-    """The engine/observability flag set, shared by the root parser and the
-    engine-aware subcommands.
+    """The engine/observability flag set, declared from the ``RunConfig``
+    field metadata, shared by the root parser and the engine-aware
+    subcommands.
 
-    The root parser carries the real defaults; subparsers re-declare the
-    same flags with ``argparse.SUPPRESS`` defaults so the flags may be
-    placed before *or after* the subcommand without the subparser's
-    defaults clobbering root-parsed values.
+    Each bound field contributes one flag with its parse-time options
+    (``type``/``choices``/``metavar``/``action``) and its ``doc`` as the
+    help text.  The root parser carries the real defaults; subparsers
+    re-declare the same flags with ``argparse.SUPPRESS`` defaults so the
+    flags may be placed before *or after* the subcommand without the
+    subparser's defaults clobbering root-parsed values.
     """
-    def default(value: object) -> object:
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument(
-        "--workers", type=_positive_int, default=default(1), metavar="N",
-        help="worker processes for Monte-Carlo trials and sweep grids "
-        "(default: 1 = serial)",
-    )
-    parser.add_argument(
-        "--shards", type=_positive_int, default=default(None), metavar="S",
-        help="seed-disciplined shard count; the statistical identity of a "
-        "run is (seed, shards), so results are identical at any --workers "
-        "(default: 16 fixed shards whenever --workers exceeds 1)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=default(0), metavar="R",
-        help="extra attempts per failed shard, with exponential backoff "
-        "(default: 0 = fail fast); retried shards are bit-identical",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=default(None), metavar="SEC",
-        help="per-shard timeout in seconds for pooled execution; a timed-out "
-        "shard is charged a failed attempt (default: unbounded)",
-    )
-    parser.add_argument(
-        "--checkpoint", metavar="FILE", default=default(None),
-        help="journal completed shards to FILE (JSONL); rerunning with the "
-        "same seed/shards/experiment resumes the missing shards only and "
-        "merges to the identical result",
-    )
-    parser.add_argument(
-        "--cache", metavar="DIR", default=default(None),
-        help="keep completed shards in a content-addressed result cache "
-        "('auto' = the default store under ~/.cache/repro, or a "
-        "directory); re-runs fetch cached shards with bit-identical "
-        "results (see docs/CACHING.md and 'repro cache')",
-    )
-    parser.add_argument(
-        "--manifest", metavar="FILE", default=default(None),
-        help="append a validated run manifest (plan identity, per-shard "
-        "durations, retry ledger, merged result) to FILE as JSON "
-        "(see docs/OBSERVABILITY.md)",
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", default=default(None),
-        help="write a JSONL span trace of the run (run > shards > merge) "
-        "to FILE",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        default=default(False),
-        help="show a live per-shard progress line (shards done, trials/s, "
-        "ETA) on stderr",
-    )
-    parser.add_argument(
-        "--backend", choices=["scalar", "vectorized", "fused"],
-        default=default(None),
-        help="simulation kernel: 'vectorized' runs whole-array NumPy "
-        "batches, 'scalar' the draw-by-draw reference, 'fused' the "
-        "single-pass joined-model chain (statistically equivalent; see "
-        "docs/KERNELS.md; the machine paths reject 'fused'). Default: "
-        "each command's native backend (thm62: vectorized; machine: "
-        "scalar)",
-    )
-    parser.add_argument(
-        "--rng-plan", choices=["spawn", "philox"], default=default("spawn"),
-        help="shard-stream derivation: 'spawn' (default) is the "
-        "SeedSequence discipline of every published number; 'philox' "
-        "derives streams directly from (seed, shard, batch) counters — "
-        "faster fan-out, different (never silently mixed) streams. See "
-        "docs/API.md",
-    )
-    parser.add_argument(
-        "--transport", choices=["auto", "pickle", "shm"],
-        default=default("auto"),
-        help="shard result channel: 'shm' writes packed results into a "
-        "shared-memory table (zero result pickling), 'pickle' forces the "
-        "historical channel, 'auto' (default) picks shm whenever a pool "
-        "carries results. A scheduling concern like --workers: merged "
-        "numbers are bit-identical across transports",
-    )
+    for spec in dataclass_fields(RunConfig):
+        metadata = dict(spec.metadata)
+        flag = metadata.pop("cli")
+        if flag is None:
+            continue
+        parser.add_argument(
+            flag, dest=metadata.pop("args"),
+            default=argparse.SUPPRESS if suppress else spec.default,
+            help=metadata.pop("doc").replace("`", ""), **metadata)
 
 
 def _engine_flags_epilog() -> str:
@@ -619,8 +542,6 @@ def _engine_flags_epilog() -> str:
     in the epilog by construction, so the help text can never lag the
     flag set again.
     """
-    from dataclasses import fields as dataclass_fields
-
     lines = ["engine flags (each folds into the one RunConfig record; "
              "see docs/API.md):"]
     for spec in dataclass_fields(RunConfig):
@@ -809,11 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "journals and manifests, shared shard cache "
                            "(default: $REPRO_SERVICE_DIR or "
                            "~/.cache/repro/service)")
-    serve_cmd.add_argument("--job-workers", type=_positive_int, default=1,
+    serve_cmd.add_argument("--job-workers", type=positive_int, default=1,
                            metavar="N",
                            help="concurrent jobs; each job still fans its "
                            "shards over the engine --workers (default: 1)")
-    serve_cmd.add_argument("--max-queued", type=_positive_int, default=64,
+    serve_cmd.add_argument("--max-queued", type=positive_int, default=64,
                            metavar="N",
                            help="queued-job cap; extra submissions get 429 "
                            "(default: 64)")
@@ -839,10 +760,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     The global engine flags are folded into one validated
     :class:`~repro.runconfig.RunConfig` here — the single point where
     CLI knobs become an execution context — so every subcommand handler
-    sees the same ``args.run_config`` and none can drop a flag.
+    sees the same ``args.run_config`` and none can drop a flag.  A value
+    the config rejects (``--retries -1``, ``--shard-timeout nan``) is a
+    usage error: exit code 2 with the parser's message, no traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.run_config = RunConfig.from_args(args)
+    try:
+        args.run_config = RunConfig.from_args(args)
+    except ValueError as error:
+        parser.error(str(error))
     args.run(args)
     return 0

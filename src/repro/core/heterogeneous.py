@@ -34,11 +34,13 @@ no single weak thread dominates, but none is free either.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 
 from ..errors import ModelDefinitionError
+from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 from .distributions import DiscreteDistribution, ValueWithError
@@ -51,7 +53,6 @@ from .shift_analytic import (
     prefactor,
 )
 from .window_analytic import window_distribution
-from .window_sampling import sample_growth_matrix
 
 __all__ = [
     "heterogeneous_disjointness",
@@ -162,6 +163,7 @@ def sample_heterogeneous_growths(
         raise ValueError(f"trials must be positive, got {trials}")
     if not models:
         raise ValueError("need at least one thread")
+    _check_samplers(models)
     needs_program = [
         model.relaxed_pairs in (TSO.relaxed_pairs, PSO.relaxed_pairs) for model in models
     ]
@@ -175,25 +177,37 @@ def sample_heterogeneous_growths(
         if model.relaxed_pairs == SC.relaxed_pairs:
             continue
         settle = model.uniform_settle_probability
-        if settle is None:
-            raise ModelDefinitionError(
-                f"heterogeneous sampling needs a uniform settle probability "
-                f"({model.name})"
-            )
         if model.relaxed_pairs == WO.relaxed_pairs:
             load = np.minimum(source.geometric_array(settle, trials), body_length)
             chase = np.minimum(source.geometric_array(settle, trials), load)
             growths[:, thread] = load - chase
-        elif needs_program[thread]:
+        else:
             assert store_mask is not None
             growths[:, thread] = _store_buffer_growths(
                 model, source, store_mask, settle
             )
-        else:
+    return growths
+
+
+def _check_samplers(models: list[MemoryModel]) -> None:
+    """Raise ``ModelDefinitionError`` for a model with no growth sampler.
+
+    SC threads need none; WO, TSO and PSO threads need a uniform settle
+    probability; any other relaxation set has no heterogeneous sampler.
+    """
+    for model in models:
+        if model.relaxed_pairs == SC.relaxed_pairs:
+            continue
+        if model.uniform_settle_probability is None:
+            raise ModelDefinitionError(
+                f"heterogeneous sampling needs a uniform settle probability "
+                f"({model.name})"
+            )
+        if model.relaxed_pairs not in (WO.relaxed_pairs, TSO.relaxed_pairs,
+                                       PSO.relaxed_pairs):
             raise ModelDefinitionError(
                 f"no heterogeneous sampler for relaxation set of {model.name}"
             )
-    return growths
 
 
 def _store_buffer_growths(
@@ -216,6 +230,23 @@ def _store_buffer_growths(
     return load_gap
 
 
+def _fleet_batch_trial(
+    source: RandomSource,
+    batch: int,
+    models: tuple[MemoryModel, ...],
+    store_probability: float,
+    beta: float,
+    body_length: int,
+) -> int:
+    """The batch trial of :func:`estimate_heterogeneous_non_manifestation`."""
+    growths = sample_heterogeneous_growths(
+        models, source, batch, body_length, store_probability
+    )
+    lengths = growths + WINDOW_LENGTH_OFFSET
+    shifts = source.geometric_array(beta, (batch, len(models)))
+    return int(batch_disjoint(shifts, lengths).sum())
+
+
 def estimate_heterogeneous_non_manifestation(
     models: list[MemoryModel],
     trials: int,
@@ -224,17 +255,28 @@ def estimate_heterogeneous_non_manifestation(
     beta: float = DEFAULT_SHIFT_RATIO,
     body_length: int = DEFAULT_BODY_LENGTH,
     confidence: float = 0.99,
+    *,
+    config: RunConfig | None = None,
 ) -> BernoulliResult:
-    """End-to-end Monte-Carlo ``Pr[A]`` for a mixed fleet."""
+    """End-to-end Monte-Carlo ``Pr[A]`` for a mixed fleet.
+
+    Runs the module-level batch trial on
+    :func:`repro.stats.montecarlo.run_event_trials`; ``config`` (a
+    :class:`repro.runconfig.RunConfig`) carries the engine knobs, so
+    the estimate shards, checkpoints, caches and is observed like any
+    other.  Every model is checked for a growth sampler before any shard
+    runs (``ModelDefinitionError``), and the kernel is vectorized only:
+    ``backend="scalar"`` or ``"fused"`` raises ``ValueError``.
+    """
     if len(models) < 2:
         raise ValueError("the joined model needs at least 2 threads")
-
-    def batch_trial(source: RandomSource, batch: int) -> int:
-        growths = sample_heterogeneous_growths(
-            models, source, batch, body_length, store_probability
-        )
-        lengths = growths + WINDOW_LENGTH_OFFSET
-        shifts = source.geometric_array(beta, (batch, len(models)))
-        return int(batch_disjoint(shifts, lengths).sum())
-
-    return run_event_trials(batch_trial, trials, seed=seed, confidence=confidence)
+    _check_samplers(models)
+    cfg = (config or RunConfig()).resolve(default_backend="vectorized",
+                                          allowed_backends=("vectorized",))
+    kernel = partial(_fleet_batch_trial, models=tuple(models),
+                     store_probability=store_probability, beta=beta,
+                     body_length=body_length)
+    label = (f"fleet:{'+'.join(model.name for model in models)}"
+             f":p={store_probability}:beta={beta}:body={body_length}")
+    return run_event_trials(kernel, trials, seed=seed, confidence=confidence,
+                            checkpoint_label=label, config=cfg)

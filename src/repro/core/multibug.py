@@ -32,9 +32,12 @@ grows: more cores (no), or more unsynchronised code per core pair (yes).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import ModelDefinitionError
+from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 from .distributions import ValueWithError
@@ -113,6 +116,28 @@ def multi_bug_survival(
     return ValueWithError(total, error)
 
 
+def _multi_bug_batch_trial(
+    source: RandomSource,
+    batch: int,
+    model: MemoryModel,
+    bug_count: int,
+    store_probability: float,
+    beta: float,
+    body_length: int,
+) -> int:
+    """The batch trial of :func:`estimate_multi_bug_survival`."""
+    d = source.geometric_array(beta, batch) - source.geometric_array(beta, batch)
+    # Sections live in disjoint program regions: their windows are fully
+    # independent, so sample them as separate single-thread draws (the
+    # multi-thread sampler would wrongly couple them through one program).
+    growths = sample_growth_matrix(
+        model, source, batch * bug_count, 1, body_length, store_probability
+    ).reshape(batch, bug_count)
+    lengths = growths + WINDOW_LENGTH_OFFSET
+    survive = (lengths < np.abs(d)[:, np.newaxis]).all(axis=1) & (d != 0)
+    return int(survive.sum())
+
+
 def estimate_multi_bug_survival(
     model: MemoryModel,
     bug_count: int,
@@ -122,6 +147,8 @@ def estimate_multi_bug_survival(
     beta: float = DEFAULT_SHIFT_RATIO,
     body_length: int = DEFAULT_BODY_LENGTH,
     confidence: float = 0.99,
+    *,
+    config: RunConfig | None = None,
 ) -> BernoulliResult:
     """Monte-Carlo validation of :func:`multi_bug_survival`.
 
@@ -129,6 +156,14 @@ def estimate_multi_bug_survival(
     overlaps; otherwise draw the earlier thread's K window growths
     (independent sections → independent programs) and require every
     window to close before ``|d|``.
+
+    The module-level batch trial runs on
+    :func:`repro.stats.montecarlo.run_event_trials`; ``config`` (a
+    :class:`repro.runconfig.RunConfig`) carries the engine knobs, so
+    the estimate shards, checkpoints, caches and is observed like any
+    other.  The model is checked before any shard runs
+    (``ModelDefinitionError``), and the kernel is vectorized only:
+    ``backend="scalar"`` or ``"fused"`` raises ``ValueError``.
     """
     if bug_count < 1:
         raise ValueError(f"bug_count must be >= 1, got {bug_count}")
@@ -136,20 +171,15 @@ def estimate_multi_bug_survival(
         raise ModelDefinitionError(
             "multi-bug Monte Carlo needs a uniform settle probability"
         )
-
-    def batch_trial(source: RandomSource, batch: int) -> int:
-        d = source.geometric_array(beta, batch) - source.geometric_array(beta, batch)
-        # Sections live in disjoint program regions: their windows are fully
-        # independent, so sample them as separate single-thread draws (the
-        # multi-thread sampler would wrongly couple them through one program).
-        growths = sample_growth_matrix(
-            model, source, batch * bug_count, 1, body_length, store_probability
-        ).reshape(batch, bug_count)
-        lengths = growths + WINDOW_LENGTH_OFFSET
-        survive = (lengths < np.abs(d)[:, np.newaxis]).all(axis=1) & (d != 0)
-        return int(survive.sum())
-
-    return run_event_trials(batch_trial, trials, seed=seed, confidence=confidence)
+    cfg = (config or RunConfig()).resolve(default_backend="vectorized",
+                                          allowed_backends=("vectorized",))
+    kernel = partial(_multi_bug_batch_trial, model=model, bug_count=bug_count,
+                     store_probability=store_probability, beta=beta,
+                     body_length=body_length)
+    label = (f"multibug:{model.name}:K={bug_count}:p={store_probability}"
+             f":beta={beta}:body={body_length}")
+    return run_event_trials(kernel, trials, seed=seed, confidence=confidence,
+                            checkpoint_label=label, config=cfg)
 
 
 def multi_bug_gap_curve(

@@ -32,8 +32,11 @@ checks.  Closed forms live in :mod:`repro.core.shift_analytic`.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
 from ..stats.rng import RandomSource
 
@@ -128,30 +131,37 @@ class ShiftProcess:
         shifts = self.sample_shifts(source, lengths.size)
         return segments_disjoint(shifts, lengths)
 
-    def count_disjoint(
-        self, source: RandomSource, lengths: np.ndarray | list[int], batch: int
-    ) -> int:
-        """Number of disjoint outcomes among ``batch`` independent draws."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        shifts = source.geometric_array(self._beta, (batch, lengths.size))
-        return int(batch_disjoint(shifts, lengths).sum())
-
 
 def estimate_disjointness(
-    lengths: list[int],
+    lengths: list[int] | tuple[int, ...],
     trials: int,
     beta: float = DEFAULT_SHIFT_RATIO,
     seed: int | None = 0,
     confidence: float = 0.99,
+    *,
+    config: RunConfig | None = None,
 ) -> BernoulliResult:
     """Monte-Carlo estimate of ``Pr[A(γ̄)]`` with a confidence interval.
 
     The benches compare this against the exact Theorem 5.1 value from
-    :func:`repro.core.shift_analytic.disjointness_probability`.
+    :func:`repro.core.shift_analytic.disjointness_probability`.  Each
+    batch is one call of the vectorized kernel
+    :func:`repro.kernels.shift.shift_disjoint_batch`, run by
+    :func:`repro.stats.montecarlo.run_event_trials`; ``config`` (a
+    :class:`repro.runconfig.RunConfig`) carries the engine knobs, so the
+    estimate shards, checkpoints, caches and is observed like any other.
+    The kernel is vectorized only: ``backend="scalar"`` or ``"fused"``
+    raises ``ValueError``.
     """
-    process = ShiftProcess(beta)
+    from ..kernels.shift import shift_disjoint_batch
 
-    def batch_trial(source: RandomSource, batch: int) -> int:
-        return process.count_disjoint(source, lengths, batch)
-
-    return run_event_trials(batch_trial, trials, seed=seed, confidence=confidence)
+    lengths = tuple(int(length) for length in lengths)
+    if not lengths:
+        raise ValueError("need at least one segment")
+    ShiftProcess(beta)  # validates beta at the call, not inside a shard
+    cfg = (config or RunConfig()).resolve(default_backend="vectorized",
+                                          allowed_backends=("vectorized",))
+    label = f"shift:lengths={','.join(map(str, lengths))}:beta={beta}"
+    return run_event_trials(
+        partial(shift_disjoint_batch, lengths=lengths, beta=beta), trials,
+        seed=seed, confidence=confidence, checkpoint_label=label, config=cfg)

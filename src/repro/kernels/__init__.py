@@ -49,11 +49,7 @@ from .machine import (
     machine_race_batch,
 )
 from .settling import trailing_run_batch, window_growth_batch
-from .shift import (
-    estimate_shift_disjointness,
-    sample_shifts_batch,
-    shift_disjoint_batch,
-)
+from .shift import sample_shifts_batch, shift_disjoint_batch
 from .validation import (
     assert_contains_probability,
     assert_equivalent_proportions,
@@ -68,7 +64,6 @@ __all__ = [
     "trailing_run_batch",
     "shift_disjoint_batch",
     "sample_shifts_batch",
-    "estimate_shift_disjointness",
     "non_manifestation_batch",
     "non_manifestation_scalar_batch",
     "non_manifestation_fused_batch",

@@ -62,12 +62,8 @@ from ..errors import LitmusError
 from ..obs import ShardEvent, observed_run
 from ..runconfig import RunConfig
 from ..stats.checkpoint import kernel_fingerprint
-from ..stats.parallel import (
-    ShardPlan,
-    parallel_map,
-    resolve_workers,
-    run_sharded,
-)
+from ..stats.montecarlo import _estimate
+from ..stats.parallel import parallel_map, resolve_workers
 from ..stats.rng import RandomSource
 from .atomicity import enumerate_outcomes_non_atomic
 from .checker import outcome_to_string
@@ -491,18 +487,13 @@ def explore_random(
     if trials < 1:
         raise LitmusError(f"trials must be positive, got {trials}")
     _check_observable(test, model)
-    plan = ShardPlan(trials, cfg.resolved_shards(), seed, cfg.rng_plan)
     identity = model_digest(model)
     kernel = partial(_random_shard, test=test, model=model,
                      model_identity=identity,
                      core_identity=core_fingerprint())
     label = f"litmus-explore:{test.name}:{model.name}:{identity}"
 
-    def execute(observer):
-        return run_sharded(kernel, plan, checkpoint_label=label,
-                           observer=observer, config=cfg)
-
-    def merge(parts) -> OutcomeFrequencies:
+    def merge(parts, plan) -> OutcomeFrequencies:
         totals: dict[Outcome, int] = {}
         for part in parts:
             for outcome, count in part.items():
@@ -513,7 +504,7 @@ def explore_random(
             counts=tuple(sorted(totals.items())),
         )
 
-    return observed_run(cfg, label, execute, merge)
+    return _estimate(kernel, trials, seed, label, None, merge, cfg)
 
 
 # ----------------------------------------------------------------------

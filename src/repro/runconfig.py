@@ -36,11 +36,11 @@ Design rules:
   keyword-only, and none takes a knob as a keyword of its own (the
   per-knob keyword aliases of the 1.x series were removed in 2.0).  See
   ``docs/API.md`` ("RunConfig") for the knob table.
-* **The CLI builds exactly one.**  :meth:`RunConfig.from_args` maps the
-  global engine flags onto the config in one place; every subcommand
-  handler forwards ``args.run_config`` instead of hand-picking keywords,
-  so a new knob is a one-line addition (field + flag), not a repo-wide
-  sweep.
+* **The CLI builds exactly one.**  The CLI declares each engine flag
+  from its field's metadata, :meth:`RunConfig.from_args` maps the parsed
+  flags onto the config in one place, and every subcommand handler
+  forwards ``args.run_config`` instead of hand-picking keywords, so a
+  new knob is one field, not a repo-wide sweep.
 
 This module imports nothing from the rest of the package at module
 level (validators and the observer are imported lazily inside methods),
@@ -50,6 +50,7 @@ end — can depend on it without import cycles.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -63,6 +64,16 @@ if TYPE_CHECKING:  # real types without runtime import cycles
 __all__ = ["RunConfig"]
 
 
+def positive_int(text: str) -> int:
+    """``argparse`` type for count flags: a positive integer."""
+    value = int(text)
+    if value < 1:
+        from argparse import ArgumentTypeError  # only the CLI parses flags
+
+        raise ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _knob(default: Any, cli: str | None, args: str | None = None,
           doc: str = "", **extra: Any) -> Any:
     """A ``RunConfig`` field with its CLI binding in the metadata.
@@ -70,10 +81,13 @@ def _knob(default: Any, cli: str | None, args: str | None = None,
     ``cli`` is the command-line flag serving the knob (``None`` for the
     API-only knobs); ``args`` the ``argparse`` attribute it parses into
     when it differs from the field name; ``doc`` a one-line summary used
-    to *generate* the README flag table and the ``--help`` epilog (see
-    :meth:`RunConfig.flag_table_markdown`).  The docs-consistency suite
-    walks this metadata to keep the config, the CLI, and ``docs/API.md``
-    from drifting apart.
+    to *generate* the flag's ``--help`` text, the README flag table and
+    the ``--help`` epilog (see :meth:`RunConfig.flag_table_markdown`).
+    ``extra`` holds the flag's parse-time ``argparse`` options
+    (``type``, ``choices``, ``metavar``, ``action``).  The CLI declares
+    every engine flag from this metadata alone, and the docs-consistency
+    suite walks it to keep the config, the CLI, and ``docs/API.md`` from
+    drifting apart.
     """
     metadata = {"cli": cli, "args": args or (cli.lstrip("-").replace("-", "_")
                                              if cli else None), "doc": doc}
@@ -125,20 +139,20 @@ class RunConfig:
     """
 
     workers: int | None = _knob(
-        1, "--workers",
+        1, "--workers", type=positive_int, metavar="N",
         doc="worker processes (`1` = serial; `None` = one per CPU)")
     shards: int | None = _knob(
-        None, "--shards",
+        None, "--shards", type=positive_int, metavar="S",
         doc="seed-disciplined shard count — part of the run's statistical "
             "identity (unset: 16 fixed shards whenever parallelism is on)")
     retries: int = _knob(
-        0, "--retries",
+        0, "--retries", type=int, metavar="R",
         doc="extra attempts per failed shard, with exponential backoff")
     timeout: float | None = _knob(
-        None, "--shard-timeout",
+        None, "--shard-timeout", type=float, metavar="SEC",
         doc="per-shard timeout in seconds for pooled execution")
     checkpoint: "str | Path | ShardCheckpoint | None" = _knob(
-        None, "--checkpoint",
+        None, "--checkpoint", metavar="FILE",
         doc="append-only JSONL journal of completed shards; re-runs resume "
             "the missing shards only")
     fingerprint: str | None = _knob(
@@ -146,28 +160,28 @@ class RunConfig:
         doc="explicit kernel fingerprint for the v2 plan key (derived from "
             "the kernel when unset)")
     cache: "str | Path | ShardStore | None" = _knob(
-        None, "--cache",
+        None, "--cache", metavar="DIR",
         doc="content-addressed shard result cache (`\"auto\"` or a directory)")
     manifest: str | Path | None = _knob(
-        None, "--manifest",
+        None, "--manifest", metavar="FILE",
         doc="append a validated run manifest (JSON) to this file")
     trace: str | Path | None = _knob(
-        None, "--trace",
+        None, "--trace", metavar="FILE",
         doc="write a JSONL span trace of the run to this file")
     progress: bool | Callable[..., None] = _knob(
-        False, "--progress",
+        False, "--progress", action="store_true",
         doc="live stderr progress line (shards done, trials/s, ETA), or a "
             "snapshot callback")
     backend: str | None = _knob(
-        None, "--backend",
+        None, "--backend", choices=("scalar", "vectorized", "fused"),
         doc="simulation kernel: `scalar`, `vectorized`, or `fused` (unset: "
             "each driver's native default)")
     rng_plan: str = _knob(
-        "spawn", "--rng-plan",
+        "spawn", "--rng-plan", choices=("spawn", "philox"),
         doc="shard-stream derivation: `spawn` (published numbers) or "
             "`philox` (counter-addressed fast path)")
     transport: str = _knob(
-        "auto", "--transport",
+        "auto", "--transport", choices=("auto", "pickle", "shm"),
         doc="shard result channel: `auto`, `pickle`, or `shm` (scheduling "
             "only — never changes a number)")
 
@@ -324,9 +338,10 @@ class RunConfig:
         subset (so e.g. ``backend="fused"`` raises on the machine paths
         instead of being silently substituted).  Unknown
         ``rng_plan``/``transport``/``backend`` names, non-positive
-        ``workers``/``shards``/``timeout``, and negative ``retries``
-        raise ``ValueError``.  Returns a config whose ``backend`` is
-        concrete whenever the driver supplied a default.
+        ``workers``/``shards``, a non-positive or non-finite ``timeout``
+        (``nan``/``inf`` would fail every pooled shard), and negative
+        ``retries`` raise ``ValueError``.  Returns a config whose
+        ``backend`` is concrete whenever the caller supplied a default.
         """
         from .stats.rng import resolve_rng_plan
         from .stats.transport import resolve_transport
@@ -337,8 +352,9 @@ class RunConfig:
             raise ValueError(f"shards must be positive, got {self.shards}")
         if self.retries < 0:
             raise ValueError(f"retries must be non-negative, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got "
+                             f"{self.timeout}")
         resolve_rng_plan(self.rng_plan)
         resolve_transport(self.transport)
         backend = self.backend if self.backend is not None else default_backend

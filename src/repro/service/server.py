@@ -373,8 +373,17 @@ class _Handler(BaseHTTPRequestHandler):
                     if m == method and pattern.match(path))
 
     def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # Both rejections leave the body unread, and unread bytes would
+        # parse as the next request: answer, then drop the connection.
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise ServiceError(400, "bad-length",
+                               f"Content-Length must be a non-negative "
+                               f"decimal integer, got {header!r}")
+        length = int(header)
         if length > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise ServiceError(400, "body-too-large",
                                f"request body exceeds {_MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""

@@ -23,11 +23,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
 
-from ..obs import observed_run
 from ..runconfig import RunConfig
 from ..stats.intervals import Proportion, wilson_interval
-from ..stats.montecarlo import CategoricalResult, merge_categorical
-from ..stats.parallel import ShardPlan, resolve_shards, run_sharded
+from ..stats.montecarlo import CategoricalResult, _estimate, merge_categorical
 from ..stats.rng import RandomSource, iter_batches
 from ..stats.transport import CategoricalLayout
 from .cpu import CORE_KINDS, Core
@@ -313,18 +311,11 @@ def run_canonical_bug(
             confidence=confidence,
             core_options=core_options,
         )
-    plan = ShardPlan(trials, resolve_shards(cfg.workers, cfg.shards), seed,
-                     cfg.rng_plan)
     variant = "atomic" if atomic else ("fenced" if fenced else "racy")
     label = (f"canonical:{model_name}:n={threads}:body={body_length}"
              f":variant={variant}")
 
-    def execute(observer):
-        return run_sharded(kernel, plan, checkpoint_label=label,
-                           observer=observer,
-                           layout=CategoricalLayout(confidence), config=cfg)
-
-    def build(parts: list[CategoricalResult]) -> CanonicalBugResult:
+    def build(parts: list[CategoricalResult], plan) -> CanonicalBugResult:
         merged = merge_categorical(parts)
         return CanonicalBugResult(
             model=model_name,
@@ -334,4 +325,5 @@ def run_canonical_bug(
             confidence=confidence,
         )
 
-    return observed_run(cfg, label, execute, build)
+    return _estimate(kernel, trials, seed, label, CategoricalLayout(confidence),
+                     build, cfg)

@@ -27,10 +27,9 @@ from functools import partial
 import numpy as np
 
 from ..errors import SimulationError
-from ..obs import observed_run
 from ..runconfig import RunConfig
 from ..stats.bootstrap import BootstrapInterval, bootstrap_mean_interval
-from ..stats.parallel import ShardPlan, resolve_shards, run_sharded
+from ..stats.montecarlo import _estimate
 from ..stats.transport import WindowLayout
 from ..stats.rng import RandomSource, iter_batches
 from .executor import TRIAL_SPAWN_BATCH, _check_core_options, _machine_backend_beta
@@ -278,16 +277,9 @@ def measure_critical_windows(
             scheduler=scheduler,
             core_options=core_options,
         )
-    plan = ShardPlan(trials, resolve_shards(cfg.workers, cfg.shards), seed,
-                     cfg.rng_plan)
     label = f"windows:{model_name}:n={threads}:body={body_length}"
 
-    def execute(observer):
-        return run_sharded(kernel, plan, checkpoint_label=label,
-                           observer=observer, layout=WindowLayout(threads),
-                           config=cfg)
-
-    def build(parts: list[_WindowShard]) -> WindowMeasurement:
+    def build(parts: list[_WindowShard], plan) -> WindowMeasurement:
         return WindowMeasurement(
             model=model_name,
             threads=threads,
@@ -299,4 +291,5 @@ def measure_critical_windows(
                                          for part in parts),
         )
 
-    return observed_run(cfg, label, execute, build)
+    return _estimate(kernel, trials, seed, label, WindowLayout(threads), build,
+                     cfg)

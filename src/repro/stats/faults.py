@@ -53,6 +53,7 @@ un-observed path byte-for-byte as before.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections.abc import Callable, Sequence
@@ -97,9 +98,10 @@ class RetryPolicy:
 
     ``retries`` is the number of *extra* attempts after the first (the
     default 0 preserves fail-fast behaviour); ``timeout`` bounds one
-    pooled attempt in seconds (``None`` = unbounded); the backoff before
-    re-running a task that has failed ``k`` times is
-    ``min(backoff * backoff_factor**(k - 1), max_backoff)`` seconds.
+    pooled attempt in seconds (``None`` = unbounded; otherwise positive
+    and finite); the backoff before re-running a task that has failed
+    ``k`` times is ``min(backoff * backoff_factor**(k - 1), max_backoff)``
+    seconds.
     """
 
     retries: int = 0
@@ -113,8 +115,9 @@ class RetryPolicy:
             raise ValueError(f"retries must be non-negative, got {self.retries}")
         if self.retries + 1 > MAX_ATTEMPTS:
             raise ValueError(f"retries must be at most {MAX_ATTEMPTS - 1}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got "
+                             f"{self.timeout}")
         if self.backoff < 0 or self.backoff_factor < 1 or self.max_backoff < 0:
             raise ValueError("backoff parameters must be non-negative "
                              "with backoff_factor >= 1")

@@ -29,13 +29,13 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.obs import RunObserver, ShardEvent, observed_run
 
 from ..runconfig import RunConfig
 from .intervals import Proportion, wilson_interval
-from .parallel import ShardPlan, resolve_shards, run_sharded
+from .parallel import ShardPlan, run_sharded
 from .rng import RandomSource, iter_batches
 from .transport import BernoulliLayout, CategoricalLayout
 
@@ -51,6 +51,8 @@ __all__ = [
 
 #: Default number of trials per vectorised batch.
 DEFAULT_BATCH_SIZE = 4096
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -168,63 +170,64 @@ def _event_shard(
     return BernoulliResult(successes, shard_trials, confidence, None)
 
 
-def _resolve_plan(trials: int, seed: int | None,
-                  cfg: RunConfig) -> ShardPlan | None:
-    """The shard plan for a run, or ``None`` for the legacy serial path.
+def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
+              seed: int | None, label: str, layout: Any,
+              merge: Callable[[list, ShardPlan | None], T], cfg: RunConfig,
+              *, legacy: bool = False) -> T:
+    """The one engine call behind every Monte-Carlo estimator.
 
-    ``shards=None`` with ``workers=1`` keeps the historical single-stream
-    derivation (bit-compatible with pre-parallel releases); any explicit
-    shard count — or any request for parallelism — switches to the
-    sharded derivation, whose results depend only on ``(seed, shards,
-    rng_plan)``.  Crucially, ``shards`` defaults via
-    :func:`~repro.stats.parallel.resolve_shards` to the fixed
-    :data:`~repro.stats.parallel.DEFAULT_SHARDS`, **never** the worker
-    count (which would make published numbers depend on how many
-    processes — or, for ``workers=None``, how many CPUs — ran them).
+    ``kernel(source, shard_trials)`` is a module-level shard kernel (a
+    ``functools.partial`` binding the estimator's parameters, so it
+    pickles to workers and fingerprints into checkpoint and cache keys);
+    ``merge(parts, plan)`` pools its per-shard results in shard order;
+    ``layout`` describes a result row for the shm transport (``None``:
+    pickle only); ``label`` salts the plan key and names the manifest
+    run; ``cfg`` is the calling estimator's resolved :class:`RunConfig`.
 
-    The legacy path exists only under the default ``rng_plan="spawn"``:
-    the Philox plan is counter-addressed per shard, so it always builds
-    a (possibly single-shard) plan — there is no pre-plan derivation to
-    stay bit-compatible with.
+    The budget splits into the seed-disciplined shards of a
+    :class:`~repro.stats.parallel.ShardPlan` — ``cfg.shards``, or its
+    machine-independent default — run by
+    :func:`~repro.stats.parallel.run_sharded`, so results depend only on
+    ``(seed, shards, rng_plan)``, never on the worker count.
+
+    ``legacy=True`` (the generic estimators of this module) keeps the
+    historical single-stream derivation for the default serial config
+    (``workers=1``, ``shards=None``, ``rng_plan="spawn"``): the kernel
+    runs once over the whole budget on ``RandomSource(seed)``,
+    bit-compatible with pre-parallel releases, and ``merge`` gets no
+    plan.  An observer records that run as one synthetic shard
+    (``mode="serial-legacy"``).  Philox streams are counter-addressed
+    per shard, so there is no legacy derivation to stay compatible with.
+    Either way the run executes under :func:`~repro.obs.observed_run`.
     """
-    if cfg.rng_plan == "spawn" and cfg.shards is None and cfg.workers == 1:
-        return None
-    return ShardPlan(trials, resolve_shards(cfg.workers, cfg.shards), seed,
-                     cfg.rng_plan)
-
-
-def _estimate(cfg: RunConfig, label: str, trials: int, seed: int | None,
-              compute: Callable[[], Any], kernel: Callable[..., Any],
-              layout: Any, merge: Callable[[list], Any]) -> Any:
-    """One estimation under :func:`~repro.obs.observed_run`.
-
-    With a shard plan, ``kernel`` runs on
-    :func:`~repro.stats.parallel.run_sharded` and ``merge`` pools its
-    shards.  Without one (the legacy single-stream serial path), the
-    whole budget is ``compute()``, and an observer records one synthetic
-    shard covering it, timed around the call (``mode="serial-legacy"``).
-    """
-    plan = _resolve_plan(trials, seed, cfg)
-    if plan is None:
-        def execute_legacy(observer: RunObserver | None) -> Any:
+    plan = None
+    if (legacy and cfg.rng_plan == "spawn" and cfg.shards is None
+            and cfg.workers == 1):
+        def execute(observer: RunObserver | None) -> list:
             if observer is None:
-                return compute()
+                return [kernel(RandomSource(seed), trials)]
             observer.run_started(trials=trials, shards=1, seed=seed, workers=1,
                                  label=label, mode="serial-legacy")
             started = time.perf_counter()
-            result = compute()
+            parts = [kernel(RandomSource(seed), trials)]
             observer.shard_finished(ShardEvent(
                 shard=0, trials=trials, seconds=time.perf_counter() - started,
                 attempts=1, worker=os.getpid()))
-            return result
-        return observed_run(cfg, label, execute_legacy, lambda result: result)
+            return parts
+    else:
+        plan = ShardPlan(trials, cfg.resolved_shards(), seed, cfg.rng_plan)
 
-    def execute(observer: RunObserver | None) -> list:
-        return run_sharded(kernel, plan, checkpoint_label=label,
-                           observer=observer, layout=layout, config=cfg)
+        def execute(observer: RunObserver | None) -> list:
+            return run_sharded(kernel, plan, checkpoint_label=label,
+                               observer=observer, layout=layout, config=cfg)
 
-    return observed_run(cfg, label, execute,
-                        lambda parts: replace(merge(parts), seed=seed))
+    return observed_run(cfg, label, execute, lambda parts: merge(parts, plan))
+
+
+def _seeded(merge: Callable[[list], Any], seed: int | None
+            ) -> Callable[[list, ShardPlan | None], Any]:
+    """``merge`` for the generic estimators: the pooled result keeps ``seed``."""
+    return lambda parts, plan: replace(merge(parts), seed=seed)
 
 
 def run_bernoulli_trials(
@@ -266,20 +269,11 @@ def run_bernoulli_trials(
     streams are never silently mixed.
     """
     _check_trials(trials)
-
-    def compute() -> BernoulliResult:
-        root = RandomSource(seed)
-        successes = 0
-        for batch in iter_batches(trials, DEFAULT_BATCH_SIZE):
-            batch_source = root.child()
-            sources = batch_source.spawn(batch)
-            successes += sum(1 for source in sources if trial(source))
-        return BernoulliResult(successes, trials, confidence, seed)
-
     return _estimate(
-        (config or RunConfig()).resolve(), "bernoulli", trials, seed, compute,
         partial(_bernoulli_shard, trial=trial, confidence=confidence),
-        BernoulliLayout(confidence), merge_bernoulli)
+        trials, seed, "bernoulli", BernoulliLayout(confidence),
+        _seeded(merge_bernoulli, seed), (config or RunConfig()).resolve(),
+        legacy=True)
 
 
 def run_categorical_trials(
@@ -298,20 +292,11 @@ def run_categorical_trials(
     :func:`run_bernoulli_trials`.
     """
     _check_trials(trials)
-
-    def compute() -> CategoricalResult:
-        root = RandomSource(seed)
-        counts: Counter[int] = Counter()
-        for batch in iter_batches(trials, DEFAULT_BATCH_SIZE):
-            batch_source = root.child()
-            sources = batch_source.spawn(batch)
-            counts.update(trial(source) for source in sources)
-        return CategoricalResult(dict(counts), trials, confidence, seed)
-
     return _estimate(
-        (config or RunConfig()).resolve(), "categorical", trials, seed, compute,
         partial(_categorical_shard, trial=trial, confidence=confidence),
-        CategoricalLayout(confidence), merge_categorical)
+        trials, seed, "categorical", CategoricalLayout(confidence),
+        _seeded(merge_categorical, seed), (config or RunConfig()).resolve(),
+        legacy=True)
 
 
 def run_event_trials(
@@ -350,19 +335,12 @@ def run_event_trials(
     _check_trials(trials)
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-
-    def compute() -> BernoulliResult:
-        root = RandomSource(seed)
-        successes = 0
-        for batch in iter_batches(trials, batch_size):
-            successes += int(batch_trial(root.child(), batch))
-        return BernoulliResult(successes, trials, confidence, seed)
-
     return _estimate(
-        (config or RunConfig()).resolve(), checkpoint_label, trials, seed, compute,
         partial(_event_shard, batch_trial=batch_trial, batch_size=batch_size,
                 confidence=confidence),
-        BernoulliLayout(confidence), merge_bernoulli)
+        trials, seed, checkpoint_label, BernoulliLayout(confidence),
+        _seeded(merge_bernoulli, seed), (config or RunConfig()).resolve(),
+        legacy=True)
 
 
 def merge_bernoulli(results: Iterable[BernoulliResult]) -> BernoulliResult:

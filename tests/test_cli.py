@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+from dataclasses import fields
 
 import pytest
 
@@ -267,6 +268,31 @@ class TestRunConfigFromArgs:
         args.workers = 0  # as if a flag validator were missing
         with pytest.raises(ValueError):
             RunConfig.from_args(args)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--shard-timeout", "nan"), ("--shard-timeout", "inf"),
+        ("--shard-timeout", "-1"), ("--retries", "-1"),
+    ])
+    def test_rejected_config_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, value, "thm62", "--trials", "100"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_flags_are_declared_from_the_config_metadata(self):
+        parser = build_parser()
+        declared = {action.option_strings[0]: action
+                    for action in parser._actions if action.option_strings}
+        for spec in fields(RunConfig):
+            flag = spec.metadata["cli"]
+            if flag is None:
+                continue
+            action = declared[flag]
+            assert action.dest == spec.metadata["args"]
+            assert action.default == spec.default
+            assert action.help == spec.metadata["doc"].replace("`", "")
+            assert action.choices == spec.metadata.get("choices")
 
 
 class _Recording:

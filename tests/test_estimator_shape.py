@@ -1,0 +1,236 @@
+"""One estimator shape: a module-level kernel run by one engine call.
+
+Every engine-aware Monte-Carlo estimator binds its parameters into a
+module-level shard kernel and hands it to one engine function
+(``repro.stats.montecarlo._estimate``), which plans the shards and runs
+them under the observer.  Four properties follow, each checked here for
+the seven engine-aware estimators:
+
+1. **Run identity.**  The v2 plan key (read off the run manifest) moves
+   with every argument that changes the numbers — a model field, the
+   thread count, the store probability, β, the body length, the segment
+   lengths, the bug count, the seed, and the backend where there is more
+   than one — and with no scheduling knob (workers, transport, retries,
+   progress).  This is the property behind the one-off cache and
+   checkpoint identity fixes of the kernel fingerprint and the model
+   digest.
+2. **Picklable kernels.**  The kernel that reaches ``run_sharded``
+   pickles, so a requested pool really runs it in parallel.
+3. **Engine surface.**  The estimators that used to pass closures
+   (shift, fleet, multi-bug) shard, cache and observe like the rest.
+4. **Failing at the call.**  A bad model or backend raises before any
+   shard runs, so the engine never retries a programming error.
+"""
+
+from __future__ import annotations
+
+import ast
+import itertools
+import pickle
+from pathlib import Path
+
+import pytest
+
+import repro.stats.montecarlo as montecarlo_module
+from repro import RunConfig
+from repro.core import (
+    LD,
+    PSO,
+    SC,
+    TSO,
+    WO,
+    MemoryModel,
+    estimate_disjointness,
+    estimate_heterogeneous_non_manifestation,
+    estimate_multi_bug_survival,
+    estimate_non_manifestation,
+)
+from repro.errors import ModelDefinitionError
+from repro.litmus import explore_random
+from repro.obs import load_manifest
+from repro.sim import measure_critical_windows, run_canonical_bug
+from repro.sim.scheduler import GeometricLaunchScheduler
+
+#: The ``repro`` package directory under test.
+SRC = Path(montecarlo_module.__file__).resolve().parents[1]
+
+#: TSO's relaxation set under another settle probability, same name.
+TSO_SLOW = MemoryModel("TSO", TSO.relaxed_pairs, settle_probability=0.3)
+
+#: The name "TSO" over PSO's relaxations (a shadowing ad-hoc model).
+TSO_SHADOW = MemoryModel("TSO", PSO.relaxed_pairs)
+
+#: ``(estimator, base keyword arguments, changes that alter the numbers)``;
+#: a change's ``config`` entry overrides ``RunConfig`` fields.
+IDENTITY_CASES = [
+    pytest.param(
+        estimate_non_manifestation, dict(model=TSO, n=2, trials=64),
+        [dict(model=TSO_SLOW), dict(n=3), dict(store_probability=0.25),
+         dict(beta=0.25), dict(body_length=4),
+         dict(critical_section_length=3), dict(seed=1),
+         dict(config=dict(backend="scalar")),
+         dict(config=dict(backend="fused"))],
+        id="estimate_non_manifestation"),
+    pytest.param(
+        run_canonical_bug, dict(model_name="TSO", threads=2, trials=8,
+                                body_length=2),
+        [dict(model_name="PSO"), dict(drain_probability=0.3),
+         dict(threads=3), dict(body_length=3),
+         dict(scheduler=GeometricLaunchScheduler(0.25)), dict(fenced=True),
+         dict(atomic=True), dict(seed=1),
+         dict(config=dict(backend="vectorized"))],
+        id="run_canonical_bug"),
+    pytest.param(
+        measure_critical_windows, dict(model_name="TSO", threads=2, trials=8,
+                                       body_length=2),
+        [dict(model_name="PSO"), dict(drain_probability=0.3),
+         dict(threads=3), dict(body_length=3),
+         dict(scheduler=GeometricLaunchScheduler(0.25)), dict(seed=1),
+         dict(config=dict(backend="vectorized"))],
+        id="measure_critical_windows"),
+    pytest.param(
+        explore_random, dict(test="SB", model=TSO, trials=64),
+        [dict(test="MP"), dict(model=PSO), dict(model=TSO_SHADOW),
+         dict(seed=1)],
+        id="explore_random"),
+    pytest.param(
+        estimate_disjointness, dict(lengths=(2, 2), trials=64),
+        [dict(lengths=(2, 3)), dict(lengths=(2, 2, 2)), dict(beta=0.25),
+         dict(seed=1)],
+        id="estimate_disjointness"),
+    pytest.param(
+        estimate_heterogeneous_non_manifestation,
+        dict(models=[SC, TSO], trials=64),
+        [dict(models=[SC, WO]), dict(models=[SC, TSO_SLOW]),
+         dict(models=[SC, TSO, TSO]), dict(store_probability=0.25),
+         dict(beta=0.25), dict(body_length=4), dict(seed=1)],
+        id="estimate_heterogeneous_non_manifestation"),
+    pytest.param(
+        estimate_multi_bug_survival, dict(model=TSO, bug_count=2, trials=64),
+        [dict(model=TSO_SLOW), dict(bug_count=3),
+         dict(store_probability=0.25), dict(beta=0.25), dict(body_length=4),
+         dict(seed=1)],
+        id="estimate_multi_bug_survival"),
+]
+
+#: Scheduling knobs: none may move the plan key.  ``workers=2`` also
+#: switches the ``"auto"`` transport to shm wherever a result layout exists.
+SCHEDULING = [dict(workers=2), dict(transport="pickle"), dict(retries=1),
+              dict(progress=True)]
+
+
+@pytest.mark.parametrize("estimator, base, changes", IDENTITY_CASES)
+def test_plan_key_tracks_exactly_what_changes_the_numbers(
+        tmp_path, estimator, base, changes):
+    manifests = (tmp_path / f"run{index}.json" for index in itertools.count())
+
+    def plan_key(config=None, **arguments):
+        manifest = next(manifests)
+        estimator(**{**base, **arguments},
+                  config=RunConfig(shards=2, manifest=manifest,
+                                   **(config or {})))
+        (run,) = load_manifest(manifest)["runs"]
+        return run["plan"]["key"]
+
+    reference = plan_key()
+    for change in changes:
+        assert plan_key(**change) != reference, change
+    for knobs in SCHEDULING:
+        assert plan_key(config=knobs) == reference, knobs
+
+
+class _Stop(Exception):
+    """Raised by the stand-in engine once it has seen the kernel."""
+
+
+@pytest.mark.parametrize("estimator, base, changes", IDENTITY_CASES)
+def test_the_engine_receives_a_picklable_kernel(monkeypatch, estimator, base,
+                                                changes):
+    kernels = []
+
+    def engine(kernel, plan, **kwargs):
+        kernels.append(kernel)
+        raise _Stop
+
+    monkeypatch.setattr(montecarlo_module, "run_sharded", engine)
+    with pytest.raises(_Stop):
+        estimator(**base, config=RunConfig(shards=2))
+    (kernel,) = kernels
+    pickle.loads(pickle.dumps(kernel))
+
+
+CHANGED = [
+    pytest.param(lambda config: estimate_disjointness(
+        (1, 3), 6000, seed=5, config=config), id="estimate_disjointness"),
+    pytest.param(lambda config: estimate_heterogeneous_non_manifestation(
+        [SC, WO, TSO], 6000, seed=5, config=config),
+        id="estimate_heterogeneous_non_manifestation"),
+    pytest.param(lambda config: estimate_multi_bug_survival(
+        PSO, 3, 6000, seed=5, config=config),
+        id="estimate_multi_bug_survival"),
+]
+
+
+@pytest.mark.parametrize("estimate", CHANGED)
+def test_worker_invariant_and_served_from_the_cache(tmp_path, estimate):
+    def run(workers, cache):
+        manifest = tmp_path / f"{cache}.json"
+        result = estimate(RunConfig(shards=4, workers=workers,
+                                    cache=tmp_path / cache, manifest=manifest))
+        return result, load_manifest(manifest)["runs"][-1]
+
+    serial, cold = run(1, "serial")
+    pooled, _ = run(2, "pooled")
+    repeat, warm = run(2, "pooled")
+    assert serial == pooled == repeat
+    assert cold["execution"]["executed_shards"] == 4
+    assert warm["execution"]["executed_shards"] == 0
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo_module, "run_sharded",
+                        lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+#: Relaxes load→load only: no heterogeneous growth sampler covers it.
+NO_SAMPLER = MemoryModel("LD-LD", [(LD, LD)])
+
+
+@pytest.mark.parametrize("retries", [0, 2])
+def test_fleet_without_a_sampler_fails_at_the_call(engine_calls, retries):
+    with pytest.raises(ModelDefinitionError, match="LD-LD"):
+        estimate_heterogeneous_non_manifestation(
+            [SC, NO_SAMPLER], 100, config=RunConfig(shards=2, retries=retries))
+    assert engine_calls == []
+
+
+@pytest.mark.parametrize("backend", ["scalar", "fused"])
+@pytest.mark.parametrize("estimate", CHANGED)
+def test_only_the_vectorized_backend_is_accepted(engine_calls, estimate,
+                                                 backend):
+    with pytest.raises(ValueError, match=backend):
+        estimate(RunConfig(shards=2, backend=backend))
+    assert engine_calls == []
+
+
+@pytest.mark.parametrize("lengths, beta", [((), 0.5), ((2, 2), 1.0)])
+def test_shift_arguments_fail_at_the_call(engine_calls, lengths, beta):
+    with pytest.raises(ValueError):
+        estimate_disjointness(lengths, 100, beta=beta,
+                              config=RunConfig(shards=2))
+    assert engine_calls == []
+
+
+def test_run_sharded_has_one_estimator_side_caller():
+    """Every estimator reaches the shard engine through one call site."""
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name == "run_sharded":
+                    callers.append(path.relative_to(SRC).as_posix())
+    assert callers == ["stats/montecarlo.py"]

@@ -6,6 +6,7 @@ import pytest
 
 import repro.sim.executor as executor_module
 import repro.sim.measurement as measurement_module
+import repro.stats.montecarlo as montecarlo_module
 from repro import RunConfig
 from repro.sim import measure_critical_windows, run_canonical_bug
 from repro.sim.scheduler import LockStepScheduler
@@ -95,9 +96,8 @@ class TestCoreOptionsCheckedUpFront:
     @pytest.fixture
     def engine_calls(self, monkeypatch):
         calls = []
-        for module in (executor_module, measurement_module):
-            monkeypatch.setattr(module, "run_sharded",
-                                lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(montecarlo_module, "run_sharded",
+                            lambda *args, **kwargs: calls.append(args))
         return calls
 
     @pytest.mark.parametrize("module, driver", MACHINE_DRIVERS)

@@ -73,6 +73,13 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(retries=1000)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout):
+        # nan never elapses and inf overflows the pool's deadline: either
+        # would fail every pooled shard instead of failing here.
+        with pytest.raises(ValueError, match="finite"):
+            RetryPolicy(timeout=timeout)
+
 
 class TestScriptedFaults:
     def test_kills_scripted_attempts_only(self):

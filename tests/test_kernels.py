@@ -29,12 +29,11 @@ from repro.core import (
 )
 from repro.core.memory_models import PSO
 from repro.core.settling import DEFAULT_BODY_LENGTH, sample_window_growth
-from repro.core.shift import DEFAULT_SHIFT_RATIO, ShiftProcess
+from repro.core.shift import DEFAULT_SHIFT_RATIO, ShiftProcess, estimate_disjointness
 from repro.core.shift_analytic import disjointness_probability
 from repro.kernels import (
     BACKENDS,
     KERNEL_CATALOGUE,
-    estimate_shift_disjointness,
     non_manifestation_batch,
     non_manifestation_fused_batch,
     non_manifestation_scalar_batch,
@@ -163,15 +162,15 @@ class TestShiftKernel:
     def test_estimator_rides_the_engine(self):
         """Corollary 5.2 shape: the engine-wrapped estimator at the
         canonical n = 2 lengths reproduces the golden joined value."""
-        result = estimate_shift_disjointness((2, 2), 20_000, seed=0)
+        result = estimate_disjointness((2, 2), 20_000, seed=0)
         assert result.successes == 3335
         assert result.agrees_with(1.0 / 6.0)
 
     def test_estimator_is_worker_invariant(self):
-        serial = estimate_shift_disjointness((1, 3), 8_000, seed=9,
-                                             config=RunConfig(shards=4, workers=1))
-        parallel = estimate_shift_disjointness((1, 3), 8_000, seed=9,
-                                               config=RunConfig(shards=4, workers=2))
+        serial = estimate_disjointness((1, 3), 8_000, seed=9,
+                                       config=RunConfig(shards=4, workers=1))
+        parallel = estimate_disjointness((1, 3), 8_000, seed=9,
+                                         config=RunConfig(shards=4, workers=2))
         assert serial.successes == parallel.successes
 
 

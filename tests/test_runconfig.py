@@ -27,7 +27,6 @@ import pytest
 
 import repro.analysis.sweeps as sweeps_module
 import repro.sim.executor as executor_module
-import repro.sim.measurement as measurement_module
 import repro.stats.montecarlo as montecarlo_module
 from repro import RunConfig
 from repro.analysis import (
@@ -44,7 +43,10 @@ from repro.core.manifestation import (
     _disjointness_scalar_trial,
     estimate_non_manifestation,
 )
-from repro.core.memory_models import TSO
+from repro.core.heterogeneous import estimate_heterogeneous_non_manifestation
+from repro.core.memory_models import SC, TSO
+from repro.core.multibug import estimate_multi_bug_survival
+from repro.core.shift import ShiftProcess, estimate_disjointness
 from repro.obs import load_manifest
 from repro.sim.executor import run_canonical_bug
 from repro.sim.measurement import _WindowShard, measure_critical_windows
@@ -77,7 +79,8 @@ class TestResolve:
 
     @pytest.mark.parametrize("field, value", [
         ("workers", 0), ("workers", -2), ("shards", 0), ("retries", -1),
-        ("timeout", 0.0), ("timeout", -1.0), ("rng_plan", "mersenne"),
+        ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
+        ("timeout", float("inf")), ("rng_plan", "mersenne"),
         ("transport", "carrier-pigeon"), ("backend", "quantum"),
     ])
     def test_bad_knobs_raise(self, field, value):
@@ -218,16 +221,27 @@ ESTIMATORS = [
                  lambda cfg: estimate_non_manifestation(TSO, 2, 100,
                                                         config=cfg),
                  id="estimate_non_manifestation"),
-    pytest.param(executor_module, _categorical,
+    pytest.param(montecarlo_module, _categorical,
                  lambda cfg: run_canonical_bug("TSO", 2, 100, config=cfg),
                  id="run_canonical_bug"),
-    pytest.param(measurement_module, _window,
+    pytest.param(montecarlo_module, _window,
                  lambda cfg: measure_critical_windows("TSO", 2, 100,
                                                       config=cfg),
                  id="measure_critical_windows"),
     pytest.param(montecarlo_module, _bernoulli,
                  lambda cfg: monte_carlo_check([TSO], 2, 100, config=cfg),
                  id="monte_carlo_check"),
+    pytest.param(montecarlo_module, _bernoulli,
+                 lambda cfg: estimate_disjointness([2, 2], 100, config=cfg),
+                 id="estimate_disjointness"),
+    pytest.param(montecarlo_module, _bernoulli,
+                 lambda cfg: estimate_heterogeneous_non_manifestation(
+                     [SC, TSO], 100, config=cfg),
+                 id="estimate_heterogeneous_non_manifestation"),
+    pytest.param(montecarlo_module, _bernoulli,
+                 lambda cfg: estimate_multi_bug_survival(TSO, 2, 100,
+                                                         config=cfg),
+                 id="estimate_multi_bug_survival"),
 ]
 
 
@@ -259,7 +273,7 @@ class TestKnobPropagation:
             ("vectorized", executor_module._canonical_bug_vectorized_shard),
         ]:
             recorder = _EngineRecorder(_categorical)
-            monkeypatch.setattr(executor_module, "run_sharded", recorder)
+            monkeypatch.setattr(montecarlo_module, "run_sharded", recorder)
             run_canonical_bug("TSO", 2, 100,
                               config=_probe_config(tmp_path, backend=backend))
             assert recorder.only_call["kernel"].func is func
@@ -342,8 +356,9 @@ class TestRunShardedConfig:
 # ----------------------------------------------------------------------
 
 #: The public surfaces a caller passes engine knobs through.
-PUBLIC_MODULES = ("repro", "repro.parallel", "repro.stats", "repro.sim",
-                  "repro.analysis", "repro.kernels", "repro.litmus")
+PUBLIC_MODULES = ("repro", "repro.parallel", "repro.stats", "repro.core",
+                  "repro.sim", "repro.analysis", "repro.kernels",
+                  "repro.litmus")
 
 
 def _public_config_functions():
@@ -363,8 +378,10 @@ class TestOneWayToPassAKnob:
         for expected in ("run_sharded", "parallel_map", "run_event_trials",
                          "estimate_non_manifestation", "run_canonical_bug",
                          "measure_critical_windows", "thread_sweep",
-                         "monte_carlo_check", "estimate_shift_disjointness",
-                         "explore_exhaustive"):
+                         "monte_carlo_check", "explore_exhaustive",
+                         "estimate_disjointness",
+                         "estimate_heterogeneous_non_manifestation",
+                         "estimate_multi_bug_survival"):
             assert any(name.endswith(f".{expected}") for name in functions), \
                 expected
         for name, function in functions.items():
@@ -381,7 +398,8 @@ class TestOneWayToPassAKnob:
         assert not offenders
 
     @pytest.mark.parametrize("removed", ["UNSET", "resolve_run_config",
-                                         "estimate_event"])
+                                         "estimate_event",
+                                         "estimate_shift_disjointness"])
     def test_removed_names_are_exported_nowhere(self, removed):
         for module_name in (*PUBLIC_MODULES, "repro.runconfig",
                             "repro.stats.montecarlo", "repro.stats.parallel"):
@@ -392,6 +410,7 @@ class TestOneWayToPassAKnob:
     def test_removed_methods_are_gone(self):
         assert not hasattr(RunConfig, "updated")
         assert not hasattr(RunConfig, "engine_options")
+        assert not hasattr(ShiftProcess, "count_disjoint")
 
 
 def _shard_sum(source, shard_trials):

@@ -14,8 +14,10 @@ graceful-shutdown → restart → resume contract.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -426,6 +428,44 @@ class TestHTTP:
         with pytest.raises(ServiceError) as excinfo:
             http_service.submit("nope", {})
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("length, code", [
+        ("abc", "bad-length"), ("1.5", "bad-length"), ("-1", "bad-length"),
+        (str(2 << 20), "body-too-large"),
+    ])
+    def test_unreadable_body_is_a_400_and_closes(self, http_service, length,
+                                                 code):
+        """Answered before any read, then the connection closes (the
+        unread body cannot be framed): ``-1`` once blocked the handler in
+        ``rfile.read(-1)``, and ``abc``/``1.5`` leaked a ``ValueError``
+        through a 500."""
+        address = urlsplit(http_service.base_url)
+        # No body bytes: closing a socket with unread input resets it.
+        request = (f"POST /v1/jobs HTTP/1.1\r\nHost: {address.netloc}\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {length}\r\n\r\n")
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=1.0) as connection:
+            connection.sendall(request.encode("ascii"))
+            reply = b""
+            while chunk := connection.recv(4096):  # the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(body)["error"]
+        assert error["code"] == code
+        assert "ValueError" not in error["message"]
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_is_bad_config(self, http_service, timeout):
+        # The client's json.dumps writes NaN/Infinity, which the server's
+        # json.loads accepts: the config check is the only gate.
+        with pytest.raises(ServiceError) as excinfo:
+            http_service.submit("non_manifestation",
+                                {"model": "TSO", "trials": 800},
+                                config={"timeout": timeout})
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-config"
 
     def test_metrics_route_exposes_catalogue_names(self, http_service):
         http_service.submit("non_manifestation",

@@ -94,11 +94,6 @@ class TestShiftProcess:
         process = ShiftProcess()
         assert isinstance(process.sample_event(source, [1, 2]), bool)
 
-    def test_count_disjoint_bounded(self, source):
-        process = ShiftProcess()
-        count = process.count_disjoint(source, [2, 2], batch=500)
-        assert 0 <= count <= 500
-
 
 class TestEstimateDisjointness:
     def test_matches_theorem_51(self):
