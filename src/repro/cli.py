@@ -93,12 +93,39 @@ from .core import (
     table1_rows,
     window_distribution,
 )
-from .litmus import ALL_TESTS, check_all, check_test, get_test
+from .errors import LitmusError, ReproError
+from .litmus import ALL_TESTS, check_all, check_test, get_test, get_zoo_model
 from .reporting import EXPERIMENTS, render_table
 from .runconfig import RunConfig, positive_int
 from .sim import run_canonical_bug
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """An argument value only a handler can reject, before it computes
+    anything (a family spec whose fields conflict): :func:`main` reports
+    it as a usage error."""
+
+
+def _non_negative_int(text: str) -> int:
+    """``argparse`` type for a count where 0 means none."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text}")
+    return value
+
+
+def _named(lookup):
+    """``argparse`` type resolving a name with ``lookup`` (a litmus test
+    or a zoo model); an unknown name is a usage error."""
+    def parse(name: str):
+        try:
+            return lookup(name)
+        except (KeyError, ReproError) as error:
+            raise argparse.ArgumentTypeError(error.args[0]) from None
+    return parse
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
@@ -196,14 +223,11 @@ def _cmd_litmus_explore(args: argparse.Namespace) -> None:
         check_convergence,
         explore_exhaustive,
         explore_random,
-        get_zoo_model,
         robustness_report,
     )
 
-    tests = ([get_test(name) for name in args.tests]
-             if args.tests else list(ALL_TESTS))
-    models = ([get_zoo_model(name) for name in args.models]
-              if args.models else list(PAPER_MODELS))
+    tests = args.tests or list(ALL_TESTS)
+    models = args.models or list(PAPER_MODELS)
     config = args.run_config
     payload: dict[str, object] = {}
 
@@ -292,18 +316,24 @@ def _cmd_litmus_generate(args: argparse.Namespace) -> None:
 
     from .litmus import FamilySpec, sweep_family
 
-    spec = FamilySpec(
-        threads=args.threads,
-        ops_per_thread=args.ops_per_thread,
-        addresses=args.addresses,
-        spacing=args.spacing,
-        fence_density=args.fence_density,
-        store_fraction=args.store_fraction,
-    )
-    report = sweep_family(
-        spec, args.models, count=args.count, trials=args.trials,
-        seed=args.seed, config=args.run_config,
-    )
+    try:
+        spec = FamilySpec(
+            threads=args.threads,
+            ops_per_thread=args.ops_per_thread,
+            addresses=args.addresses,
+            spacing=args.spacing,
+            fence_density=args.fence_density,
+            store_fraction=args.store_fraction,
+        )
+        # Every LitmusError a sweep raises is about its inputs (here: a
+        # thread with too many legal orders), and it raises before
+        # anything is printed.
+        report = sweep_family(
+            spec, args.models, count=args.count, trials=args.trials,
+            seed=args.seed, config=args.run_config,
+        )
+    except LitmusError as error:
+        raise _UsageError(str(error)) from None
     if args.programs:
         from .litmus import generate_family
         for test in generate_family(spec, args.count, args.seed):
@@ -582,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     thm62 = sub.add_parser("thm62", help="the two-thread Theorem 6.2 table",
                            parents=[engine])
-    thm62.add_argument("--trials", type=int, default=0,
+    thm62.add_argument("--trials", type=_non_negative_int, default=0,
                        help="also run this many Monte-Carlo trials per model")
     thm62.add_argument("--seed", type=int, default=0)
     thm62.add_argument("--precision", type=int, default=6)
@@ -604,9 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
              "enumeration, pseudorandom frequency estimation, and the "
              "robustness classifier (docs/LITMUS.md)")
     explore.add_argument("--tests", nargs="+", metavar="TEST", default=None,
+                         type=_named(get_test),
                          help="litmus tests to explore (default: the full "
                          "battery)")
     explore.add_argument("--models", nargs="+", metavar="MODEL", default=None,
+                         type=_named(get_zoo_model),
                          help="memory models to explore under (default: all "
                          "four paper models)")
     explore.add_argument("--mode", choices=["exhaustive", "random", "both"],
@@ -616,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "a convergence cross-check; both: exhaustive first, "
                          "then random checked against it (default: "
                          "exhaustive)")
-    explore.add_argument("--trials", type=int, default=100_000,
+    explore.add_argument("--trials", type=positive_int, default=100_000,
                          help="random-mode trial budget per grid point "
                          "(default: 100000)")
     explore.add_argument("--seed", type=int, default=0,
@@ -651,12 +683,13 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--store-fraction", type=float, default=0.5,
                           help="probability a filler is a store "
                           "(default: 0.5)")
-    generate.add_argument("--count", type=int, default=4,
+    generate.add_argument("--count", type=positive_int, default=4,
                           help="family members to generate (default: 4)")
     generate.add_argument("--models", nargs="+", metavar="MODEL", default=None,
+                          type=_named(get_zoo_model),
                           help="models to sweep (default: the full zoo — "
                           "SC TSO PSO WO PSO-WB SC-NMCA WO-NMCA)")
-    generate.add_argument("--trials", type=int, default=20_000,
+    generate.add_argument("--trials", type=positive_int, default=20_000,
                           help="sampling budget per (member, model) point "
                           "(default: 20000)")
     generate.add_argument("--seed", type=int, default=0,
@@ -763,6 +796,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     sees the same ``args.run_config`` and none can drop a flag.  A value
     the config rejects (``--retries -1``, ``--shard-timeout nan``) is a
     usage error: exit code 2 with the parser's message, no traceback.
+    So is a value a handler rejects before computing (a litmus family
+    spec whose fields conflict).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -770,5 +805,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.run_config = RunConfig.from_args(args)
     except ValueError as error:
         parser.error(str(error))
-    args.run(args)
+    try:
+        args.run(args)
+    except _UsageError as error:
+        parser.error(str(error))
     return 0

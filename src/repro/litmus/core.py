@@ -25,9 +25,12 @@ walks it.
 
 Two iterative walks run over the core: :meth:`Machine.reachable`, the
 set-valued walk with one memo over the test's state space, and
-:meth:`Machine.sample`, the sampled walk behind random exploration.
-:func:`fingerprint` digests the code of every function and method here,
-so cached outcome sets and random-mode shards are keyed to it.
+:meth:`Machine.sample`, the sampled walk behind random exploration.  The
+sampled walk counts each thread's legal orders instead of listing them
+(:class:`Orders`) and takes its random integers from a
+:class:`BlockReader`.  :func:`fingerprint` digests the code of every
+function and method here, so cached outcome sets and random-mode shards
+are keyed to it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from __future__ import annotations
 import hashlib
 import inspect
 import sys
+from functools import lru_cache
+
+import numpy as np
 
 from ..core.memory_models import LD, ST, MemoryModel
 from ..errors import LitmusError
@@ -42,7 +48,10 @@ from ..sim.isa import Load, Operation, Store, ThreadProgram
 from ..stats.checkpoint import kernel_fingerprint
 
 __all__ = [
+    "BlockReader",
+    "MAX_ORDERS",
     "Machine",
+    "Orders",
     "Outcome",
     "blocker_masks",
     "enabled",
@@ -55,6 +64,13 @@ __all__ = [
 Outcome = tuple[tuple[str, int], ...]
 
 LOAD, STORE, FENCE = 0, 1, 2
+
+#: The most legal orders one thread may have in random mode: a draw
+#: among them must fit one 32-bit word (see :class:`BlockReader`).
+MAX_ORDERS = 1 << 32
+
+#: Words the sampled walk pulls from its shard generator per numpy call.
+BLOCK_WORDS = 512
 
 
 def _depends(earlier: Operation, later: Operation) -> bool:
@@ -121,6 +137,109 @@ def legal_orders(blockers: tuple[int, ...]) -> list[tuple[int, ...]]:
         for index in reversed(enabled(pending, blockers)):
             stack.append((prefix + (index,), pending & ~(1 << index)))
     return orders
+
+
+class Orders:
+    """The legal orders of one thread, counted and ranked, never listed.
+
+    ``len(Orders(blockers))`` and ``Orders(blockers)[rank]`` equal
+    ``len(legal_orders(blockers))`` and ``legal_orders(blockers)[rank]``,
+    but the list is factorial in thread length and this is not.  One
+    iterative walk with a memo over pending-operation masks counts, per
+    reachable mask, the orders that finish from it, and keeps per mask
+    its choices ``(index, mask after, orders from there)`` in index
+    order; a rank then picks one choice per step.  Counting stops with a
+    :class:`LitmusError` as soon as a partial count passes
+    :data:`MAX_ORDERS`, since the total is at least any partial count.
+    """
+
+    def __init__(self, blockers: tuple[int, ...]) -> None:
+        self.full = (1 << len(blockers)) - 1
+        counts = {0: 1}
+        choices: dict[int, list] = {}
+        stack = [self.full]
+        while stack:
+            pending = stack[-1]
+            if pending in counts:
+                stack.pop()  # pushed by two masks, already counted
+            elif pending not in choices:
+                # First visit: count the masks it leads to first.
+                choices[pending] = [(index, pending & ~(1 << index))
+                                    for index in enabled(pending, blockers)]
+                stack += [after for _, after in choices[pending]
+                          if after not in counts]
+            else:
+                stack.pop()
+                choices[pending] = [(index, after, counts[after])
+                                    for index, after in choices[pending]]
+                counts[pending] = sum(count for *_, count in choices[pending])
+                if counts[pending] > MAX_ORDERS:
+                    raise LitmusError(
+                        f"a thread of {len(blockers)} operations has more "
+                        f"than {MAX_ORDERS} legal orders; random mode draws "
+                        "an order from one 32-bit word")
+        self.total = counts[self.full]
+        self.choices = choices
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __getitem__(self, rank: int) -> tuple[int, ...]:
+        if not 0 <= rank < self.total:
+            raise IndexError(f"order rank {rank} out of range")
+        choices = self.choices
+        order = []
+        pending = self.full
+        while pending:
+            for index, after, count in choices[pending]:
+                if rank < count:
+                    break
+                rank -= count
+            order.append(index)
+            pending = after
+        return tuple(order)
+
+
+#: Counted orders shared by every shard one process runs (a shard compiles
+#: its own :class:`Machine`); bounded, and keyed on the blocker masks.
+_counted_orders = lru_cache(maxsize=32)(Orders)
+
+
+class BlockReader:
+    """Uniform integers below ``k`` from 32-bit words read in blocks.
+
+    :meth:`below` returns what one ``generator.integers(0, k)`` call
+    would, draw for draw, for ``1 <= k <= 2**32``: numpy serves such a
+    range from 32-bit words by Lemire's multiply-shift, ``(word * k) >>
+    32``, rejecting a word while ``(word * k) mod 2**32 < 2**32 % k``,
+    and consumes nothing when ``k == 1``; and ``generator.integers(0,
+    2**32, size, dtype=np.uint32)`` returns those same words in order.
+    So :meth:`RandomSource.uniform_int(low, high)
+    <repro.stats.rng.RandomSource.uniform_int>` equals ``low +
+    below(high - low + 1)`` under either RNG plan, at one numpy call per
+    ``block`` words instead of one per draw.  The reader may read past
+    its last draw: whoever builds one owns the generator from then on.
+    """
+
+    def __init__(self, generator: np.random.Generator,
+                 block: int = BLOCK_WORDS) -> None:
+        self.generator = generator
+        self.block = block
+        self.words = iter(())
+
+    def below(self, k: int) -> int:
+        if k == 1:
+            return 0
+        if not 1 < k <= 1 << 32:
+            raise ValueError(f"can only draw below k in [1, 2**32], got {k}")
+        threshold = (1 << 32) % k
+        while True:
+            for word in self.words:
+                product = word * k
+                if product & 0xFFFFFFFF >= threshold:
+                    return product >> 32
+            self.words = iter(self.generator.integers(
+                0, 1 << 32, size=self.block, dtype=np.uint32).tolist())
 
 
 def _compile(operation, name, locations, registers) -> tuple[int, int, int, int]:
@@ -280,11 +399,20 @@ class Machine:
                     push(pending, new_views, new_channels, registers)
         return outcomes
 
+    def orders(self) -> list[Orders]:
+        """Each thread's counted legal orders, shared across the process.
+
+        Raises :class:`LitmusError` when a thread has more than
+        :data:`MAX_ORDERS` of them.
+        """
+        return [_counted_orders(blockers) for blockers in self.blockers]
+
     def sample(self, source, trials: int) -> dict[Outcome, int]:
         """The sampled walk: ``trials`` random executions, tallied by outcome.
 
         Each trial draws one legal order per thread (uniformly among
-        :func:`legal_orders`; no draw when there is one), then schedules.
+        :func:`legal_orders`, by rank in :meth:`orders`; no draw when
+        there is one), then schedules.
         With atomic stores the next thread is drawn in proportion to its
         remaining operations, which makes every interleaving of the
         chosen orders equally likely (the step probabilities telescope
@@ -292,19 +420,23 @@ class Machine:
         drawn uniformly among each thread's next operation, if
         :meth:`ready`, and each non-empty channel's delivery; a blocked
         fence implies a deliverable store, so the walk never deadlocks.
+
+        Every draw comes from a :class:`BlockReader` over ``source`` and
+        equals the ``source.uniform_int`` draw it stands for, so tables
+        match a draw-by-draw walk.  The walk owns ``source``: the reader
+        reads ahead, so nothing may draw from ``source`` afterwards.
         """
-        orders = [legal_orders(blockers) for blockers in self.blockers]
+        orders = self.orders()
+        below = BlockReader(source.generator).below
         counts: dict[Outcome, int] = {}
         for _ in range(trials):
-            outcome = self._trial(source, orders)
+            outcome = self._trial(below, orders)
             counts[outcome] = counts.get(outcome, 0) + 1
         return counts
 
-    def _trial(self, source, orders: list[list[tuple[int, ...]]]) -> Outcome:
+    def _trial(self, below, orders: list[Orders]) -> Outcome:
         n = self.n
-        threads = [choices[source.uniform_int(0, len(choices) - 1)]
-                   if len(choices) > 1 else choices[0]
-                   for choices in orders]
+        threads = [choices[below(len(choices))] for choices in orders]
         views, channels, registers = self.start()
         pcs = [0] * n
         step = self.step
@@ -313,9 +445,9 @@ class Machine:
             remaining = [len(thread) for thread in threads]
             total = sum(remaining)
             while total:
-                pick = source.uniform_int(1, total)
+                pick = below(total)
                 index = 0
-                while pick > remaining[index]:
+                while pick >= remaining[index]:
                     pick -= remaining[index]
                     index += 1
                 step(views, channels, registers, index,
@@ -337,7 +469,7 @@ class Machine:
                     events.append(n + channel)
             if not events:
                 return self.outcome(views, registers)
-            event = events[source.uniform_int(0, len(events) - 1)]
+            event = events[below(len(events))]
             if event >= n:
                 self.deliver(views, channels, event - n)
             else:

@@ -487,6 +487,10 @@ def explore_random(
     if trials < 1:
         raise LitmusError(f"trials must be positive, got {trials}")
     _check_observable(test, model)
+    # Count every thread's orders here, before any shard: a thread with
+    # too many raises LitmusError to the caller, and the shards (serial,
+    # or forked from this process) find the counts in the memo.
+    Machine(test.programs, model).orders()
     identity = model_digest(model)
     kernel = partial(_random_shard, test=test, model=model,
                      model_identity=identity,

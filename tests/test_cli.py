@@ -27,6 +27,41 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+class TestBadInputsAreUsageErrors:
+    """A bad litmus or thm62 input exits 2 with one reason on stderr,
+    before printing anything, like a rejected engine config (a
+    conflicting family spec: ``test_litmus_generate.py``)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["litmus", "generate", "--count", "0"],
+        ["litmus", "generate", "--trials", "0"],
+        ["litmus", "generate", "--models", "NOPE"],
+        ["litmus", "generate", "--ops-per-thread", "16", "--addresses", "16",
+         "--store-fraction", "1.0", "--models", "WO", "--count", "1"],
+        ["litmus", "explore", "--mode", "random", "--tests", "NOPE"],
+        ["litmus", "explore", "--models", "NOPE"],
+        ["litmus", "explore", "--mode", "random", "--trials", "0"],
+        ["thm62", "--trials", "-5"],
+    ], ids=" ".join)
+    def test_exits_2_without_output(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
+    def test_unknown_name_lists_the_known_ones(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["litmus", "explore", "--tests", "NOPE"])
+        assert "unknown litmus test 'NOPE'; known: 2+2W" \
+            in capsys.readouterr().err
+
+    def test_thm62_zero_trials_is_closed_form_only(self, capsys):
+        out = run_cli(capsys, "thm62", "--trials", "0")
+        assert "Pr[A]" in out and "monte carlo" not in out
+
+
 class TestCommands:
     def test_table1(self, capsys):
         out = run_cli(capsys, "table1")

@@ -38,6 +38,7 @@ from repro.litmus import (
     get_zoo_model,
     program_digest,
     robustness_report,
+    sweep_family,
 )
 from repro.litmus import core
 from repro.runconfig import RunConfig
@@ -51,6 +52,13 @@ ZOO_NAMES = ("PSO-WB", "SC-NMCA", "WO-NMCA")
 #: merged into one step semantics; every later commit must match them.
 RANDOM_PINS = json.loads(
     (DATA / "litmus_random_pins.json").read_text(encoding="utf-8"))
+
+#: More fixed-seed tables, captured while the sampler still listed every
+#: legal order and drew each integer with its own numpy call: SC and WO,
+#: a fenced 3-thread member under the whole zoo, and an 8-op member
+#: with 10,080 legal WO orders per thread.
+SAMPLER_PINS = json.loads(
+    (DATA / "litmus_sampler_pins.json").read_text(encoding="utf-8"))
 
 
 def _core_qualnames() -> list[str]:
@@ -455,6 +463,33 @@ class TestGoldenFile:
             config=RunConfig(shards=RANDOM_PINS["shards"],
                              rng_plan=pin["rng_plan"]))
         assert table.to_json_dict() == pin
+
+    @pytest.mark.parametrize(
+        "pin", SAMPLER_PINS["tables"],
+        ids=lambda pin: f"{pin['test']}/{pin['model']}/{pin['rng_plan']}")
+    def test_sampler_pins(self, pin):
+        member = SAMPLER_PINS["members"].get(pin["test"])
+        test = (family_member(FamilySpec(**member["spec"]), member["seed"],
+                              member["index"])
+                if member else get_test(pin["test"]))
+        table = explore_random(
+            test, pin["model"], SAMPLER_PINS["trials"],
+            seed=SAMPLER_PINS["seed"],
+            config=RunConfig(shards=SAMPLER_PINS["shards"],
+                             rng_plan=pin["rng_plan"]))
+        assert table.to_json_dict() == pin
+
+    def test_generate_golden(self):
+        """The sweep the CI generate smoke diffs against this file."""
+        path = DATA / "litmus_generate_golden.json"
+        spec = FamilySpec(threads=2, ops_per_thread=5, spacing=1,
+                          fence_density=0.25)
+        report = sweep_family(spec, ["TSO", "PSO-WB", "WO-NMCA"], count=2,
+                              trials=4000, seed=23,
+                              config=RunConfig(shards=8))
+        text = json.dumps(report.to_json_dict(), indent=2,
+                          sort_keys=True) + "\n"
+        assert text == path.read_text(encoding="utf-8")
 
 
 class TestZooNames:

@@ -179,7 +179,8 @@ class TestSweepDeterminism:
         # claim is worker- and transport-independence at fixed shards.
         spec = FamilySpec(ops_per_thread=4, spacing=1, fence_density=0.25)
         reports = [
-            sweep_family(spec, ["TSO"], count=2, trials=600, seed=13,
+            sweep_family(spec, ["TSO", "WO-NMCA"], count=2, trials=600,
+                         seed=13,
                          config=RunConfig(workers=workers, shards=16,
                                           rng_plan=rng_plan)).to_json_dict()
             for workers in (1, 2, 4)
@@ -273,6 +274,19 @@ class TestServiceEstimator:
             run_estimator("litmus_family", params, RunConfig())
         assert excinfo.value.status == 400
 
+    def test_too_many_orders_maps_to_service_error(self):
+        from repro.service.estimators import run_estimator, validate_params
+        from repro.service.schemas import ServiceError
+
+        params = validate_params(
+            "litmus_family",
+            {"model": "WO", "count": 1, "trials": 100, "ops_per_thread": 16,
+             "addresses": 16, "store_fraction": 1.0})
+        with pytest.raises(ServiceError) as excinfo:
+            run_estimator("litmus_family", params, RunConfig(shards=2))
+        assert excinfo.value.status == 400
+        assert "legal orders" in str(excinfo.value)
+
 
 class TestCli:
     def test_generate_table_and_programs(self, capsys):
@@ -300,9 +314,13 @@ class TestCli:
         assert payload["seed"] == 5
         assert {p["model"] for p in payload["points"]} == {"SC", "WO-NMCA"}
 
-    def test_generate_rejects_bad_spec(self):
+    def test_generate_rejects_bad_spec(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(LitmusError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["litmus", "generate", "--spacing", "5",
                   "--ops-per-thread", "3"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ops_per_thread must fit" in captured.err
