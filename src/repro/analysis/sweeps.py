@@ -31,6 +31,7 @@ from ..core.memory_models import PAPER_MODELS, MemoryModel
 from ..core.window_analytic import window_distribution
 from ..obs import observed_run
 from ..runconfig import RunConfig
+from ..stats.faults import pool_scope
 from ..stats.parallel import parallel_map
 
 
@@ -268,27 +269,29 @@ def monte_carlo_check(
     per-model checkpoint keys keep one journal file safe across the whole
     model loop, and each model's run appends its own labelled record to
     the shared manifest file.  ``seed`` and the knob types follow the
-    estimators exactly (``seed=None`` draws fresh entropy).
+    estimators exactly (``seed=None`` draws fresh entropy).  The models
+    share one process pool (:func:`~repro.stats.faults.pool_scope`).
     """
     cfg = (config or RunConfig()).resolve(default_backend="vectorized")
     rows = []
-    for model in models:
-        analytic = non_manifestation_probability(
-            model, n, allow_independent_approximation=True
-        )
-        empirical = estimate_non_manifestation(
-            model, n, trials, seed=seed, config=cfg,
-        )
-        rows.append(
-            {
-                "model": model.name,
-                "analytic": analytic.value,
-                "monte carlo": empirical.estimate,
-                "CI low": empirical.proportion.low,
-                "CI high": empirical.proportion.high,
-                "agrees": empirical.agrees_with(analytic.value),
-            }
-        )
+    with pool_scope():
+        for model in models:
+            analytic = non_manifestation_probability(
+                model, n, allow_independent_approximation=True
+            )
+            empirical = estimate_non_manifestation(
+                model, n, trials, seed=seed, config=cfg,
+            )
+            rows.append(
+                {
+                    "model": model.name,
+                    "analytic": analytic.value,
+                    "monte carlo": empirical.estimate,
+                    "CI low": empirical.proportion.low,
+                    "CI high": empirical.proportion.high,
+                    "agrees": empirical.agrees_with(analytic.value),
+                }
+            )
     return rows
 
 

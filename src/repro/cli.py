@@ -98,6 +98,7 @@ from .litmus import ALL_TESTS, check_all, check_test, get_test, get_zoo_model
 from .reporting import EXPERIMENTS, render_table
 from .runconfig import RunConfig, positive_int
 from .sim import run_canonical_bug
+from .stats.faults import pool_scope
 
 __all__ = ["main", "build_parser"]
 
@@ -797,7 +798,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     the config rejects (``--retries -1``, ``--shard-timeout nan``) is a
     usage error: exit code 2 with the parser's message, no traceback.
     So is a value a handler rejects before computing (a litmus family
-    spec whose fields conflict).
+    spec whose fields conflict).  The command runs in one
+    :func:`~repro.stats.faults.pool_scope`, so its pooled engine calls
+    share one process pool.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -806,7 +809,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as error:
         parser.error(str(error))
     try:
-        args.run(args)
+        with pool_scope():
+            args.run(args)
     except _UsageError as error:
         parser.error(str(error))
     return 0

@@ -489,7 +489,8 @@ def explore_random(
     _check_observable(test, model)
     # Count every thread's orders here, before any shard: a thread with
     # too many raises LitmusError to the caller, and the shards (serial,
-    # or forked from this process) find the counts in the memo.
+    # or forked from this process after this point) find the counts in
+    # the memo.  A worker forked earlier in a pool scope recounts once.
     Machine(test.programs, model).orders()
     identity = model_digest(model)
     kernel = partial(_random_shard, test=test, model=model,

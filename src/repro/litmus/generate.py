@@ -38,6 +38,7 @@ from ..core.memory_models import MemoryModel, model_digest
 from ..errors import LitmusError
 from ..runconfig import RunConfig
 from ..sim.isa import Fence, Load, Operation, Store, ThreadProgram
+from ..stats.faults import pool_scope
 from ..stats.intervals import wilson_interval
 from ..stats.rng import PhiloxSource
 from .enumerator import enumerate_outcomes
@@ -303,7 +304,8 @@ def sweep_family(
     Wilson bracket.  Results are bit-identical for fixed
     ``(spec, seed, count, trials, shards, rng_plan)`` at any worker
     count and over any transport — generation and sampling are both
-    counter-addressed.
+    counter-addressed.  The points share one process pool
+    (:func:`~repro.stats.faults.pool_scope`).
     """
     if models is None:
         resolved = list(ZOO_MODELS)
@@ -315,30 +317,31 @@ def sweep_family(
     tests = generate_family(spec, count, seed)
 
     points = []
-    for index, test in enumerate(tests):
-        sc_outcomes = frozenset(enumerate_outcomes(
-            list(test.programs), get_zoo_model("SC"),
-            dict(test.initial_memory), test.observed_locations,
-        ))
-        for model in resolved:
-            frequencies = explore_random(
-                test, model, trials, seed=seed, config=config)
-            weak = sum(count_ for outcome, count_ in frequencies.counts
-                       if outcome not in sc_outcomes)
-            bracket = wilson_interval(weak, trials, confidence=confidence)
-            points.append(FamilyPoint(
-                test=test.name,
-                member=index,
-                model=model.name,
-                model_digest=model_digest(model),
-                trials=trials,
-                weak_outcomes=weak,
-                manifestation=weak / trials,
-                low=bracket.low,
-                high=bracket.high,
-                support=len(frequencies.support),
-                sc_support=len(sc_outcomes),
+    with pool_scope():
+        for index, test in enumerate(tests):
+            sc_outcomes = frozenset(enumerate_outcomes(
+                list(test.programs), get_zoo_model("SC"),
+                dict(test.initial_memory), test.observed_locations,
             ))
+            for model in resolved:
+                frequencies = explore_random(
+                    test, model, trials, seed=seed, config=config)
+                weak = sum(count_ for outcome, count_ in frequencies.counts
+                           if outcome not in sc_outcomes)
+                bracket = wilson_interval(weak, trials, confidence=confidence)
+                points.append(FamilyPoint(
+                    test=test.name,
+                    member=index,
+                    model=model.name,
+                    model_digest=model_digest(model),
+                    trials=trials,
+                    weak_outcomes=weak,
+                    manifestation=weak / trials,
+                    low=bracket.low,
+                    high=bracket.high,
+                    support=len(frequencies.support),
+                    sc_support=len(sc_outcomes),
+                ))
     return FamilySweepReport(
         spec=spec, seed=seed, trials=trials, confidence=confidence,
         points=tuple(points),

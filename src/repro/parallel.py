@@ -53,6 +53,7 @@ from .stats.faults import (
     ShardExecutionError,
     TaskTelemetry,
     execute_tasks,
+    pool_scope,
 )
 from .stats.montecarlo import merge_bernoulli, merge_categorical
 from .stats.parallel import (
@@ -104,6 +105,7 @@ __all__ = [
     "pickled_payload_bytes",
     "plan_key",
     "plan_shards",
+    "pool_scope",
     "resolve_rng_plan",
     "resolve_shards",
     "resolve_transport",

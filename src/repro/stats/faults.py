@@ -18,13 +18,23 @@ Three mechanisms, composable and all off by default:
   naming the task and chaining the last cause.
 * **Per-task timeouts** — in pooled execution, a task that exceeds
   ``timeout`` seconds is charged a failed attempt and the pool is
-  recycled (a running future cannot be cancelled, so the stuck worker is
-  abandoned with its executor).  Timeouts are not enforceable on the
-  in-process serial path and are ignored there.
+  recycled (a running future cannot be cancelled, so the pool's workers
+  are killed with it).  Timeouts are not enforceable on the in-process
+  serial path and are ignored there.
 * **``BrokenProcessPool`` recovery** — a worker dying (segfault,
   ``os._exit``, OOM kill) breaks the whole executor; the engine rebuilds
   the pool and re-executes *only the tasks whose results were lost*, each
-  charged one failed attempt.
+  charged one failed attempt.  A pool found broken between two calls is
+  rebuilt before any task is submitted, charging nothing.
+
+**One pool per scope.**  :func:`pool_scope` lets the pooled calls of a
+command share one ``ProcessPoolExecutor``: it is forked at the first
+pooled call, reused while it has enough (but not more than ``workers``)
+processes, replaced only on a recycle or a resize, and shut down when
+the scope exits.  :func:`execute_tasks` enters a scope itself, so an
+unscoped call is a scope of one call.  The scope is per thread and per
+process: concurrent job threads never share a pool, and a forked worker
+never uses its parent's.
 
 Determinism of the recovery path is testable through the **fault
 injection hook**: :func:`execute_tasks` accepts a picklable callable
@@ -55,11 +65,14 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
-from collections.abc import Callable, Sequence
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Any, TypeVar
 
 __all__ = [
@@ -69,6 +82,7 @@ __all__ = [
     "ScriptedFaults",
     "TaskTelemetry",
     "execute_tasks",
+    "pool_scope",
 ]
 
 T = TypeVar("T")
@@ -193,6 +207,88 @@ def _run_task(
     return value, TaskTelemetry(time.perf_counter() - started, os.getpid())
 
 
+class _Scope(threading.local):
+    """The open :func:`pool_scope` of this thread, and the pool it holds.
+
+    ``owner`` is the pid that opened the scope: a forked worker inherits
+    its parent's thread state, and must not mistake it for its own.
+    """
+
+    owner: int | None = None
+    pool: ProcessPoolExecutor | None = None
+    size: int = 0
+    tracker: int | None = None
+
+    def acquire(self, size: int, workers: int) -> ProcessPoolExecutor:
+        """The scope's pool for a call of ``size`` processes at most ``workers``.
+
+        The pool is reused while it has at least ``size`` and at most
+        ``workers`` processes and shares this process's resource tracker;
+        otherwise a pool of ``size`` is forked.
+        """
+        if self.pool is not None and not (size <= self.size <= workers
+                                          and self.tracker == _tracker()):
+            self.retire()
+        if self.pool is None:
+            self.pool, self.size = ProcessPoolExecutor(max_workers=size), size
+            self.tracker = _tracker()
+        return self.pool
+
+    def retire(self, kill: bool = False) -> None:
+        """Shut the pool down; ``kill`` first when a worker may be wedged.
+
+        A running future cannot be cancelled, and both ``shutdown`` and
+        the interpreter's exit join every worker, so a wedged task would
+        otherwise hold the process until it returns.
+        """
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        if kill:
+            for process in list(pool._processes.values()):
+                process.kill()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+_SCOPE = _Scope()
+
+
+def _tracker() -> int | None:
+    """The pid of this process's resource tracker (``None``: not started).
+
+    Workers inherit the tracker running when they are forked.  One forked
+    before the parent's first shared-memory table starts its own on
+    attaching, and that tracker unlinks the table when the worker exits.
+    """
+    return resource_tracker._resource_tracker._pid
+
+
+def _broken(pool: ProcessPoolExecutor | None) -> bool:
+    """Whether a held pool broke while idle: marked broken, or a worker died."""
+    return pool is not None and (bool(pool._broken) or not all(
+        process.is_alive() for process in pool._processes.values()))
+
+
+@contextmanager
+def pool_scope() -> Iterator[None]:
+    """Share one process pool among the pooled engine calls in the block.
+
+    The pool is forked lazily at the first pooled call, replaced only on
+    a recycle (a timeout or a broken pool) or when a call needs another
+    size, and shut down on exit.  A nested scope is a no-op.  Workers
+    only place tasks, so a scope changes no result.
+    """
+    if _SCOPE.owner == os.getpid():
+        yield
+        return
+    _SCOPE.owner, _SCOPE.pool = os.getpid(), None  # drop a parent's pool
+    try:
+        yield
+    finally:
+        _SCOPE.retire()
+        _SCOPE.owner = None
+
+
 def execute_tasks(
     function: Callable[..., T],
     argument_tuples: Sequence[tuple],
@@ -241,8 +337,9 @@ def execute_tasks(
             _execute_serial(function, tasks, outstanding, policy,
                             fault_injector, on_result, results, on_event)
         else:
-            _execute_pooled(function, tasks, outstanding, workers, policy,
-                            fault_injector, on_result, results, on_event)
+            with pool_scope():
+                _execute_pooled(function, tasks, outstanding, workers, policy,
+                                fault_injector, on_result, results, on_event)
     return [results[index] for index in range(len(tasks))]
 
 
@@ -297,6 +394,16 @@ def _failure_kind(error: BaseException) -> str:
     return "error"
 
 
+def _submit(pool: ProcessPoolExecutor, *arguments: Any) -> Future:
+    """``pool.submit(_run_task, ...)``, with a pool that broke as a failed future."""
+    try:
+        return pool.submit(_run_task, *arguments)
+    except BrokenExecutor as error:
+        future: Future = Future()
+        future.set_exception(error)
+        return future
+
+
 def _execute_pooled(
     function: Callable[..., T],
     tasks: list[tuple],
@@ -310,26 +417,29 @@ def _execute_pooled(
 ) -> None:
     """Process-pool execution in waves: submit all pending, harvest, retry.
 
-    A wave submits every pending task, then harvests each future with the
-    policy timeout.  Tasks that raised are charged a failed attempt; a
-    timeout or a broken executor additionally recycles the pool (the
-    former because the stuck worker cannot be cancelled, the latter
-    because the executor is unusable), after which only the tasks whose
-    results were lost are resubmitted.
+    Each wave takes the pool of the open :func:`pool_scope`, submits
+    every pending task, then harvests each future with the policy
+    timeout.  Tasks that raised are charged a failed attempt; a timeout
+    or a broken executor additionally recycles the pool (the former
+    because the stuck worker cannot be cancelled, the latter because the
+    executor is unusable), after which only the tasks whose results were
+    lost are resubmitted.  A call that raises retires the pool too.
     """
     timed = on_event is not None
     remaining: dict[int, int] = {index: 0 for index in outstanding}
-    pool: ProcessPoolExecutor | None = None
     pool_size = min(workers, len(remaining))
     stuck = False  # a timed-out task may occupy a worker forever
     try:
         while remaining:
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=pool_size)
-                stuck = False
+            if _broken(_SCOPE.pool):
+                _SCOPE.retire()
+                if on_event is not None:
+                    on_event("pool_recycled", {})
+            pool = _SCOPE.acquire(pool_size, workers)
+            stuck = False
             futures = {
-                index: pool.submit(_run_task, function, tasks[index], index,
-                                   remaining[index], fault_injector, timed)
+                index: _submit(pool, function, tasks[index], index,
+                               remaining[index], fault_injector, timed)
                 for index in sorted(remaining)
             }
             recycle = False
@@ -370,14 +480,12 @@ def _execute_pooled(
                     raise ShardExecutionError(index, remaining[index],
                                               error) from error
             if recycle:
-                pool.shutdown(wait=not stuck, cancel_futures=True)
-                pool = None
+                _SCOPE.retire(kill=stuck)
                 if on_event is not None:
                     on_event("pool_recycled", {})
             if remaining and failed:
                 time.sleep(policy.delay(max(remaining[index]
                                             for index in failed)))
-    finally:
-        if pool is not None:
-            # Waiting is safe unless a worker is wedged on a timed-out task.
-            pool.shutdown(wait=not stuck, cancel_futures=True)
+    except BaseException:
+        _SCOPE.retire(kill=stuck)
+        raise

@@ -8,12 +8,21 @@ the attempt it replaces, and the merged run must equal an undisturbed one.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from repro import RunConfig
+from repro.litmus import FamilySpec, sweep_family
 from repro.parallel import (
     InjectedFault,
     RetryPolicy,
@@ -21,8 +30,11 @@ from repro.parallel import (
     ShardExecutionError,
     ShardPlan,
     execute_tasks,
+    pool_scope,
     run_sharded,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Fast-backoff policy so retry tests do not sleep for real.
 FAST = dict(backoff=0.0)
@@ -34,6 +46,36 @@ def _sum_kernel(source, shard_trials) -> int:
 
 def _identity(value):
     return value
+
+
+def _pid(_value) -> int:
+    return os.getpid()
+
+
+def _square(value: int) -> int:
+    return value * value
+
+
+def _sum_of_squares(n: int) -> int:
+    """A pooled task that runs a pool of its own."""
+    return sum(execute_tasks(_square, [(k,) for k in range(1, n + 1)],
+                             workers=2))
+
+
+def _children() -> set[int]:
+    """Pids of this process's live pool workers (reaping the dead)."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _run_script(script: str) -> tuple[subprocess.CompletedProcess, float]:
+    """Run ``script`` in a fresh interpreter at the repository root."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    started = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    return done, time.monotonic() - started
 
 
 @dataclass(frozen=True)
@@ -201,3 +243,135 @@ class TestRunShardedFaultPlumbing:
         healed = run_sharded(_sum_kernel, plan,
                              config=RunConfig(workers=4, retries=1), fault_injector=injector)
         assert healed == clean
+
+
+class TestPoolScope:
+    """One pool per scope: reuse, sizing, recovery, nesting, threads."""
+
+    TASKS = [(value,) for value in range(6)]
+
+    def test_calls_share_the_pool_while_it_fits(self):
+        with pool_scope():
+            execute_tasks(_pid, self.TASKS, workers=2)
+            pair = _children()
+            assert len(pair) == 2
+            # Two outstanding tasks at workers=4 fit the pool of 2.
+            assert set(execute_tasks(_pid, self.TASKS[:2], workers=4)) <= pair
+            # Six at workers=3 need a pool of 3 ...
+            execute_tasks(_pid, self.TASKS, workers=3)
+            trio = _children()
+            assert len(trio) == 3 and trio.isdisjoint(pair)
+            # ... which a workers=2 call must not exceed.
+            assert set(execute_tasks(_pid, self.TASKS, workers=2)) <= _children()
+            assert len(_children()) == 2 and _children().isdisjoint(trio)
+        assert not _children()
+
+    def test_worker_killed_while_idle_is_replaced(self):
+        events: list[str] = []
+        with pool_scope():
+            victim = execute_tasks(_pid, self.TASKS, workers=2)[0]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while victim in _children():
+                assert time.monotonic() < deadline, "killed worker lingers"
+                time.sleep(0.01)
+            healed = execute_tasks(
+                _identity, self.TASKS, workers=2,
+                on_event=lambda name, payload: events.append(name))
+        assert healed == execute_tasks(_identity, self.TASKS)
+        assert events.count("pool_recycled") == 1
+        assert "task_failed" not in events
+
+    def test_pooled_task_may_run_its_own_pool(self):
+        # A forked worker inherits its parent's scope state; it must fork
+        # a pool of its own rather than submit to the parent's.
+        tasks = [(3,), (4,), (5,)]
+        policy = RetryPolicy(timeout=60.0)
+        unscoped = execute_tasks(_sum_of_squares, tasks, workers=2,
+                                 policy=policy)
+        with pool_scope():
+            scoped = execute_tasks(_sum_of_squares, tasks, workers=2,
+                                   policy=policy)
+        assert scoped == unscoped == [14, 30, 55]
+
+    def test_threads_hold_separate_pools(self):
+        with pool_scope():
+            mine = set(execute_tasks(_pid, self.TASKS, workers=2))
+            theirs: list[int] = []
+            thread = threading.Thread(target=lambda: theirs.extend(
+                execute_tasks(_pid, self.TASKS, workers=2)))
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+            assert theirs and mine.isdisjoint(theirs)
+
+        def sweep(workers: int):
+            return sweep_family(FamilySpec(ops_per_thread=3), ["TSO", "PSO"],
+                                count=2, trials=400, seed=5,
+                                config=RunConfig(workers=workers, shards=4))
+
+        serial = sweep(1)
+        reports = []
+        threads = [threading.Thread(target=lambda: reports.append(sweep(2)))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert reports == [serial, serial]
+
+    @pytest.mark.parametrize("injector", [
+        ScriptedFaults(failures={0: 99}),
+        _SleepOnFirstAttempt(index=0, seconds=30.0),
+    ], ids=["raise", "timeout"])
+    def test_scope_exit_leaves_no_workers(self, injector):
+        with pool_scope():
+            with pool_scope():  # nested: a no-op
+                execute_tasks(_identity, self.TASKS, workers=2)
+            assert len(_children()) == 2  # the outer scope's pool lives on
+        assert not _children()
+        started = time.monotonic()
+        with pytest.raises(ShardExecutionError):
+            with pool_scope():
+                execute_tasks(_identity, self.TASKS, workers=2,
+                              policy=RetryPolicy(timeout=0.5),
+                              fault_injector=injector)
+        assert not _children()
+        assert time.monotonic() - started < 5.0
+
+    def test_wedged_timed_out_shard_does_not_hold_the_process(self):
+        done, elapsed = _run_script("""
+            from repro.parallel import RetryPolicy, execute_tasks
+            from tests.test_faults import _SleepOnFirstAttempt, _identity
+            print(execute_tasks(
+                _identity, [(0,), (1,), (2,)], workers=2,
+                policy=RetryPolicy(retries=1, timeout=0.5),
+                fault_injector=_SleepOnFirstAttempt(index=1, seconds=20.0)))
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 1, 2]"
+        assert elapsed < 5.0
+
+    def test_shared_memory_after_an_earlier_pool(self):
+        # A pool forked before the first shared-memory table lacks the
+        # parent's resource tracker; the scope must not hand it to shm.
+        done, _ = _run_script("""
+            from repro import RunConfig
+            from repro.core import TSO, estimate_non_manifestation
+            from repro.parallel import parallel_map, pool_scope
+            from tests.test_faults import _square
+
+            config = RunConfig(workers=2, shards=4, transport="shm")
+            with pool_scope():
+                print(parallel_map(_square, range(4), config=config))
+                print(estimate_non_manifestation(TSO, 2, 4000, seed=1,
+                                                 config=config).estimate)
+            print(estimate_non_manifestation(
+                TSO, 2, 4000, seed=1,
+                config=RunConfig(workers=1, shards=4)).estimate)
+        """)
+        assert done.returncode == 0, done.stderr
+        squares, scoped, serial = done.stdout.splitlines()
+        assert squares == "[0, 1, 4, 9]" and scoped == serial
+        assert "resource_tracker" not in done.stderr

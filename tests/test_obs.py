@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -30,8 +31,10 @@ from repro.obs import (
     validate_manifest,
     write_manifest,
 )
-from repro.parallel import ScriptedFaults, ShardPlan, run_sharded
+from repro.parallel import ScriptedFaults, ShardPlan, pool_scope, run_sharded
 from repro.stats.montecarlo import run_bernoulli_trials
+
+from .test_faults import _SleepOnFirstAttempt
 
 
 def _sum_kernel(source, shard_trials):
@@ -178,21 +181,59 @@ class TestManifest:
             validate_manifest(document)
         assert record["plan"]["trials"] == 1000
 
-    def test_injected_retries_land_in_ledger(self, tmp_path):
-        """Regression: ScriptedFaults retries must appear in the manifest."""
+    @pytest.mark.parametrize("case, scoped", [
+        ("error", False), ("exit", False), ("timeout", False),
+        ("exit", True), ("timeout", True),
+    ], ids=["serial-error", "pooled-exit", "pooled-timeout",
+            "scoped-exit", "scoped-timeout"])
+    def test_injected_retries_land_in_ledger(self, tmp_path, case, scoped):
+        """Regression: injected faults must appear in the manifest.
+
+        A raised fault is an ``error`` entry; a worker exit breaks the
+        pool (a ``pool`` entry for it and for any shard lost with it);
+        a wedged shard is a ``timeout`` entry.  Both of the latter
+        recycle the pool once, and a recycled scope still serves a
+        clean call.
+        """
+        plan, config, faults = {
+            "error": (ShardPlan(1000, 8, 11), RunConfig(workers=1, retries=2),
+                      ScriptedFaults(failures={2: 1, 5: 1})),
+            "exit": (ShardPlan(1000, 3, 11), RunConfig(workers=2, retries=1),
+                     ScriptedFaults(failures={2: 1}, kind="exit")),
+            "timeout": (ShardPlan(400, 3, 8),
+                        RunConfig(workers=2, retries=1, timeout=0.5),
+                        _SleepOnFirstAttempt(index=1, seconds=5.0)),
+        }[case]
+        serial = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         observer = RunObserver(manifest=tmp_path / "m.json")
-        faults = ScriptedFaults(failures={2: 1, 5: 1})
-        run_sharded(_sum_kernel, ShardPlan(1000, 8, 11), config=RunConfig(workers=1, retries=2),
-                    fault_injector=faults, observer=observer)
+        with pool_scope() if scoped else nullcontext():
+            healed = run_sharded(_sum_kernel, plan, config=config,
+                                 fault_injector=faults, observer=observer)
+            if scoped:
+                assert run_sharded(_sum_kernel, plan,
+                                   config=RunConfig(workers=2)) == serial
+        assert healed == serial
         record = observer.finish()
-        ledger = record["retry_ledger"]
-        assert [(entry["shard"], entry["kind"]) for entry in ledger] == [
-            (2, "error"), (5, "error"),
-        ]
-        assert record["metrics"]["run.shard_retries"]["value"] == 2
+        ledger = [(entry["shard"], entry["kind"])
+                  for entry in record["retry_ledger"]]
+        metrics = record["metrics"]
+        recycles = record["execution"]["pool_recycles"]
+        assert metrics["run.pool_recycles"]["value"] == recycles
+        assert metrics["run.shard_retries"]["value"] == len(ledger)
         retried = {shard["shard"]: shard["attempts"]
                    for shard in record["shards"]}
-        assert retried[2] == 2 and retried[5] == 2 and retried[0] == 1
+        if case == "error":
+            assert ledger == [(2, "error"), (5, "error")]
+            assert recycles == 0
+            assert retried[2] == 2 and retried[5] == 2 and retried[0] == 1
+        elif case == "exit":
+            assert (2, "pool") in ledger
+            assert {kind for _, kind in ledger} == {"pool"}
+            assert recycles == 1 and retried[2] == 2
+        else:
+            assert ledger == [(1, "timeout")]
+            assert recycles == 1 and retried[1] == 2
+            assert metrics["run.shard_timeouts"]["value"] == 1
 
     def test_checkpoint_resume_recorded_as_lineage(self, tmp_path):
         journal = tmp_path / "ckpt.jsonl"

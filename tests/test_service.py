@@ -287,6 +287,29 @@ class TestEstimationService:
         assert run["execution"]["executed_shards"] == 2
         service.shutdown(drain_seconds=1.0)
 
+    def test_concurrent_family_jobs_match_serial(self, tmp_path):
+        """Pooled sweeps on two job threads each hold their own pool."""
+        from repro.obs import summarise_result
+        from repro.service.estimators import run_estimator, validate_params
+
+        service = EstimationService(tmp_path, job_workers=2)
+        jobs = {}
+        for model in ("TSO", "PSO"):
+            params = {"model": model, "count": 2, "trials": 400}
+            response, _ = service.submit({
+                "estimator": "litmus_family", "params": params,
+                "config": {"workers": 2, "shards": 4}})
+            jobs[response["job"]["id"]] = summarise_result(run_estimator(
+                "litmus_family", validate_params("litmus_family", params),
+                RunConfig(workers=1, shards=4)))
+        for job_id, serial in jobs.items():
+            wait_for(lambda: service.registry.get(job_id).finished,
+                     timeout=120)
+            assert service.registry.get(job_id).state == "done"
+            assert (json.dumps(service.result(job_id)["result"], sort_keys=True)
+                    == json.dumps(serial, sort_keys=True))
+        service.shutdown(drain_seconds=1.0)
+
     def test_warm_resubmission_hits_the_shard_cache(self, tmp_path):
         service = EstimationService(tmp_path, job_workers=1)
         cold, _ = service.submit(dict(SMALL))
