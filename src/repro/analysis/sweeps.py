@@ -264,7 +264,7 @@ def monte_carlo_check(
     result cache (``cache`` — overlapping sweep points and re-runs fetch
     completed shards instead of recomputing them, see ``docs/CACHING.md``),
     the observability options (``manifest``/``trace``/``progress``), the
-    kernel ``backend``, and the ``rng_plan``/``transport`` engine knobs —
+    kernel ``backend``, and the ``transport`` engine knob —
     to :func:`repro.core.manifestation.estimate_non_manifestation`; the
     per-model checkpoint keys keep one journal file safe across the whole
     model loop, and each model's run appends its own labelled record to

@@ -35,7 +35,7 @@ all read-only with respect to the numbers (``docs/OBSERVABILITY.md``).
 
 ``--cache DIR`` (or ``--cache auto`` for the default store under
 ``~/.cache/repro``) keeps completed shards in a content-addressed result
-cache keyed by the v2 checkpoint key — re-runs and overlapping sweep
+cache keyed by the run key — re-runs and overlapping sweep
 points fetch their shards instead of recomputing them, with bit-identical
 results (``docs/CACHING.md``).  ``repro cache {stats,clear,verify}``
 inspects and manages the store.
@@ -43,12 +43,10 @@ inspects and manages the store.
 ``--backend {scalar,vectorized,fused}`` selects the simulation kernel
 (``docs/KERNELS.md``): whole-array NumPy batches, the draw-by-draw
 reference loop, or (joined-model commands only) the single-pass fused
-chain.  The backends are statistically equivalent; left unset, each
-command keeps its native default (``thm62``: vectorized, ``machine``:
-scalar).  ``--rng-plan {spawn,philox}`` selects the shard-stream
-derivation: ``spawn`` (default) reproduces every published number,
-``philox`` is the counter-addressed fast path — the two draw different
-streams and are never silently mixed (``docs/API.md``).  ``--transport
+chain.  The backends are statistically equivalent, and ``fused`` prints
+exactly the ``vectorized`` numbers whenever the shift ratio is at most
+2/3 (the default is 1/2); left unset, each command keeps its native
+default (``thm62``: vectorized, ``machine``: scalar).  ``--transport
 {auto,pickle,shm}`` selects the shard result channel (shared-memory rows
 vs pickling; a scheduling concern — numbers are identical either way).
 
@@ -309,7 +307,7 @@ def _cmd_litmus_generate(args: argparse.Namespace) -> None:
     outside the enumerated SC set, Wilson interval) for every member
     under every requested model.  The sweep rides the full engine —
     cache, checkpoints, manifests — and its JSON output is a pure
-    function of ``(spec, seed, count, trials, shards, rng_plan)``, so a
+    function of ``(spec, seed, count, trials, shards)``, so a
     warm re-run prints byte-identical output while executing nothing.
     """
     import json
@@ -556,11 +554,8 @@ def _add_engine_options(parser: argparse.ArgumentParser,
     """
     for spec in dataclass_fields(RunConfig):
         metadata = dict(spec.metadata)
-        flag = metadata.pop("cli")
-        if flag is None:
-            continue
         parser.add_argument(
-            flag, dest=metadata.pop("args"),
+            metadata.pop("cli"), dest=metadata.pop("args"),
             default=argparse.SUPPRESS if suppress else spec.default,
             help=metadata.pop("doc").replace("`", ""), **metadata)
 
@@ -576,11 +571,8 @@ def _engine_flags_epilog() -> str:
     lines = ["engine flags (each folds into the one RunConfig record; "
              "see docs/API.md):"]
     for spec in dataclass_fields(RunConfig):
-        flag = spec.metadata.get("cli")
-        if not flag:
-            continue
-        doc = spec.metadata.get("doc", "").replace("`", "")
-        lines.append(f"  {flag:<16} {doc}")
+        doc = spec.metadata["doc"].replace("`", "")
+        lines.append(f"  {spec.metadata['cli']:<16} {doc}")
     return "\n".join(lines)
 
 

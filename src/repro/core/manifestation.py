@@ -314,11 +314,10 @@ def estimate_non_manifestation(
     count.  ``retries``/``timeout``/``checkpoint`` configure the
     fault-tolerance layer; the checkpoint key is salted with the model
     name and the experiment parameters, so one journal file can hold
-    several models' runs without cross-contamination.  Since the v2 key
-    format the key also folds in the kernel *fingerprint* (derived
-    automatically from the fully-bound trial kernel, or set explicitly
-    as ``config.fingerprint``), which is what distinguishes the
-    backends — the label no longer carries a ``backend=`` salt.
+    several models' runs without cross-contamination.  The key also
+    folds in the kernel *fingerprint*, derived from the fully-bound
+    trial kernel, which is what distinguishes the backends — the label
+    carries no ``backend=`` salt.
     ``cache`` enables the content-addressed shard result cache
     (``"auto"``, a directory, or a :class:`repro.cache.ShardStore`; see
     ``docs/CACHING.md``).
@@ -332,15 +331,15 @@ def estimate_non_manifestation(
     whole-array operations; ``"scalar"`` runs the draw-by-draw reference
     loop of :class:`repro.core.settling.SettlingProcess`; ``"fused"``
     runs the single-pass fused chain
-    (:func:`repro.kernels.joined.non_manifestation_fused_batch`), the
-    fastest single-core route.  Backends are statistically equivalent
-    but draw in different stream orders, so their fixed-seed outputs
-    differ; their distinct kernel fingerprints keep their checkpoint
-    journals and cache entries separate.
+    (:func:`repro.kernels.joined.non_manifestation_fused_batch`).
+    Backends are statistically equivalent.  The scalar backend draws in
+    a different stream order, so its fixed-seed outputs differ; the
+    fused backend returns exactly the vectorized counts whenever
+    ``beta <= 2/3`` (see :mod:`repro.kernels.joined`) and differs above.
+    Their distinct kernel fingerprints keep their checkpoint journals
+    and cache entries separate either way.
 
-    ``rng_plan`` selects the shard-stream derivation (``"spawn"`` is the
-    published-numbers default; ``"philox"`` the counter-addressed fast
-    path) and ``transport`` the shard result channel — both forwarded to
+    ``transport`` selects the shard result channel, forwarded to
     :func:`repro.stats.montecarlo.run_event_trials`.  This estimator is
     the joined-model driver, so the config resolves with every backend
     allowed and ``"vectorized"`` as the default.

@@ -22,16 +22,24 @@ reproduce statistically, and is what ``backend="scalar"`` selects.
 in one pass over memory.  Per the backend contract it is
 **statistically equivalent** to the composed chain (same joint law,
 validated by the two-sample z harness in
-:mod:`repro.kernels.validation`), not bit-identical: every geometric
-block is drawn by in-place inversion of one uniform block
-(``floor(log1p(-u) / log(beta))``) instead of ``Generator.geometric`` —
-the same distribution at under half the cost — in-place ufuncs replace
-the per-round ``np.where``/``np.minimum`` temporaries, the growth
-matrix is promoted to window lengths in place, and for ``n == 2`` the
-disjointness test is a closed form with no ``argsort`` and no gathered
-start/end matrices.  Like every backend it is bit-reproducible on its
-own terms: fixed ``(seed, shards)`` gives identical fused counts at any
-worker count.
+:mod:`repro.kernels.validation`): every geometric block is drawn by
+in-place inversion of one uniform block (``floor(log1p(-u) /
+log(beta))``) instead of ``Generator.geometric``, in-place ufuncs
+replace the per-round ``np.where``/``np.minimum`` temporaries, the
+growth matrix is promoted to window lengths in place, and for ``n == 2``
+the disjointness test is a closed form with no ``argsort`` and no
+gathered start/end matrices.
+
+The fused counts are not merely z-equivalent at the paper's parameters:
+they **equal** the vectorized counts, draw for draw, whenever every
+geometric ratio is at most 2/3 (``beta <= 2/3``; the paper models settle
+with ratio 1/2).  For a success probability ``p = 1 - beta >= 1/3``,
+numpy's ``Generator.geometric(p)`` draws by search, consuming one
+uniform double per variate, and returns exactly what the inversion above
+computes from that same double.  Above 2/3 numpy switches to a different
+algorithm and the fixed-seed numbers differ.  Like every backend the
+fused kernel is bit-reproducible on its own terms: fixed ``(seed,
+shards)`` gives identical fused counts at any worker count.
 """
 
 from __future__ import annotations
@@ -85,9 +93,10 @@ def _fused_geometric(source: RandomSource, beta: float,
     :meth:`RandomSource.geometric_array` — at under half the cost of
     ``Generator.geometric`` plus its ``astype``/decrement copies: the
     uniform block is transformed in place and only the final int64 cast
-    allocates.  The draws differ from the composed chain's (inversion
-    consumes the stream differently), which is why the fused backend is
-    z-equivalent rather than bit-identical.
+    allocates.  For ``beta <= 2/3`` the result equals
+    ``Generator.geometric(1 - beta) - 1`` on the same stream, variate for
+    variate (numpy draws those by search from one uniform double each);
+    above, numpy consumes the stream differently and the draws differ.
     """
     _check_beta(beta)
     if beta == 0.0:
@@ -112,8 +121,9 @@ def non_manifestation_fused_batch(
 ) -> int:
     """One fused §6 batch: settle, shift, and count A in a single pass.
 
-    Same joint law as :func:`non_manifestation_batch` — z-equivalent,
-    not bit-identical (see the module docstring) — while allocating only
+    Same joint law as :func:`non_manifestation_batch` — and the same
+    counts whenever ``beta <= 2/3`` (see the module docstring) — while
+    allocating only
     the arrays that must exist: the run matrix and the current uniform
     block.  Custom models without a uniform settle law delegate to the
     composed chain — fusion is a fast path, never a semantic fork.

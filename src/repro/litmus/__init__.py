@@ -22,7 +22,6 @@ from .explore import (
     ExplorationReport,
     OutcomeFrequencies,
     assert_convergence,
-    assert_frequencies_equivalent,
     check_convergence,
     enumerator_fingerprint,
     explore_entry_key,
@@ -91,7 +90,6 @@ __all__ = [
     "WRC",
     "ZOO_MODELS",
     "assert_convergence",
-    "assert_frequencies_equivalent",
     "check_all",
     "check_convergence",
     "check_test",

@@ -216,7 +216,7 @@ class BlockReader:
     2**32, size, dtype=np.uint32)`` returns those same words in order.
     So :meth:`RandomSource.uniform_int(low, high)
     <repro.stats.rng.RandomSource.uniform_int>` equals ``low +
-    below(high - low + 1)`` under either RNG plan, at one numpy call per
+    below(high - low + 1)`` on any bit generator, at one numpy call per
     ``block`` words instead of one per draw.  The reader may read past
     its last draw: whoever builds one owns the generator from then on.
     """

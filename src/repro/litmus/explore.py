@@ -30,8 +30,7 @@ semantics (:mod:`repro.litmus.core`): the exhaustive mode its
 set-valued walk, the pseudorandom mode its sampled walk.  The run rides
 :func:`~repro.stats.parallel.run_sharded` unchanged, so frequency tables
 are **bit-identical for fixed** ``(seed, shards)`` at any worker count,
-under either RNG plan (``spawn``/``philox`` draw different streams, each
-reproducible), and shards checkpoint/cache like any estimation.
+and shards checkpoint/cache like any estimation.
 
 A trial picks the next thread with probability proportional to its
 remaining operation count, which makes every distinct interleaving of
@@ -39,12 +38,11 @@ the chosen per-thread orders exactly equally likely (the product of the
 step probabilities telescopes to ``∏ nₖ! / N!`` for every path).
 
 **Convergence cross-check** (:func:`check_convergence`,
-:func:`assert_convergence`, :func:`assert_frequencies_equivalent`)
-relates the two modes: every sampled outcome must lie inside the
-enumerated set (escape == a semantics bug, asserted hard), coverage of
-the enumerated set is reported and optionally required, and two
-frequency tables can be compared outcome-by-outcome with the two-sample
-z-harness of :mod:`repro.kernels.validation`.
+:func:`assert_convergence`) relates the two modes: every sampled outcome
+must lie inside the enumerated set (escape == a semantics bug, asserted
+hard), and coverage of the enumerated set is reported and optionally
+required.  The sampler's frequencies themselves are refereed by the
+exact outcome law of the sampled walk (``tests/test_litmus_law.py``).
 
 See ``docs/LITMUS.md`` for the workload tour and the cache-key contract.
 """
@@ -85,7 +83,6 @@ __all__ = [
     "explore_random",
     "check_convergence",
     "assert_convergence",
-    "assert_frequencies_equivalent",
 ]
 
 
@@ -210,8 +207,8 @@ class OutcomeFrequencies:
 
     ``counts`` is a tuple of ``(outcome, count)`` pairs sorted by
     outcome — a canonical, hashable form, so two tables produced by
-    equal ``(seed, shards, rng_plan)`` runs compare equal with ``==``
-    no matter how many workers executed them.
+    equal ``(seed, shards)`` runs compare equal with ``==`` no matter
+    how many workers executed them.
     """
 
     test: str
@@ -219,7 +216,6 @@ class OutcomeFrequencies:
     trials: int
     seed: int | None
     shards: int
-    rng_plan: str
     counts: tuple[tuple[Outcome, int], ...]
     # Derived lookup table, rebuilt by __post_init__ — and therefore by
     # dataclasses.replace too, so a replaced table can never alias a
@@ -252,7 +248,6 @@ class OutcomeFrequencies:
             "trials": self.trials,
             "seed": self.seed,
             "shards": self.shards,
-            "rng_plan": self.rng_plan,
             "counts": {outcome_to_string(outcome): count
                        for outcome, count in self.counts},
         }
@@ -474,8 +469,8 @@ def explore_random(
 ) -> OutcomeFrequencies:
     """Estimate outcome frequencies by seed-disciplined random exploration.
 
-    The table depends only on ``(seed, shards, rng_plan)`` — shards
-    merge in shard order, so results are bit-identical at any worker
+    The table depends only on ``(seed, shards)`` — shards merge in
+    shard order, so results are bit-identical at any worker
     count and over any transport.  The run inherits the config's full
     engine surface: checkpoints resume it, the shard cache fetches
     previously-computed shards, and the observability knobs produce the
@@ -505,8 +500,7 @@ def explore_random(
                 totals[outcome] = totals.get(outcome, 0) + count
         return OutcomeFrequencies(
             test=test.name, model=model.name, trials=trials, seed=plan.seed,
-            shards=plan.shards, rng_plan=plan.rng_plan,
-            counts=tuple(sorted(totals.items())),
+            shards=plan.shards, counts=tuple(sorted(totals.items())),
         )
 
     return _estimate(kernel, trials, seed, label, None, merge, cfg)
@@ -619,30 +613,3 @@ def assert_convergence(
             f"sampled in {report.trials} trials "
             f"(coverage {report.coverage:.3f}): {rendered}")
     return report
-
-
-def assert_frequencies_equivalent(
-    first: OutcomeFrequencies,
-    second: OutcomeFrequencies,
-    *,
-    confidence: float = 0.999,
-) -> None:
-    """z-test every outcome's frequency across two independent tables.
-
-    Reuses the two-sample proportion harness of
-    :mod:`repro.kernels.validation` over the union support — e.g. a
-    spawn-plan run against a philox-plan run of the same program, which
-    sample the same law from different streams.
-    """
-    from ..kernels.validation import assert_equivalent_proportions
-
-    first_counts = dict(first.counts)
-    second_counts = dict(second.counts)
-    for outcome in sorted(set(first_counts) | set(second_counts)):
-        assert_equivalent_proportions(
-            first_counts.get(outcome, 0), first.trials,
-            second_counts.get(outcome, 0), second.trials,
-            confidence=confidence,
-            context=(f"{first.test}/{first.model} outcome "
-                     f"{outcome_to_string(outcome)}"),
-        )

@@ -25,8 +25,7 @@ from a dedicated Philox lane
 (:class:`~repro.stats.rng.PhiloxSource` at path ``(GENERATOR_LANE,
 i)``) — no generation state threads between members, so a family point
 is exactly as cacheable and shardable as any other plan, and the same
-``(spec, seed)`` yields bit-identical programs at any worker count
-under either engine RNG plan.
+``(spec, seed)`` yields bit-identical programs at any worker count.
 """
 
 from __future__ import annotations
@@ -56,9 +55,9 @@ __all__ = [
     "sweep_family",
 ]
 
-#: The Philox counter lane reserved for program generation — disjoint
-#: from shard lanes (which are ``(shard, batch, ...)`` addressed by the
-#: engine), so generated programs never correlate with trial streams.
+#: The Philox counter lane reserved for program generation.  Trial
+#: streams are PCG64 shards spawned from the seed, a different generator
+#: altogether, so generated programs never correlate with them.
 GENERATOR_LANE = 0x4C49544D  # "LITM"
 
 #: Small value pool for filler stores (0 is the implicit initial value).
@@ -302,9 +301,9 @@ def sweep_family(
     engine: sharding, caching, checkpoints, manifests) is then split
     into SC-consistent and weak mass, and the weak fraction gets a
     Wilson bracket.  Results are bit-identical for fixed
-    ``(spec, seed, count, trials, shards, rng_plan)`` at any worker
-    count and over any transport — generation and sampling are both
-    counter-addressed.  The points share one process pool
+    ``(spec, seed, count, trials, shards)`` at any worker count and over
+    any transport — generation is counter-addressed and sampling
+    seed-disciplined.  The points share one process pool
     (:func:`~repro.stats.faults.pool_scope`).
     """
     if models is None:

@@ -23,11 +23,9 @@ with fixed ``(seed, shards)`` is bit-identical for any worker count,
 and a retried or checkpoint-resumed shard is bit-identical to the
 attempt it replaces.  When parallelism is requested and ``shards`` is
 unset, the fixed :data:`~repro.stats.parallel.DEFAULT_SHARDS` applies —
-never the worker or CPU count.  ``rng_plan="philox"``
-(:class:`~repro.stats.rng.PhiloxSource`) swaps the spawn discipline for
-counter-addressed streams — same guarantees, different (never silently
-mixed) draws — and the :mod:`repro.stats.transport` layouts route shard
-results home through shared memory instead of pickle, bit-identically.
+never the worker or CPU count.  The :mod:`repro.stats.transport`
+layouts route shard results home through shared memory instead of
+pickle, bit-identically.
 
 All of the execution knobs above travel together as one validated
 :class:`repro.runconfig.RunConfig` (re-exported here): build it once and
@@ -66,7 +64,6 @@ from .stats.parallel import (
     resolve_workers,
     run_sharded,
 )
-from .stats.rng import RNG_PLANS, PhiloxSource, philox_stream, resolve_rng_plan
 from .stats.transport import (
     TRANSPORTS,
     BernoulliLayout,
@@ -82,8 +79,6 @@ __all__ = [
     "CategoricalLayout",
     "DEFAULT_SHARDS",
     "InjectedFault",
-    "PhiloxSource",
-    "RNG_PLANS",
     "RetryPolicy",
     "RunConfig",
     "RunObserver",
@@ -101,12 +96,10 @@ __all__ = [
     "merge_bernoulli",
     "merge_categorical",
     "parallel_map",
-    "philox_stream",
     "pickled_payload_bytes",
     "plan_key",
     "plan_shards",
     "pool_scope",
-    "resolve_rng_plan",
     "resolve_shards",
     "resolve_transport",
     "resolve_workers",

@@ -1,36 +1,35 @@
 """``repro.runconfig`` — the unified execution context for the engine.
 
 Every trial-based estimator in the library runs on the same sharded
-Monte-Carlo engine, and the engine has grown ~13 execution knobs:
+Monte-Carlo engine, and the engine has eleven execution knobs:
 parallelism (``workers``/``shards``), fault tolerance
-(``retries``/``timeout``/``checkpoint``), keying and caching
-(``fingerprint``/``cache``), observability
-(``manifest``/``trace``/``progress``), and the kernel/stream/transport
-selections (``backend``/``rng_plan``/``transport``).  Hand-threading
+(``retries``/``timeout``/``checkpoint``), caching (``cache``),
+observability (``manifest``/``trace``/``progress``), and the
+kernel/transport selections (``backend``/``transport``).  Hand-threading
 those through every estimator, sweep, and CLI path produced real bugs —
 flags parsed but silently dropped on some paths — so :class:`RunConfig`
 collapses them into one frozen, validated record with a **single
 resolution point** (:meth:`RunConfig.resolve`):
 
 >>> from repro.runconfig import RunConfig
->>> config = RunConfig(workers=4, retries=2, rng_plan="philox")
+>>> config = RunConfig(workers=4, retries=2, backend="fused")
 >>> # estimate_non_manifestation(TSO, 2, 100_000, config=config)
 
 Design rules:
 
 * **One record, one resolve.**  ``resolve()`` validates every knob
-  (unknown ``rng_plan``/``transport``/``backend`` names raise), applies
+  (unknown ``transport``/``backend`` names raise), applies
   the calling driver's native backend default, and rejects backends the
   driver does not implement (``backend="fused"`` exists only on the
   joined-model paths) — so an invalid combination fails loudly at the
   call site instead of being silently ignored downstream.
 * **Experiment identity stays out.**  ``trials``/``seed``/model
   parameters are *what* is estimated; ``RunConfig`` is *how* the
-  estimation executes.  Of its fields, only ``shards``, ``rng_plan``,
-  and ``fingerprint`` enter the statistical/computational identity (the
-  v2 ``plan_key``; see :meth:`plan_key_inputs`) — everything else is a
-  scheduling or observability concern that can never change a merged
-  number.
+  estimation executes.  Of its fields, only the resolved ``shards``
+  enters a run's key (:func:`~repro.stats.checkpoint.plan_key`, which
+  the engine derives from the plan, the label and the kernel it runs)
+  and ``backend`` selects that kernel — everything else is a scheduling
+  or observability concern that can never change a merged number.
 * **One way in.**  ``config=`` is the only parameter that carries an
   engine knob: every estimator, sweep and engine entry point takes it
   keyword-only, and none takes a knob as a keyword of its own (the
@@ -59,7 +58,6 @@ from typing import TYPE_CHECKING, Any, ClassVar
 if TYPE_CHECKING:  # real types without runtime import cycles
     from repro.cache.store import ShardStore
     from repro.obs import RunObserver
-    from repro.stats.checkpoint import ShardCheckpoint
 
 __all__ = ["RunConfig"]
 
@@ -74,23 +72,23 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _knob(default: Any, cli: str | None, args: str | None = None,
+def _knob(default: Any, cli: str, args: str | None = None,
           doc: str = "", **extra: Any) -> Any:
     """A ``RunConfig`` field with its CLI binding in the metadata.
 
-    ``cli`` is the command-line flag serving the knob (``None`` for the
-    API-only knobs); ``args`` the ``argparse`` attribute it parses into
-    when it differs from the field name; ``doc`` a one-line summary used
-    to *generate* the flag's ``--help`` text, the README flag table and
-    the ``--help`` epilog (see :meth:`RunConfig.flag_table_markdown`).
+    ``cli`` is the command-line flag serving the knob; ``args`` the
+    ``argparse`` attribute it parses into when it differs from the field
+    name; ``doc`` a one-line summary used to *generate* the flag's
+    ``--help`` text, the README flag table and the ``--help`` epilog
+    (see :meth:`RunConfig.flag_table_markdown`).
     ``extra`` holds the flag's parse-time ``argparse`` options
     (``type``, ``choices``, ``metavar``, ``action``).  The CLI declares
     every engine flag from this metadata alone, and the docs-consistency
     suite walks it to keep the config, the CLI, and ``docs/API.md`` from
     drifting apart.
     """
-    metadata = {"cli": cli, "args": args or (cli.lstrip("-").replace("-", "_")
-                                             if cli else None), "doc": doc}
+    metadata = {"cli": cli, "args": args or cli.lstrip("-").replace("-", "_"),
+                "doc": doc}
     metadata.update(extra)
     return field(default=default, metadata=metadata)
 
@@ -113,11 +111,7 @@ class RunConfig:
         Fault tolerance: extra attempts per failed shard, and the
         per-shard pooled timeout in seconds.
     ``checkpoint``
-        Resumable shard journal (path or pre-keyed
-        :class:`~repro.stats.checkpoint.ShardCheckpoint`).
-    ``fingerprint``
-        Explicit kernel fingerprint for the v2 plan key (API-only;
-        derived automatically when unset).
+        Resumable shard journal path, keyed by the run key.
     ``cache``
         Content-addressed shard result cache (``"auto"``, a directory,
         or a :class:`~repro.cache.ShardStore`).
@@ -128,11 +122,6 @@ class RunConfig:
         Simulation kernel (``"scalar"``/``"vectorized"``/``"fused"``);
         ``None`` keeps each driver's native default, and drivers
         without a fused kernel reject ``"fused"`` at :meth:`resolve`.
-    ``rng_plan``
-        Shard-stream derivation (``"spawn"`` reproduces every published
-        number; ``"philox"`` is the counter-addressed fast path).  Part
-        of the plan key — spawn and philox runs are never silently
-        mixed.
     ``transport``
         Shard result channel (``"auto"``/``"pickle"``/``"shm"``); a
         scheduling concern, absent from every key.
@@ -151,14 +140,10 @@ class RunConfig:
     timeout: float | None = _knob(
         None, "--shard-timeout", type=float, metavar="SEC",
         doc="per-shard timeout in seconds for pooled execution")
-    checkpoint: "str | Path | ShardCheckpoint | None" = _knob(
+    checkpoint: str | Path | None = _knob(
         None, "--checkpoint", metavar="FILE",
         doc="append-only JSONL journal of completed shards; re-runs resume "
             "the missing shards only")
-    fingerprint: str | None = _knob(
-        None, None,
-        doc="explicit kernel fingerprint for the v2 plan key (derived from "
-            "the kernel when unset)")
     cache: "str | Path | ShardStore | None" = _knob(
         None, "--cache", metavar="DIR",
         doc="content-addressed shard result cache (`\"auto\"` or a directory)")
@@ -176,10 +161,6 @@ class RunConfig:
         None, "--backend", choices=("scalar", "vectorized", "fused"),
         doc="simulation kernel: `scalar`, `vectorized`, or `fused` (unset: "
             "each driver's native default)")
-    rng_plan: str = _knob(
-        "spawn", "--rng-plan", choices=("spawn", "philox"),
-        doc="shard-stream derivation: `spawn` (published numbers) or "
-            "`philox` (counter-addressed fast path)")
     transport: str = _knob(
         "auto", "--transport", choices=("auto", "pickle", "shm"),
         doc="shard result channel: `auto`, `pickle`, or `shm` (scheduling "
@@ -202,21 +183,21 @@ class RunConfig:
         values = {
             spec.name: getattr(args, spec.metadata["args"])
             for spec in fields(cls)
-            if spec.metadata.get("args") and hasattr(args, spec.metadata["args"])
+            if hasattr(args, spec.metadata["args"])
         }
         return cls(**values).resolve()
 
     @classmethod
-    def cli_bindings(cls) -> dict[str, str | None]:
-        """Field name -> CLI flag (``None`` for API-only knobs)."""
-        return {spec.name: spec.metadata.get("cli") for spec in fields(cls)}
+    def cli_bindings(cls) -> dict[str, str]:
+        """Field name -> CLI flag."""
+        return {spec.name: spec.metadata["cli"] for spec in fields(cls)}
 
     @classmethod
     def flag_table_markdown(cls) -> str:
         """The canonical engine-knob table, generated from the fields.
 
-        One markdown row per knob — field name, CLI flag (or *API-only*),
-        default, and the one-line ``doc`` from the field metadata.  The
+        One markdown row per knob — field name, CLI flag, default, and
+        the one-line ``doc`` from the field metadata.  The
         README embeds this table verbatim between ``engine-flags`` marker
         comments and the docs-consistency suite regenerates and compares
         it, so the flag table can never again lag a newly added knob
@@ -225,12 +206,10 @@ class RunConfig:
         lines = ["| knob | CLI flag | default | what it does |",
                  "|---|---|---|---|"]
         for spec in fields(cls):
-            flag = spec.metadata.get("cli")
-            flag_cell = f"`{flag}`" if flag else "*(API-only)*"
             default = spec.default
             default_cell = f"`{default!r}`" if default is not None else "`None`"
-            lines.append(f"| `{spec.name}` | {flag_cell} | {default_cell} "
-                         f"| {spec.metadata.get('doc', '')} |")
+            lines.append(f"| `{spec.name}` | `{spec.metadata['cli']}` "
+                         f"| {default_cell} | {spec.metadata['doc']} |")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -246,23 +225,21 @@ class RunConfig:
         "retries": (int,),
         "timeout": (int, float, type(None)),
         "checkpoint": (str, type(None)),
-        "fingerprint": (str, type(None)),
         "cache": (str, type(None)),
         "manifest": (str, type(None)),
         "trace": (str, type(None)),
         "progress": (bool,),
         "backend": (str, type(None)),
-        "rng_plan": (str,),
         "transport": (str,),
     }
 
     def to_json_dict(self) -> dict[str, Any]:
         """This config as a JSON-ready wire dict (every field, plain types).
 
-        The wire format carries exactly the thirteen knob fields with
+        The wire format carries exactly the eleven knob fields with
         JSON-native values: paths become strings, and fields holding
-        live objects (a pre-keyed ``ShardCheckpoint``, a ``ShardStore``,
-        a progress callback) raise ``TypeError`` — the wire is for
+        live objects (a ``ShardStore``, a progress callback) raise
+        ``TypeError`` — the wire is for
         configs a *client* can express, and live objects are
         process-local by nature.  The round-trip
         ``from_json_dict(json.loads(json.dumps(to_json_dict())))`` is
@@ -281,7 +258,7 @@ class RunConfig:
                 raise TypeError(
                     f"RunConfig.{spec.name}={value!r} is not "
                     "wire-representable; serialise paths as strings and "
-                    "keep live objects (stores, checkpoints, callbacks) "
+                    "keep live objects (stores, callbacks) "
                     "out of wire configs")
             wire[spec.name] = value
         return wire
@@ -337,13 +314,14 @@ class RunConfig:
         it does not implement every kernel — the ``allowed_backends``
         subset (so e.g. ``backend="fused"`` raises on the machine paths
         instead of being silently substituted).  Unknown
-        ``rng_plan``/``transport``/``backend`` names, non-positive
+        ``transport``/``backend`` names, non-positive
         ``workers``/``shards``, a non-positive or non-finite ``timeout``
         (``nan``/``inf`` would fail every pooled shard), and negative
-        ``retries`` raise ``ValueError``.  Returns a config whose
-        ``backend`` is concrete whenever the caller supplied a default.
+        ``retries`` raise ``ValueError``; a ``checkpoint`` that is not a
+        path raises ``TypeError`` (the engine keys the journal itself).
+        Returns a config whose ``backend`` is concrete whenever the
+        caller supplied a default.
         """
-        from .stats.rng import resolve_rng_plan
         from .stats.transport import resolve_transport
 
         if self.workers is not None and self.workers < 1:
@@ -355,7 +333,9 @@ class RunConfig:
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, got "
                              f"{self.timeout}")
-        resolve_rng_plan(self.rng_plan)
+        if not isinstance(self.checkpoint, (str, Path, type(None))):
+            raise TypeError(f"checkpoint must be a journal path, got "
+                            f"{type(self.checkpoint).__name__}")
         resolve_transport(self.transport)
         backend = self.backend if self.backend is not None else default_backend
         if backend is not None:
@@ -387,19 +367,3 @@ class RunConfig:
         from .stats.parallel import resolve_shards
 
         return resolve_shards(self.workers, self.shards)
-
-    def plan_key_inputs(self) -> dict[str, Any]:
-        """This config's contributions to the v2 ``plan_key``.
-
-        Exactly three knobs enter a run's statistical/computational
-        identity: the resolved ``shards``, the ``rng_plan``, and the
-        kernel ``fingerprint`` (``None`` = derived from the kernel by
-        the engine).  Everything else — workers, retries, timeouts,
-        cache, observability, transport — is scheduling and can never
-        change a merged number.
-        """
-        return {
-            "shards": self.resolved_shards(),
-            "rng_plan": self.rng_plan,
-            "fingerprint": self.fingerprint,
-        }

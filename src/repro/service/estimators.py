@@ -10,9 +10,9 @@ wire format: unknown names, wrong types (including ``bool`` where an
 :func:`job_key` is the cross-request dedup identity.  It hashes exactly
 what determines the *numbers* a job produces: the estimator name, the
 fully-defaulted params (so an omitted default and an explicitly-passed
-default collide, as they must), and the config knobs that enter the v2
-``plan_key`` — resolved shard count, ``rng_plan``, ``fingerprint`` —
-plus the ``backend`` selection.  Scheduling knobs (workers, retries,
+default collide, as they must), the ``backend`` selection, and the one
+config knob that enters the run key (``plan_key``): the resolved shard
+count.  Scheduling knobs (workers, retries,
 timeout, transport, observability) are deliberately absent: they can
 never change a merged number, so they must never split a dedup class.
 See ``docs/CACHING.md`` ("Cross-request dedup") for the contract.
@@ -313,10 +313,10 @@ def validate_params(estimator: str, params: dict[str, Any]) -> dict[str, Any]:
 def job_key(estimator: str, params: dict[str, Any], config: RunConfig) -> str:
     """The dedup identity of a submission (sha256[:16], like ``plan_key``).
 
-    Hashes the estimator name, the fully-defaulted params, and the
-    config's :meth:`~repro.runconfig.RunConfig.plan_key_inputs`
-    (resolved shards / rng_plan / fingerprint) plus the ``backend``
-    selection.  ``backend=None`` ("the driver's native default") is
+    Hashes the estimator name, the fully-defaulted params, the
+    ``backend`` selection and the config's
+    :meth:`~repro.runconfig.RunConfig.resolved_shards`.
+    ``backend=None`` ("the driver's native default") is
     conservatively distinct from naming the default explicitly — a
     false split costs one redundant computation whose shards still hit
     the content-addressed cache; a false merge could serve a number
@@ -326,7 +326,7 @@ def job_key(estimator: str, params: dict[str, Any], config: RunConfig) -> str:
         "estimator": estimator,
         "params": params,
         "backend": config.backend,
-        **config.plan_key_inputs(),
+        "shards": config.resolved_shards(),
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -42,6 +42,12 @@ JOB_STATES = ("queued", "running", "done", "failed")
 _SNAPSHOT_KIND = "repro/service-jobs"
 _SNAPSHOT_FORMAT = 1
 
+#: ``RunConfig`` knobs removed in 4.0, with the value every 3.x wire
+#: config held unless a client set it.  A snapshot job holding exactly
+#: that value loses the key on load (4.0 computes the same numbers); an
+#: unfinished job that set any other value cannot run and fails.
+_REMOVED_KNOBS = {"rng_plan": "spawn", "fingerprint": None}
+
 
 @dataclass
 class Job:
@@ -110,6 +116,18 @@ class Job:
     @property
     def finished(self) -> bool:
         return self.state in ("done", "failed")
+
+    def drop_removed_knobs(self) -> None:
+        """Upgrade a 3.x ``config_wire`` for 4.0 (see :data:`_REMOVED_KNOBS`)."""
+        for knob, default in _REMOVED_KNOBS.items():
+            if knob not in self.config_wire:
+                continue
+            value = self.config_wire[knob]
+            if value == default:
+                del self.config_wire[knob]
+            elif not self.finished:
+                self.mark_failed(f"RunConfig knob {knob!r} was removed in "
+                                 f"4.0; this job set {knob}={value!r}")
 
 
 class JobRegistry:
@@ -212,6 +230,7 @@ class JobRegistry:
         registry._seq = int(snapshot.get("seq", 0))
         for payload in snapshot.get("jobs", []):
             job = Job.from_wire(payload)
+            job.drop_removed_knobs()
             registry._jobs[job.id] = job
             # Later jobs win the key slot, matching create() order.
             registry._by_key[job.key] = job.id

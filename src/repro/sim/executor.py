@@ -251,8 +251,8 @@ def run_canonical_bug(
           options (see :func:`repro.stats.parallel.run_sharded`).  The
           checkpoint key is salted with the model/threads/variant, so
           one journal file can hold several machine experiments, and
-          folds in the kernel fingerprint (derived automatically, or
-          ``fingerprint``), which distinguishes the two backends.
+          the run key folds in the kernel fingerprint, which
+          distinguishes the two backends.
         * ``cache`` enables the content-addressed shard result cache
           (see ``docs/CACHING.md``).
         * ``manifest``/``trace``/``progress`` are the observability
@@ -267,8 +267,7 @@ def run_canonical_bug(
           kernel, so ``backend="fused"`` is rejected (the config
           resolves with ``allowed_backends=("scalar", "vectorized")``).
           See ``docs/KERNELS.md``.
-        * ``rng_plan``/``transport`` select the shard-stream derivation
-          and the shard result channel.
+        * ``transport`` selects the shard result channel.
     core_options:
         Forwarded to the core constructor (e.g. ``drain_probability``).
         An option the model's core does not accept raises

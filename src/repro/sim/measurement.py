@@ -232,18 +232,16 @@ def measure_critical_windows(
     requested, never the worker count).
     ``retries``/``timeout``/``checkpoint`` configure the fault-tolerance
     layer (:func:`repro.stats.parallel.run_sharded`);
-    ``fingerprint``/``cache`` the v2 checkpoint keying (the kernel
-    fingerprint distinguishes the backends; labels carry no ``backend=``
-    salt) and the content-addressed shard cache (``docs/CACHING.md``);
+    ``cache`` the content-addressed shard cache (``docs/CACHING.md``;
+    the run key's kernel fingerprint distinguishes the backends, labels
+    carry no ``backend=`` salt);
     ``manifest``/``trace``/``progress`` the observability layer
     (``docs/OBSERVABILITY.md``).  ``backend="vectorized"`` measures the
     same statistics on the whole-array kernel of
     :mod:`repro.kernels.machine` (racy canonical workload, SC/TSO/PSO,
     geometric-launch scheduler only — see ``docs/KERNELS.md``); the
     machine has no fused kernel, so ``backend="fused"`` is rejected
-    explicitly.  ``rng_plan``/``transport`` select the shard-stream
-    derivation and the shard result channel (see
-    :class:`repro.stats.parallel.ShardPlan` and
+    explicitly.  ``transport`` selects the shard result channel (see
     :mod:`repro.stats.transport`).  Like
     :func:`~repro.sim.executor.run_canonical_bug` this is a
     scalar-default machine driver, so the config resolves with

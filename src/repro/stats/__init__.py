@@ -41,12 +41,9 @@ from .parallel import (
 )
 from .rng import (
     DEFAULT_SEED,
-    RNG_PLANS,
     PhiloxSource,
     RandomSource,
     iter_batches,
-    philox_stream,
-    resolve_rng_plan,
     spawn_sources,
 )
 from .sequential import estimate_to_precision
@@ -61,7 +58,6 @@ __all__ = [
     "DEFAULT_SHARDS",
     "InjectedFault",
     "PhiloxSource",
-    "RNG_PLANS",
     "Proportion",
     "RandomSource",
     "RetryPolicy",
@@ -76,10 +72,8 @@ __all__ = [
     "merge_categorical",
     "normal_quantile",
     "parallel_map",
-    "philox_stream",
     "plan_key",
     "plan_shards",
-    "resolve_rng_plan",
     "required_trials",
     "resolve_shards",
     "resolve_workers",

@@ -53,10 +53,7 @@ import pickle
 import re
 import types
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .parallel import ShardPlan
+from typing import Any
 
 __all__ = ["CHECKPOINT_FORMAT", "plan_key", "kernel_fingerprint",
            "ShardCheckpoint"]
@@ -74,30 +71,22 @@ _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 
 
 def plan_key(trials: int, shards: int, seed: int | None, label: str = "",
-             fingerprint: str = "", rng_plan: str = "spawn") -> str:
-    """The identity hash a checkpoint is keyed by.
+             fingerprint: str = "") -> str:
+    """The identity hash a run's journal, cache entries and manifest share.
 
     Two runs share a key exactly when they share the statistical identity
     ``(trials, shards, seed)``, the caller's ``label`` (free-text
-    experiment salt), the kernel ``fingerprint``
+    experiment salt) and the kernel ``fingerprint``
     (:func:`kernel_fingerprint` — the digest of what each shard actually
-    computes), *and* the RNG plan.  The label is length-prefixed in the
-    hash payload and the fingerprint is pure hex, so no concatenation of
+    computes).  The engine derives it in one place,
+    :func:`repro.stats.parallel.run_sharded`, from the plan, the label
+    and the kernel it runs.  The label is length-prefixed in the hash
+    payload and the fingerprint is pure hex, so no concatenation of
     components can collide structurally with a different split of the
     same characters.
-
-    ``rng_plan`` selects the shard-stream derivation (see
-    :mod:`repro.stats.rng`).  The default ``"spawn"`` contributes nothing
-    to the payload, so every key minted before the plan knob existed is
-    unchanged — old journals and cache entries stay valid.  Any other
-    plan appends a ``:rng=<plan>`` suffix, which cannot collide with a
-    spawn-plan key because the fingerprint component is pure hex and the
-    suffix is not.
     """
     payload = (f"v{CHECKPOINT_FORMAT}:{trials}:{shards}:{seed!r}"
                f":{len(label)}:{label}:{fingerprint}")
-    if rng_plan != "spawn":
-        payload += f":rng={rng_plan}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -255,6 +244,9 @@ def kernel_fingerprint(kernel: Any, extra: Any = None) -> str:
 class ShardCheckpoint:
     """An append-only JSONL journal of completed shard results for one run.
 
+    ``key`` is the run's :func:`plan_key`; the engine opens the journal
+    of a ``checkpoint=`` path as ``ShardCheckpoint(path, run_key)``.
+
     :attr:`skipped_lines` holds, after each :meth:`load`, the number of
     torn or undecodable journal lines that were dropped — zero for a
     healthy journal, positive when a crash tore the tail or the file was
@@ -265,22 +257,6 @@ class ShardCheckpoint:
         self.path = Path(path)
         self.key = key
         self.skipped_lines = 0
-
-    @classmethod
-    def for_plan(cls, path: str | Path, plan: "ShardPlan", label: str = "",
-                 fingerprint: str = "") -> "ShardCheckpoint":
-        """The checkpoint for ``plan`` (keyed via :func:`plan_key`).
-
-        ``fingerprint`` is the kernel fingerprint the engine derives via
-        :func:`kernel_fingerprint`; constructing a checkpoint with an
-        explicit fingerprint (or pre-keying one with ``ShardCheckpoint(
-        path, key)``) is the caller's assertion of the run's identity.
-        The plan's ``rng_plan`` folds into the key as well (a spawn-plan
-        and a philox-plan run never share journal records).
-        """
-        return cls(path, plan_key(plan.trials, plan.shards, plan.seed,
-                                  label, fingerprint,
-                                  getattr(plan, "rng_plan", "spawn")))
 
     def load(self) -> dict[int, Any]:
         """Completed shard results recorded under this run's key.

@@ -188,21 +188,18 @@ def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
     :class:`~repro.stats.parallel.ShardPlan` — ``cfg.shards``, or its
     machine-independent default — run by
     :func:`~repro.stats.parallel.run_sharded`, so results depend only on
-    ``(seed, shards, rng_plan)``, never on the worker count.
+    ``(seed, shards)``, never on the worker count.
 
     ``legacy=True`` (the generic estimators of this module) keeps the
     historical single-stream derivation for the default serial config
-    (``workers=1``, ``shards=None``, ``rng_plan="spawn"``): the kernel
-    runs once over the whole budget on ``RandomSource(seed)``,
-    bit-compatible with pre-parallel releases, and ``merge`` gets no
-    plan.  An observer records that run as one synthetic shard
-    (``mode="serial-legacy"``).  Philox streams are counter-addressed
-    per shard, so there is no legacy derivation to stay compatible with.
-    Either way the run executes under :func:`~repro.obs.observed_run`.
+    (``workers=1``, ``shards=None``): the kernel runs once over the whole
+    budget on ``RandomSource(seed)``, bit-compatible with pre-parallel
+    releases, and ``merge`` gets no plan.  An observer records that run
+    as one synthetic shard (``mode="serial-legacy"``).  Either way the
+    run executes under :func:`~repro.obs.observed_run`.
     """
     plan = None
-    if (legacy and cfg.rng_plan == "spawn" and cfg.shards is None
-            and cfg.workers == 1):
+    if legacy and cfg.shards is None and cfg.workers == 1:
         def execute(observer: RunObserver | None) -> list:
             if observer is None:
                 return [kernel(RandomSource(seed), trials)]
@@ -215,7 +212,7 @@ def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
                 attempts=1, worker=os.getpid()))
             return parts
     else:
-        plan = ShardPlan(trials, cfg.resolved_shards(), seed, cfg.rng_plan)
+        plan = ShardPlan(trials, cfg.resolved_shards(), seed)
 
         def execute(observer: RunObserver | None) -> list:
             return run_sharded(kernel, plan, checkpoint_label=label,
@@ -252,21 +249,16 @@ def run_bernoulli_trials(
     ``(seed, shards)`` at any worker count.  A non-picklable ``trial``
     (lambda/closure) degrades to in-process execution with the same
     sharded result.  ``retries``/``timeout``/``checkpoint`` configure the
-    fault-tolerance layer, and ``fingerprint``/``cache`` the v2
-    checkpoint keying and content-addressed shard cache (see
+    fault-tolerance layer and ``cache`` the content-addressed shard
+    cache, both keyed by the run key (see
     :func:`~repro.stats.parallel.run_sharded`; the legacy serial path
     has no shard plan and therefore never caches).
 
     ``manifest``/``trace``/``progress`` are the observability knobs
     (run manifest JSON, JSONL span trace, live stderr progress); all are
     read-only with respect to the estimate — see ``docs/OBSERVABILITY.md``.
-
-    ``rng_plan`` selects the shard-stream derivation (``"spawn"`` — the
-    published-numbers default — or the counter-based ``"philox"`` fast
-    path; see :class:`~repro.stats.parallel.ShardPlan`) and ``transport``
-    the shard result channel (see :mod:`repro.stats.transport`); neither
-    affects which estimate a fixed plan computes, and plan-dependent
-    streams are never silently mixed.
+    ``transport`` selects the shard result channel (see
+    :mod:`repro.stats.transport`) and never changes the estimate.
     """
     _check_trials(trials)
     return _estimate(
@@ -323,14 +315,10 @@ def run_event_trials(
     lets callers key
     the checkpoint by their experiment parameters (different events with
     the same ``(trials, shards, seed)`` must not share journal records)
-    and doubles as the manifest run label.  Since the v2 key format the
-    kernel itself is fingerprinted into the key as well, so two
-    *different* ``batch_trial`` callables can no longer silently share a
-    journal even under an identical label.
-
-    Under ``rng_plan="philox"`` the per-batch stream a kernel's
-    ``source.child()`` yields is the counter address ``(seed, shard,
-    batch_index)`` — derivable after the fact without replaying the run.
+    and doubles as the manifest run label.  The kernel itself is
+    fingerprinted into the run key as well, so two *different*
+    ``batch_trial`` callables never share a journal even under an
+    identical label.
     """
     _check_trials(trials)
     if batch_size <= 0:

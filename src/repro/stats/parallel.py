@@ -54,14 +54,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, TypeVar
 
-import numpy as np
-
 from repro.obs import RunObserver, ShardEvent, observed_run
 
 from ..runconfig import RunConfig
 from .checkpoint import ShardCheckpoint, kernel_fingerprint, plan_key
 from .faults import RetryPolicy, execute_tasks
-from .rng import PhiloxSource, RandomSource, resolve_rng_plan
+from .rng import RandomSource
 from .transport import Packed, ShardTable, ShardWriter
 
 __all__ = [
@@ -139,35 +137,16 @@ class ShardPlan:
     """A deterministic partition of one trial budget into seeded shards.
 
     The plan is the *statistical identity* of a sharded run: two runs with
-    equal ``(trials, shards, seed, rng_plan)`` draw identical randomness
-    shard by shard, no matter how many worker processes execute them.
-
-    ``rng_plan`` selects how shard streams derive from the seed (see
-    :mod:`repro.stats.rng`).  The default ``"spawn"`` pre-spawns one
-    ``SeedSequence`` child per shard — the discipline every published
-    number was produced under.  ``"philox"`` addresses shard ``i``'s
-    stream directly as the counter ``(seed, i)`` of a counter-based
-    Philox generator: no spawning, no per-shard RNG state shipped to
-    workers, and any batch's stream is derivable after the fact from its
-    indices alone.  The two plans sample the same laws from different
-    streams, so their fixed-seed numbers differ — checkpoint and cache
-    keys fold the plan in (:func:`repro.stats.checkpoint.plan_key`) and
-    the engine never silently mixes them.  A Philox plan requires a
-    concrete seed; ``seed=None`` is resolved to fresh OS entropy at plan
-    construction (once, so all shards share it).
+    equal ``(trials, shards, seed)`` draw identical randomness shard by
+    shard, no matter how many worker processes execute them.
     """
 
     trials: int
     shards: int
     seed: int | None
-    rng_plan: str = "spawn"
 
     def __post_init__(self) -> None:
         plan_shards(self.trials, self.shards)  # validate eagerly
-        resolve_rng_plan(self.rng_plan)
-        if self.rng_plan == "philox" and self.seed is None:
-            object.__setattr__(self, "seed",
-                               int(np.random.SeedSequence().entropy))
 
     def shard_trials(self) -> tuple[int, ...]:
         """Per-shard trial counts (balanced, summing to ``trials``)."""
@@ -176,15 +155,10 @@ class ShardPlan:
     def shard_sources(self) -> list[RandomSource]:
         """One independent child stream per shard, in shard order.
 
-        Under the spawn plan, all shards spawn from the root in a single
-        ``spawn`` call; under the Philox plan, shard ``i`` is the
-        counter address ``(seed, i)``.  Either way the stream of shard
-        ``i`` depends only on ``(seed, shards, i)`` and the plan — never
-        on which shards ran before it or on which process runs it.
+        All shards spawn from the root in a single ``spawn`` call, so the
+        stream of shard ``i`` depends only on ``(seed, shards, i)`` —
+        never on which shards ran before it or on which process runs it.
         """
-        if self.rng_plan == "philox":
-            return [PhiloxSource(self.seed, (index,))
-                    for index in range(self.shards)]
         return RandomSource(self.seed).spawn(self.shards)
 
 
@@ -199,16 +173,15 @@ def is_picklable(value: Any) -> bool:
 
 #: Fingerprint-keyed memo of :func:`is_picklable` verdicts.  A sweep calls
 #: ``run_sharded`` once per grid point with a freshly-bound partial of the
-#: same kernel; the fingerprint captures exactly the bound computation, so
-#: equal fingerprints pickle identically and the ``pickle.dumps`` probe
-#: runs once per distinct kernel instead of once per call.
+#: same kernel; the fingerprint, always derived from the kernel itself,
+#: captures exactly the bound computation, so equal fingerprints pickle
+#: identically and the ``pickle.dumps`` probe runs once per distinct
+#: kernel instead of once per call.
 _PICKLABLE_MEMO: dict[str, bool] = {}
 
 
-def _kernel_picklable(kernel: Any, fingerprint: str | None) -> bool:
-    """Memoized picklability probe (falls back to a direct probe unkeyed)."""
-    if fingerprint is None:
-        return is_picklable(kernel)
+def _kernel_picklable(kernel: Any, fingerprint: str) -> bool:
+    """Memoized picklability probe."""
     verdict = _PICKLABLE_MEMO.get(fingerprint)
     if verdict is None:
         verdict = _PICKLABLE_MEMO[fingerprint] = is_picklable(kernel)
@@ -235,9 +208,16 @@ def run_sharded(
 
     ``config`` (a :class:`repro.runconfig.RunConfig`, default: all
     defaults) carries every execution knob below.  The plan — not the
-    config — is the run's statistical identity, so ``config.shards`` and
-    ``config.rng_plan`` are ignored here (they matter to the callers
-    that *build* the plan), as is ``config.backend``.
+    config — is the run's statistical identity, so ``config.shards`` is
+    ignored here (it matters to the callers that *build* the plan), as
+    is ``config.backend``.
+
+    A run has one key, ``plan_key(trials, shards, seed,
+    checkpoint_label, kernel_fingerprint(kernel))``
+    (:func:`~repro.stats.checkpoint.plan_key`), derived here and nowhere
+    else: the checkpoint journal, the cache entries and the manifest all
+    use it, so two different kernels or labels can never reuse each
+    other's journaled or cached shards.
 
     ``workers=1`` (the default), at most one outstanding shard, and
     kernels that cannot be pickled all take the serial path — same
@@ -246,25 +226,19 @@ def run_sharded(
     Fault tolerance (:mod:`repro.stats.faults`): ``retries`` extra
     attempts per shard with exponential backoff, ``timeout`` seconds per
     pooled shard attempt, and automatic ``BrokenProcessPool`` recovery
-    re-executing only the lost shards.  ``checkpoint`` (a path, or a
-    pre-keyed :class:`~repro.stats.checkpoint.ShardCheckpoint`) journals
-    each completed shard; a resumed run loads the finished shards and
-    executes only the remainder — bit-identical to an uninterrupted run.
-    The ``checkpoint_label`` argument salts the checkpoint key (callers
-    encode their experiment parameters; ignored when ``checkpoint`` is
-    pre-keyed) and doubles as the manifest run label.
-    ``fingerprint`` is the kernel fingerprint folded into the v2 key;
-    left ``None``, it is derived from ``kernel`` via
-    :func:`~repro.stats.checkpoint.kernel_fingerprint` whenever a
-    checkpoint, cache, or observer needs a key — so two different
-    kernels can never reuse each other's journaled or cached shards.
+    re-executing only the lost shards.  ``checkpoint`` (a journal path)
+    records each completed shard under the run key; a resumed run loads
+    the finished shards and executes only the remainder — bit-identical
+    to an uninterrupted run.  The ``checkpoint_label`` argument salts the
+    run key (callers encode their experiment parameters) and doubles as
+    the manifest run label.
     ``fault_injector`` is the deterministic kill hook used by tests
     (see :class:`~repro.stats.faults.ScriptedFaults`).
 
     ``cache`` (``"auto"``, a directory, or a
     :class:`repro.cache.ShardStore`; see ``docs/CACHING.md``) consults
     the content-addressed shard store before executing: shards whose
-    entry key — the run's v2 key plus the shard index and trial count —
+    entry key — the run key plus the shard index and trial count —
     is already stored are fetched instead of recomputed, and newly
     executed shards are stored for future runs.  Because the entry key
     encodes the full computational identity, cached merges are
@@ -310,7 +284,7 @@ def _execute_shards(
 ) -> list[T]:
     """The body of :func:`run_sharded` for one resolved config."""
     retries, timeout, transport = cfg.retries, cfg.timeout, cfg.transport
-    checkpoint, fingerprint, cache = cfg.checkpoint, cfg.fingerprint, cfg.cache
+    checkpoint, cache = cfg.checkpoint, cfg.cache
     workers = resolve_workers(cfg.workers)
     if transport == "shm" and layout is None:
         raise ValueError("transport='shm' requires a result layout")
@@ -323,22 +297,22 @@ def _execute_shards(
         from repro.cache import resolve_cache
         store = resolve_cache(cache)
 
-    # The fingerprint keys checkpoints, cache entries, *and* the
-    # picklability memo, so it is also derived whenever a pool is
-    # plausible (workers and more than one shard requested).
-    if fingerprint is None and (checkpoint is not None or store is not None
-                                or observer is not None
-                                or (workers > 1 and len(active) > 1)):
+    # The run key: the one identity of the journal, the cache entries
+    # and the manifest.  The fingerprint also keys the picklability memo,
+    # so both are derived whenever a pool is plausible too (workers and
+    # more than one shard requested); the plain serial path skips them.
+    fingerprint = run_key = None
+    if (checkpoint is not None or store is not None or observer is not None
+            or (workers > 1 and len(active) > 1)):
         fingerprint = kernel_fingerprint(kernel)
+        run_key = plan_key(plan.trials, plan.shards, plan.seed,
+                           checkpoint_label, fingerprint)
 
     journal: ShardCheckpoint | None = None
     journal_skipped = 0
     completed: dict[int, T] = {}
     if checkpoint is not None:
-        journal = (checkpoint if isinstance(checkpoint, ShardCheckpoint)
-                   else ShardCheckpoint.for_plan(checkpoint, plan,
-                                                 label=checkpoint_label,
-                                                 fingerprint=fingerprint or ""))
+        journal = ShardCheckpoint(checkpoint, run_key)
         stored = journal.load()
         journal_skipped = journal.skipped_lines
         if journal_skipped:
@@ -348,11 +322,6 @@ def _execute_shards(
         completed = {local: stored[shard]
                      for local, shard in enumerate(active) if shard in stored}
     resumed_locals = set(completed)
-
-    run_key = (journal.key if journal is not None
-               else plan_key(plan.trials, plan.shards, plan.seed,
-                             checkpoint_label, fingerprint or "",
-                             plan.rng_plan))
 
     cached_locals: set[int] = set()
     cache_misses: dict[int, str] = {}  # local index -> store entry key

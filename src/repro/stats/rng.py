@@ -28,24 +28,6 @@ __all__ = ["RandomSource", "spawn_sources", "DEFAULT_SEED"]
 #: Seed used by convenience constructors when the caller does not supply one.
 DEFAULT_SEED = 0x5EED
 
-#: The recognised shard-stream derivations (the engine's ``rng_plan`` knob).
-#: ``"spawn"`` is the historical ``SeedSequence``-spawning discipline every
-#: published number was produced under; ``"philox"`` derives any stream
-#: directly from counters (see :class:`PhiloxSource`).
-RNG_PLANS = ("spawn", "philox")
-
-
-def resolve_rng_plan(rng_plan: str) -> str:
-    """Validate an ``rng_plan`` name; returns it unchanged.
-
-    >>> resolve_rng_plan("spawn")
-    'spawn'
-    """
-    if rng_plan not in RNG_PLANS:
-        known = ", ".join(RNG_PLANS)
-        raise ValueError(f"unknown rng_plan {rng_plan!r}; known plans: {known}")
-    return rng_plan
-
 
 class RandomSource:
     """A seeded, splittable stream of the random primitives the models need.
@@ -181,88 +163,25 @@ def _philox_key(seed: int, path: tuple[int, ...]) -> np.ndarray:
 class PhiloxSource(RandomSource):
     """A :class:`RandomSource` whose stream is a pure function of counters.
 
-    Where the spawn plan derives shard streams by *pre-spawning*
-    ``SeedSequence`` children (stateful, and the children must be built —
-    and shipped — up front), a Philox source is addressed directly by
-    ``(seed, path)``: the ``path`` is a tuple of counter indices (shard
-    index, batch index, per-trial index, ...), and the underlying
-    counter-based :class:`numpy.random.Philox` bit generator is keyed by
-    a digest of that address alone.  Consequences:
-
-    * any shard/batch stream is derivable *after the fact* from its
-      indices — nothing needs pre-spawning;
-    * pickling ships only ``(seed, path)`` (two small ints and a tuple),
-      never generator state — workers rebuild the stream locally;
-    * :meth:`child`/:meth:`spawn` extend the path with sequential
-      indices, so the ``i``-th child of the shard-``s`` source is exactly
-      ``PhiloxSource(seed, (s, i))`` — the engine's kernels compose
-      unchanged.
-
-    The draws of a Philox stream differ from the spawn plan's PCG64
-    streams bit-for-bit (same laws, different numbers), which is why the
-    engine keys checkpoints and caches by the plan (see
-    :func:`repro.stats.checkpoint.plan_key`).
-
-    Note the ship-fresh contract implied by :meth:`__reduce__`: a pickled
-    source reconstructs at its *initial* state (consumed draws and the
-    child counter are not carried).  The engine only ever ships untouched
-    shard sources, which is precisely what makes the no-state transport
-    sound.
+    The counter-based :class:`numpy.random.Philox` bit generator is
+    keyed by a digest of ``(seed, path)`` alone, where ``path`` is a
+    tuple of counter indices, so a stream is addressed directly instead
+    of spawned.  The litmus family generator draws member ``i`` of a
+    family from its own lane this way
+    (:func:`repro.litmus.generate.family_member`).  A Philox source only
+    draws: it has no ``SeedSequence`` and therefore no children.
     """
 
-    def __init__(self, seed: int | np.random.SeedSequence | None = DEFAULT_SEED,
-                 path: tuple[int, ...] = ()):
-        if isinstance(seed, np.random.SeedSequence):
-            seed = seed.entropy
-        if seed is None:
-            seed = int(np.random.SeedSequence().entropy)
-        self._seed = int(seed)
-        self._path = tuple(int(index) for index in path)
-        self._children = 0
+    def __init__(self, seed: int, path: tuple[int, ...]):
+        self._address = (int(seed), tuple(int(index) for index in path))
         self._generator = np.random.Generator(
-            np.random.Philox(key=_philox_key(self._seed, self._path))
-        )
-
-    @property
-    def seed(self) -> int:
-        """The (always concrete) experiment seed of this stream's address."""
-        return self._seed
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        """The counter address of this stream under its seed."""
-        return self._path
-
-    def spawn(self, count: int) -> list["PhiloxSource"]:
-        """Split off ``count`` children at the next ``count`` path indices."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        start = self._children
-        self._children += count
-        return [PhiloxSource(self._seed, self._path + (start + offset,))
-                for offset in range(count)]
-
-    def __reduce__(self):
-        return (PhiloxSource, (self._seed, self._path))
+            np.random.Philox(key=_philox_key(*self._address)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PhiloxSource(seed={self._seed!r}, path={self._path!r})"
+        return "PhiloxSource(seed={!r}, path={!r})".format(*self._address)
 
 
-def philox_stream(seed: int, shard: int, batch: int | None = None) -> PhiloxSource:
-    """The Philox-plan stream at a ``(seed, shard[, batch])`` counter address.
-
-    ``philox_stream(seed, s)`` is the shard-``s`` source the engine hands
-    a shard kernel under ``rng_plan="philox"``; ``philox_stream(seed, s,
-    b)`` is the stream its ``b``-th ``child()`` call yields (batch ``b``
-    of shard ``s``) — the direct derivation needs neither the plan
-    geometry nor any spawning history.
-    """
-    path = (shard,) if batch is None else (shard, batch)
-    return PhiloxSource(seed, path)
-
-
-__all__ += ["RNG_PLANS", "resolve_rng_plan", "PhiloxSource", "philox_stream"]
+__all__.append("PhiloxSource")
 
 
 def _check_beta(beta: float) -> None:

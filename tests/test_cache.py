@@ -36,7 +36,6 @@ from repro.cache import (
 from repro.stats import run_bernoulli_trials
 from repro.stats.checkpoint import ShardCheckpoint, kernel_fingerprint, plan_key
 from repro.stats.parallel import ShardPlan, run_sharded
-from repro.stats.rng import RNG_PLANS
 
 
 def _coin(source):
@@ -203,31 +202,12 @@ class TestKeyInjectivity:
         else:
             assert plan_key(*a) == plan_key(*b)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        a=st.tuples(st.integers(1, 10**7), st.integers(1, 512),
-                    st.integers(0, 2**32), _labels, _fingerprints,
-                    st.sampled_from(RNG_PLANS)),
-        b=st.tuples(st.integers(1, 10**7), st.integers(1, 512),
-                    st.integers(0, 2**32), _labels, _fingerprints,
-                    st.sampled_from(RNG_PLANS)),
-    )
-    def test_plan_key_separates_rng_plans_too(self, a, b):
-        # The rng_plan axis joins the identity: same (trials, shards,
-        # seed, label, fingerprint) under different plans must key apart,
-        # or philox shards could resume a spawn journal.
-        if a != b:
-            assert plan_key(*a) != plan_key(*b)
-        else:
-            assert plan_key(*a) == plan_key(*b)
-
     def test_spawn_plan_keys_are_byte_compatible(self):
-        # "spawn" contributes nothing to the payload: keys minted before
-        # the rng_plan knob existed remain valid verbatim.
-        assert (plan_key(1000, 8, 0, "thm62", "abc123")
-                == plan_key(1000, 8, 0, "thm62", "abc123", "spawn"))
-        assert (plan_key(1000, 8, 0, "thm62", "abc123")
-                != plan_key(1000, 8, 0, "thm62", "abc123", "philox"))
+        # 3.x appended an rng_plan suffix only for non-default plans, so
+        # every key of a default-plan run is still minted verbatim: its
+        # journals and cache entries stay valid across the upgrade.
+        assert plan_key(1000, 8, 0, "thm62", "abc123") == "94339ab0f95306e8"
+        assert plan_key(1000, 8, None) == "24359725f3e046dc"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -294,8 +274,9 @@ class TestEngineIntegration:
         second = run_sharded(_sum_kernel, plan,
                              config=RunConfig(cache=store, checkpoint=journal_path))
         assert second == first
-        journal = ShardCheckpoint.for_plan(
-            journal_path, plan, fingerprint=kernel_fingerprint(_sum_kernel))
+        journal = ShardCheckpoint(journal_path, plan_key(
+            plan.trials, plan.shards, plan.seed, "",
+            kernel_fingerprint(_sum_kernel)))
         assert len(journal.load()) == plan.shards   # hits written through
 
     def test_manifest_and_metrics_record_cache_traffic(self, tmp_path):

@@ -9,19 +9,25 @@ the engine.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
 from repro import RunConfig
 from repro.core import SC, WO, estimate_non_manifestation
 from repro.parallel import (
+    ScriptedFaults,
     ShardCheckpoint,
     ShardPlan,
     kernel_fingerprint,
     plan_key,
     run_sharded,
 )
-from repro.stats import run_bernoulli_trials, run_categorical_trials
+from repro.stats import (
+    run_bernoulli_trials,
+    run_categorical_trials,
+    run_event_trials,
+)
 
 
 def _sum_kernel(source, shard_trials) -> int:
@@ -45,6 +51,17 @@ def _heads_kernel(source, shard_trials) -> int:
 def _tails_kernel(source, shard_trials) -> int:
     """Counts a rare event (p = 0.1): reusing heads' journal is blatant."""
     return int(source.bernoulli_array(0.1, shard_trials).sum())
+
+
+def _event(source, batch, probability) -> int:
+    return int((source.generator.random(batch) < probability).sum())
+
+
+def _journal(path, plan: ShardPlan) -> ShardCheckpoint:
+    """The journal the engine keeps at ``path`` for ``_sum_kernel`` runs
+    of ``plan`` (empty label)."""
+    return ShardCheckpoint(path, plan_key(plan.trials, plan.shards, plan.seed,
+                                          "", kernel_fingerprint(_sum_kernel)))
 
 
 class TestPlanKey:
@@ -87,7 +104,10 @@ class TestCrossKernelRegression:
     """The v1 key omitted the kernel: two *different* trial functions with
     equal ``(trials, shards, seed)`` and an empty label silently shared one
     journal, so the second run merged the first run's shards.  The v2 key
-    folds in the kernel fingerprint; this test fails on the old format."""
+    folds in the kernel fingerprint; this test fails on the old format.
+    Since 4.0 nothing can override that key: the engine derives it from
+    the kernel it runs (``tests/test_estimator_shape.py`` checks every
+    estimator through one journal and one cache)."""
 
     def test_different_kernels_never_share_a_journal(self, tmp_path):
         plan = ShardPlan(trials=4000, shards=8, seed=77)
@@ -102,6 +122,20 @@ class TestCrossKernelRegression:
                            config=RunConfig(workers=1, checkpoint=path)) == heads
         assert run_sharded(_tails_kernel, plan,
                            config=RunConfig(workers=1, checkpoint=path)) == tails
+
+    def test_kernels_sharing_a_journal_and_a_cache_keep_their_numbers(
+            self, tmp_path):
+        # Before 4.0 a pre-keyed journal object keyed the cache too, so a
+        # 0.75-event kernel sharing a cache dir with a 0.25 one (each with
+        # its own journal, both pre-keyed "k" * 16) returned 0.25125.
+        shared = RunConfig(shards=4, checkpoint=str(tmp_path / "run.jsonl"),
+                           cache=str(tmp_path / "cache"))
+        for probability in (0.25, 0.75, 0.25, 0.75):
+            kernel = partial(_event, probability=probability)
+            own = run_event_trials(kernel, 4000, seed=9,
+                                   config=RunConfig(shards=4))
+            assert abs(own.estimate - probability) < 0.05
+            assert run_event_trials(kernel, 4000, seed=9, config=shared) == own
 
 
 class TestShardCheckpoint:
@@ -153,38 +187,29 @@ class TestResumeEqualsUninterrupted:
         uninterrupted = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
         # Simulate an interruption after 3 of 8 shards by journaling only
         # that prefix, then resume at a *different* worker count.
-        journal = ShardCheckpoint.for_plan(
-            tmp_path / "run.jsonl", plan,
-            fingerprint=kernel_fingerprint(_sum_kernel))
+        path = tmp_path / "run.jsonl"
+        journal = _journal(path, plan)
         for shard in range(3):
             journal.record(shard, uninterrupted[shard])
-        resumed = run_sharded(_sum_kernel, plan, config=RunConfig(workers=2, checkpoint=journal))
+        resumed = run_sharded(_sum_kernel, plan, config=RunConfig(workers=2, checkpoint=path))
         assert resumed == uninterrupted
 
     def test_resume_with_complete_journal_executes_nothing(self, tmp_path):
         plan = ShardPlan(trials=1000, shards=4, seed=33)
         path = tmp_path / "run.jsonl"
         first = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
-
-        def exploding_kernel(source, shard_trials):
-            raise AssertionError("a fully-journaled run must not re-execute")
-
-        # The v2 key includes the kernel fingerprint, so resuming under a
-        # *different* callable requires an explicit identity claim: a
-        # pre-keyed journal opened with the original kernel's fingerprint.
-        journal = ShardCheckpoint.for_plan(
-            path, plan, fingerprint=kernel_fingerprint(_sum_kernel))
-        resumed = run_sharded(exploding_kernel, plan,
-                              config=RunConfig(workers=1, checkpoint=journal))
+        # Every shard is journaled, so the resume may execute none: the
+        # injector fails any shard that runs (and retries=0 re-raises).
+        fail_all = ScriptedFaults(failures=dict.fromkeys(range(plan.shards), 1))
+        resumed = run_sharded(_sum_kernel, plan, fault_injector=fail_all,
+                              config=RunConfig(workers=1, checkpoint=path))
         assert resumed == first
 
     def test_checkpoint_run_journals_every_shard(self, tmp_path):
         plan = ShardPlan(trials=1000, shards=4, seed=35)
         path = tmp_path / "run.jsonl"
         results = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
-        journal = ShardCheckpoint.for_plan(
-            path, plan, fingerprint=kernel_fingerprint(_sum_kernel))
-        assert journal.load() == dict(enumerate(results))
+        assert _journal(path, plan).load() == dict(enumerate(results))
 
     def test_bernoulli_interrupted_resume_bit_identical(self, tmp_path):
         path = tmp_path / "bernoulli.jsonl"
@@ -245,8 +270,7 @@ class TestRetryWithCheckpoint:
             run_sharded(_sum_kernel, plan,
                         config=RunConfig(workers=1, checkpoint=path),
                                          fault_injector=ScriptedFaults(failures={4: 99}))
-        journaled = ShardCheckpoint.for_plan(
-            path, plan, fingerprint=kernel_fingerprint(_sum_kernel)).load()
+        journaled = _journal(path, plan).load()
         assert set(journaled) == {0, 1, 2, 3}  # serial order up to the crash
         # Second run (fault gone) resumes the remainder only.
         resumed = run_sharded(_sum_kernel, plan, config=RunConfig(workers=2, checkpoint=path))

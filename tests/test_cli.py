@@ -254,7 +254,7 @@ SUBCOMMAND_ARGV = {
 #: Global engine flags with distinctive values, given *before* the
 #: subcommand (the root parser serves every subcommand).
 ENGINE_FLAGS = ["--workers", "2", "--shards", "3", "--retries", "1",
-                "--shard-timeout", "30", "--rng-plan", "philox",
+                "--shard-timeout", "30", "--backend", "vectorized",
                 "--transport", "shm"]
 
 
@@ -263,14 +263,14 @@ def _assert_probe_config(config: RunConfig) -> None:
     assert config.shards == 3
     assert config.retries == 1
     assert config.timeout == 30.0
-    assert config.rng_plan == "philox"
+    assert config.backend == "vectorized"
     assert config.transport == "shm"
 
 
 class TestRunConfigFromArgs:
     """Every subcommand must carry the global engine flags into one
     RunConfig — the regression net for the historical dropped-flag bugs
-    (e.g. ``scaling`` parsing ``--rng-plan`` but never forwarding it)."""
+    (e.g. ``scaling`` parsing an engine flag but never forwarding it)."""
 
     def test_every_subcommand_is_covered(self):
         parser = build_parser()
@@ -291,8 +291,8 @@ class TestRunConfigFromArgs:
 
     def test_flag_after_subcommand_wins_over_root(self):
         args = build_parser().parse_args(
-            ["--rng-plan", "spawn", "thm62", "--rng-plan", "philox"])
-        assert RunConfig.from_args(args).rng_plan == "philox"
+            ["--transport", "pickle", "thm62", "--transport", "shm"])
+        assert RunConfig.from_args(args).transport == "shm"
 
     def test_invalid_workers_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
@@ -363,13 +363,13 @@ class TestHandlersForwardRunConfig:
                                     argv):
         recorder = _Recording(getattr(cli_module, entry_point))
         monkeypatch.setattr(cli_module, entry_point, recorder)
-        run_cli(capsys, "--retries", "1", "--rng-plan", "philox",
+        run_cli(capsys, "--retries", "1", "--shard-timeout", "30",
                 "--transport", "pickle", *argv)
         assert recorder.configs  # the handler did call the engine
         for config in recorder.configs:
             assert config is not None
             assert config.retries == 1
-            assert config.rng_plan == "philox"
+            assert config.timeout == 30.0
             assert config.transport == "pickle"
 
 

@@ -190,7 +190,7 @@ def test_caching_doc_is_cross_linked(api_text, obs_text, kernels_text,
 
 def test_runconfig_fields_in_api_table_and_cli(api_text):
     """Every RunConfig knob must appear in the docs/API.md "RunConfig"
-    table and (unless API-only) carry a live CLI flag.
+    table and carry a live CLI flag.
 
     ``RunConfig.cli_bindings()`` is the source of truth: adding a field
     without documenting it, or binding it to a flag the parser does not
@@ -208,17 +208,12 @@ def test_runconfig_fields_in_api_table_and_cli(api_text):
     for name, flag in RunConfig.cli_bindings().items():
         if f"`{name}`" not in table:
             problems.append(f"field {name!r} missing from the RunConfig table")
-        if flag is None:
-            # API-only knobs must say so instead of having a flag.
-            if "API-only" not in table:
-                problems.append(f"API-only field {name!r} not labelled as such")
-        else:
-            if flag not in parser_flags:
-                problems.append(f"field {name!r} bound to {flag} but the CLI "
-                                "parser does not declare that flag")
-            if flag not in table:
-                problems.append(f"flag {flag} ({name!r}) missing from the "
-                                "RunConfig table")
+        if flag not in parser_flags:
+            problems.append(f"field {name!r} bound to {flag} but the CLI "
+                            "parser does not declare that flag")
+        if flag not in table:
+            problems.append(f"flag {flag} ({name!r}) missing from the "
+                            "RunConfig table")
     assert not problems, "; ".join(problems)
 
 
@@ -255,7 +250,7 @@ def test_litmus_doc_and_e23_documented(litmus_text):
     for needle in ("explore_exhaustive", "explore_random",
                    "robustness_report", "program_digest",
                    "enumerator_fingerprint", "explore_entry_key",
-                   "check_convergence", "assert_frequencies_equivalent",
+                   "check_convergence", "test_litmus_law.py",
                    "litmus explore", "--robustness", "--mode", "--trials",
                    "explore.grid_points", "explore.outcomes_total",
                    "litmus_explore", "BENCH_litmus_explore.json"):
@@ -391,7 +386,7 @@ def test_serve_cli_flags_documented(service_text):
     subparsers = next(action for action in parser._actions
                       if isinstance(action, argparse._SubParsersAction))
     serve = subparsers.choices["serve"]
-    engine_flags = {flag for flag in RunConfig.cli_bindings().values() if flag}
+    engine_flags = set(RunConfig.cli_bindings().values())
     flags = [option
              for action in serve._actions
              for option in action.option_strings
@@ -420,8 +415,8 @@ def test_caching_doc_covers_cross_request_dedup(caching_text):
         "docs/CACHING.md lost the cross-request dedup section"
     )
     section = caching_text[caching_text.index("## Cross-request dedup"):]
-    for needle in ("job_key", "plan_key_inputs", "rng_plan", "backend",
-                   "fingerprint", "false merge", "dedup"):
+    for needle in ("job_key", "resolved_shards", "backend", "fingerprint",
+                   "false merge", "dedup"):
         assert needle in section, (
             f"the CACHING.md dedup section lacks {needle!r}"
         )
@@ -456,8 +451,6 @@ def test_help_epilog_is_generated_from_cli_bindings():
     epilog = build_parser().epilog
     assert epilog, "the root parser lost its engine-flags epilog"
     for name, flag in RunConfig.cli_bindings().items():
-        if flag is None:
-            continue
         assert flag in epilog, (
             f"--help epilog lacks {flag} (RunConfig field {name!r})"
         )

@@ -6,14 +6,15 @@ module-level shard kernel and hands it to one engine function
 them under the observer.  Four properties follow, each checked here for
 the seven engine-aware estimators:
 
-1. **Run identity.**  The v2 plan key (read off the run manifest) moves
+1. **Run identity.**  The run key (read off the run manifest) moves
    with every argument that changes the numbers — a model field, the
    thread count, the store probability, β, the body length, the segment
    lengths, the bug count, the seed, and the backend where there is more
    than one — and with no scheduling knob (workers, transport, retries,
-   progress).  This is the property behind the one-off cache and
-   checkpoint identity fixes of the kernel fingerprint and the model
-   digest.
+   progress).  The same variants, run through one shared checkpoint
+   journal and one shared cache dir, each get their own numbers.  This
+   is the property behind the one-off cache and checkpoint identity
+   fixes of the kernel fingerprint and the model digest.
 2. **Picklable kernels.**  The kernel that reaches ``run_sharded``
    pickles, so a requested pool really runs it in parallel.
 3. **Engine surface.**  The estimators that used to pass closures
@@ -25,10 +26,12 @@ the seven engine-aware estimators:
 from __future__ import annotations
 
 import ast
+import dataclasses
 import itertools
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.stats.montecarlo as montecarlo_module
@@ -137,6 +140,49 @@ def test_plan_key_tracks_exactly_what_changes_the_numbers(
         assert plan_key(**change) != reference, change
     for knobs in SCHEDULING:
         assert plan_key(config=knobs) == reference, knobs
+
+
+@pytest.mark.parametrize("estimator, base, changes", IDENTITY_CASES)
+def test_one_journal_and_one_cache_serve_each_variant_its_own_numbers(
+        tmp_path, estimator, base, changes):
+    """The identity property, run through the lookups the key guards.
+
+    Every variant shares one ``checkpoint`` path and one ``cache`` dir.
+    An identity change must execute all its shards and equal its own
+    uncached result; a scheduling knob must execute none and return the
+    reference result.
+    """
+    shared = dict(checkpoint=str(tmp_path / "run.jsonl"),
+                  cache=str(tmp_path / "cache"))
+    manifests = (tmp_path / f"run{index}.json" for index in itertools.count())
+
+    def run(config=None, lookups=shared, **arguments):
+        manifest = next(manifests)
+        result = estimator(**{**base, **arguments},
+                           config=RunConfig(shards=2, manifest=manifest,
+                                            **lookups, **(config or {})))
+        (record,) = load_manifest(manifest)["runs"]
+        return result, record["execution"]["executed_shards"]
+
+    reference, executed = run()
+    assert executed == 2
+    for change in changes:
+        result, executed = run(**change)
+        assert executed == 2, change
+        assert _numbers(result) == _numbers(run(lookups={}, **change)[0]), \
+            change
+    for knobs in SCHEDULING:
+        result, executed = run(config=knobs)
+        assert executed == 0, knobs
+        assert _numbers(result) == _numbers(reference), knobs
+
+
+def _numbers(result) -> list:
+    """A result's compared fields, arrays as lists, so ``==`` is exact."""
+    values = [getattr(result, spec.name) for spec in dataclasses.fields(result)
+              if spec.compare]
+    return [value.tolist() if isinstance(value, np.ndarray) else value
+            for value in values]
 
 
 class _Stop(Exception):

@@ -230,8 +230,9 @@ class TestFusedKernel:
 
     The fused backend inverts its geometric draws from uniforms instead
     of replaying the composed chain's generator calls, so it is pinned by
-    two-sample equivalence at 0.999 (same laws, different streams) — not
-    bit-identity — plus its own fixed-seed determinism.
+    two-sample equivalence at 0.999 (same laws, different streams) plus
+    its own fixed-seed determinism — and, where numpy's geometric sampler
+    reads the stream the same way (every ratio at most 2/3), by equality.
     """
 
     OPTIONS = dict(store_probability=0.5, beta=DEFAULT_SHIFT_RATIO,
@@ -279,6 +280,20 @@ class TestFusedKernel:
             composed = non_manifestation_batch(
                 RandomSource(76), 500, model=TSO, n=2, **options)
             assert fused == composed
+
+    @pytest.mark.parametrize("beta, equal", [(0.5, True), (0.8, False)])
+    def test_equals_composed_counts_iff_beta_at_most_two_thirds(
+            self, beta, equal):
+        # For p = 1 - beta >= 1/3 numpy's Generator.geometric draws by
+        # search from one uniform per variate, which is exactly the
+        # fused inversion of that uniform; above 2/3 it does not.
+        options = dict(self.OPTIONS, beta=beta)
+        for name, model in sorted(MODELS.items()):
+            fused = non_manifestation_fused_batch(
+                RandomSource(77), 20_000, model=model, n=3, **options)
+            composed = non_manifestation_batch(
+                RandomSource(77), 20_000, model=model, n=3, **options)
+            assert (fused == composed) is equal, name
 
     def test_validates_batch_and_n(self):
         with pytest.raises(ValueError, match="positive"):

@@ -2,7 +2,7 @@
 
 The exploration engine's contracts: exhaustive mode reproduces the
 enumerator bit for bit (and E11's allowed/forbidden matrix with it),
-pseudorandom tables depend only on ``(seed, shards, rng_plan)``, the
+pseudorandom tables depend only on ``(seed, shards)``, the
 content-addressed cache serves warm grids without executing anything,
 and the robustness analyzer's SC-diff matches the literature pins.
 """
@@ -25,7 +25,6 @@ from repro.litmus import (
     LitmusTest,
     OutcomeFrequencies,
     assert_convergence,
-    assert_frequencies_equivalent,
     check_convergence,
     classify_robustness,
     enumerate_outcomes,
@@ -274,12 +273,10 @@ class TestModelIdentityRegression:
 
 
 class TestRandomDeterminism:
-    @pytest.mark.parametrize("rng_plan", ["spawn", "philox"])
-    def test_identical_across_worker_counts(self, rng_plan):
+    def test_identical_across_worker_counts(self):
         tables = [
             explore_random("SB", "TSO", 2_000, seed=11,
-                           config=RunConfig(workers=workers, shards=4,
-                                            rng_plan=rng_plan))
+                           config=RunConfig(workers=workers, shards=4))
             for workers in (1, 2, 4)
         ]
         assert tables[0] == tables[1] == tables[2]
@@ -301,23 +298,16 @@ class TestRandomDeterminism:
         assert first == second
 
     def test_seed_and_plan_enter_identity(self):
+        # The shard plan is (trials, shards, seed): seed and shards both
+        # change the table, and the table records them.
         base = RunConfig(shards=4)
         table = explore_random("SB", "TSO", 1_500, seed=3, config=base)
         other_seed = explore_random("SB", "TSO", 1_500, seed=4, config=base)
         assert table.counts != other_seed.counts
-        philox = explore_random("SB", "TSO", 1_500, seed=3,
-                                config=RunConfig(shards=4,
-                                                 rng_plan="philox"))
-        assert philox.rng_plan == "philox"
-        assert philox != table
-
-    def test_cross_plan_tables_z_equivalent(self):
-        spawn = explore_random("SB", "TSO", 6_000, seed=9,
-                               config=RunConfig(shards=4))
-        philox = explore_random("SB", "TSO", 6_000, seed=9,
-                                config=RunConfig(shards=4,
-                                                 rng_plan="philox"))
-        assert_frequencies_equivalent(spawn, philox, confidence=0.9999)
+        other_shards = explore_random("SB", "TSO", 1_500, seed=3,
+                                      config=RunConfig(shards=5))
+        assert (other_shards.shards, table.shards) == (5, 4)
+        assert other_shards.counts != table.counts
 
     def test_shard_cache_serves_warm_run(self, tmp_path):
         config = RunConfig(shards=4, cache=str(tmp_path / "store"))
@@ -343,7 +333,7 @@ class TestConvergence:
         bogus = (("T0:r1", 99), ("T1:r2", 99))
         table = OutcomeFrequencies(
             test="SB", model="TSO", trials=10, seed=0, shards=1,
-            rng_plan="spawn", counts=((bogus, 10),))
+            counts=((bogus, 10),))
         report = check_convergence(table)
         assert not report.contained
         assert bogus in report.escaped
@@ -356,7 +346,7 @@ class TestConvergence:
         seen = next(iter(enumerated))
         table = OutcomeFrequencies(
             test="SB", model="TSO", trials=10, seed=0, shards=1,
-            rng_plan="spawn", counts=((seen, 10),))
+            counts=((seen, 10),))
         report = assert_convergence(table, enumerated)
         assert report.contained and not report.converged
         assert report.coverage == pytest.approx(1 / len(enumerated))
@@ -380,7 +370,7 @@ class TestConvergence:
         outcome = (("T0:r1", 0), ("T1:r2", 0))
         table = OutcomeFrequencies(
             test="SB", model="TSO", trials=10, seed=0, shards=1,
-            rng_plan="spawn", counts=((outcome, 10),))
+            counts=((outcome, 10),))
         assert table.count(outcome) == 10
         other = (("T0:r1", 1), ("T1:r2", 1))
         replaced = dataclasses.replace(table, counts=((other, 10),))
@@ -449,9 +439,11 @@ class TestGoldenFile:
         got = explore_exhaustive(CLASSICS).to_json_dict()
         assert got == want
 
+    # The ids keep the stream name of the 3.x pins, "spawn": the only
+    # shard-stream derivation left, and the one every table was drawn by.
     @pytest.mark.parametrize(
         "pin", RANDOM_PINS["tables"],
-        ids=lambda pin: f"{pin['test']}/{pin['model']}/{pin['rng_plan']}")
+        ids=lambda pin: f"{pin['test']}/{pin['model']}/spawn")
     def test_random_mode_pins(self, pin):
         member = RANDOM_PINS["member"]
         test = (family_member(FamilySpec(**member["spec"]), member["seed"],
@@ -460,13 +452,12 @@ class TestGoldenFile:
         table = explore_random(
             test, pin["model"], RANDOM_PINS["trials"],
             seed=RANDOM_PINS["seed"],
-            config=RunConfig(shards=RANDOM_PINS["shards"],
-                             rng_plan=pin["rng_plan"]))
+            config=RunConfig(shards=RANDOM_PINS["shards"]))
         assert table.to_json_dict() == pin
 
     @pytest.mark.parametrize(
         "pin", SAMPLER_PINS["tables"],
-        ids=lambda pin: f"{pin['test']}/{pin['model']}/{pin['rng_plan']}")
+        ids=lambda pin: f"{pin['test']}/{pin['model']}/spawn")
     def test_sampler_pins(self, pin):
         member = SAMPLER_PINS["members"].get(pin["test"])
         test = (family_member(FamilySpec(**member["spec"]), member["seed"],
@@ -475,8 +466,7 @@ class TestGoldenFile:
         table = explore_random(
             test, pin["model"], SAMPLER_PINS["trials"],
             seed=SAMPLER_PINS["seed"],
-            config=RunConfig(shards=SAMPLER_PINS["shards"],
-                             rng_plan=pin["rng_plan"]))
+            config=RunConfig(shards=SAMPLER_PINS["shards"]))
         assert table.to_json_dict() == pin
 
     def test_generate_golden(self):

@@ -4,8 +4,8 @@ The generator's contracts: a family member is a *pure function* of
 ``(spec, seed, index)`` whose program satisfies every declarative
 constraint of its :class:`FamilySpec`; enumerated outcome sets grow
 monotonically with the relaxation set (SC at the bottom); sweeps are
-bit-identical for fixed ``(spec, seed, trials, shards, rng_plan)`` at
-any worker count.  The zoo's operational write-buffer executor, an
+bit-identical for fixed ``(spec, seed, trials, shards)`` at any worker
+count.  The zoo's operational write-buffer executor, an
 independent second opinion on PSO, is tested in ``test_litmus_oracles``.
 """
 
@@ -173,16 +173,15 @@ class TestOutcomeMonotonicity:
 
 
 class TestSweepDeterminism:
-    @pytest.mark.parametrize("rng_plan", ["spawn", "philox"])
-    def test_bit_identical_across_worker_counts(self, rng_plan):
+    def test_bit_identical_across_worker_counts(self):
         # Shards are the statistical identity and must be pinned; the
         # claim is worker- and transport-independence at fixed shards.
         spec = FamilySpec(ops_per_thread=4, spacing=1, fence_density=0.25)
         reports = [
             sweep_family(spec, ["TSO", "WO-NMCA"], count=2, trials=600,
                          seed=13,
-                         config=RunConfig(workers=workers, shards=16,
-                                          rng_plan=rng_plan)).to_json_dict()
+                         config=RunConfig(workers=workers,
+                                          shards=16)).to_json_dict()
             for workers in (1, 2, 4)
         ]
         assert reports[0] == reports[1] == reports[2]

@@ -36,6 +36,9 @@ from repro.runconfig import RunConfig
 from repro.sim import Store, ThreadProgram
 from repro.stats.rng import PhiloxSource, RandomSource
 
+#: Both bit generators the library draws from: a spawned PCG64 stream
+#: (the shards') and a counter-addressed Philox stream (the family
+#: generator's); the reader must match numpy on either.
 SOURCES = {
     "spawn": lambda: RandomSource(2024),
     "philox": lambda: PhiloxSource(2024, (3,)),
@@ -51,48 +54,48 @@ def _numpy_draws(source, bounds) -> list[int]:
     return [source.uniform_int(0, k - 1) for k in bounds]
 
 
-@pytest.mark.parametrize("plan", sorted(SOURCES))
+@pytest.mark.parametrize("stream", sorted(SOURCES))
 class TestBlockReader:
-    def test_small_bounds_draw_for_draw(self, plan):
+    def test_small_bounds_draw_for_draw(self, stream):
         bounds = np.random.default_rng(7).integers(1, 131, 10**5).tolist()
-        assert _reader_draws(SOURCES[plan](), bounds) \
-            == _numpy_draws(SOURCES[plan](), bounds)
+        assert _reader_draws(SOURCES[stream](), bounds) \
+            == _numpy_draws(SOURCES[stream](), bounds)
 
     @pytest.mark.parametrize("k", [2**31 + 12345, 3_000_000_001, 2**32])
-    def test_large_bounds_draw_for_draw(self, plan, k):
+    def test_large_bounds_draw_for_draw(self, stream, k):
         bounds = [k] * 3000
-        assert _reader_draws(SOURCES[plan](), bounds) \
-            == _numpy_draws(SOURCES[plan](), bounds)
+        assert _reader_draws(SOURCES[stream](), bounds) \
+            == _numpy_draws(SOURCES[stream](), bounds)
 
     @pytest.mark.parametrize("k", [2**31 + 12345, 3_000_000_001])
-    def test_large_bounds_take_the_rejection_path(self, plan, k):
+    def test_large_bounds_take_the_rejection_path(self, stream, k):
         # Words the multiply-shift rejects are consumed without a draw.
-        words = SOURCES[plan]().generator.integers(
+        words = SOURCES[stream]().generator.integers(
             0, 2**32, size=3000, dtype=np.uint32).tolist()
         rejected = sum(word * k % 2**32 < 2**32 % k for word in words)
         assert rejected > 100
 
-    def test_k_one_consumes_nothing(self, plan):
+    def test_k_one_consumes_nothing(self, stream):
         bounds = [5, 1, 1, 9, 1, 7] * 500
-        assert _reader_draws(SOURCES[plan](), bounds) \
-            == _numpy_draws(SOURCES[plan](), bounds)
-        reader = BlockReader(SOURCES[plan]().generator, 4)
+        assert _reader_draws(SOURCES[stream](), bounds) \
+            == _numpy_draws(SOURCES[stream](), bounds)
+        reader = BlockReader(SOURCES[stream]().generator, 4)
         assert [reader.below(1) for _ in range(10)] == [0] * 10
-        assert reader.below(2**32) == SOURCES[plan]().generator.integers(
+        assert reader.below(2**32) == SOURCES[stream]().generator.integers(
             0, 2**32, dtype=np.uint32)
 
     @pytest.mark.parametrize("block", [1, 3, 64, 4096])
-    def test_block_size_never_changes_a_draw(self, plan, block):
+    def test_block_size_never_changes_a_draw(self, stream, block):
         # Mixed bounds cross many block boundaries at small block sizes.
         bounds = ([3, 2**31 + 12345, 17, 1, 3_000_000_001, 2**32, 130]
                   * 300)
-        assert _reader_draws(SOURCES[plan](), bounds, block) \
-            == _numpy_draws(SOURCES[plan](), bounds)
+        assert _reader_draws(SOURCES[stream](), bounds, block) \
+            == _numpy_draws(SOURCES[stream](), bounds)
 
     @pytest.mark.parametrize("k", [0, -3, 2**32 + 1, 2**40])
-    def test_out_of_range_bound_raises(self, plan, k):
+    def test_out_of_range_bound_raises(self, stream, k):
         with pytest.raises(ValueError):
-            BlockReader(SOURCES[plan]().generator).below(k)
+            BlockReader(SOURCES[stream]().generator).below(k)
 
 
 def _blocker_cases():

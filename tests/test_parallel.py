@@ -249,6 +249,19 @@ class TestShardedHarness:
         serial = run_bernoulli_trials(flip, 2000, seed=2, config=RunConfig(shards=3, workers=1))
         assert parallel.successes == serial.successes
 
+    def test_lambda_after_a_picklable_kernel_still_falls_back(self):
+        # Before 4.0 the picklability memo took a caller-set fingerprint:
+        # a picklable kernel run under RunConfig(fingerprint="ab") made a
+        # later lambda under the same config skip the probe and raise
+        # ShardExecutionError.  The memo now keys on the kernel itself.
+        config = RunConfig(shards=4, workers=2)
+        run_bernoulli_trials(_coin, 400, seed=5, config=config)
+        flip = lambda source: source.bernoulli(0.5)  # noqa: E731 — deliberately unpicklable
+        pooled = run_bernoulli_trials(flip, 400, seed=5, config=config)
+        serial = run_bernoulli_trials(flip, 400, seed=5,
+                                      config=RunConfig(shards=4, workers=1))
+        assert pooled == serial
+
     def test_legacy_serial_path_unchanged(self):
         # workers=1, shards=None must keep the historical derivation.
         legacy = run_bernoulli_trials(_coin, 3000, seed=11)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stats import RandomSource, iter_batches, spawn_sources
+from repro.stats import PhiloxSource, RandomSource, iter_batches, spawn_sources
 
 
 class TestSeeding:
@@ -144,3 +144,27 @@ class TestIterBatches:
             list(iter_batches(-1, 5))
         with pytest.raises(ValueError):
             list(iter_batches(5, 0))
+
+
+class TestPhiloxSource:
+    """Counter-addressed streams (the litmus family generator's lanes)."""
+
+    def test_same_address_same_stream(self):
+        draws_a = PhiloxSource(42, (3,)).generator.random(8)
+        draws_b = PhiloxSource(42, (3,)).generator.random(8)
+        np.testing.assert_array_equal(draws_a, draws_b)
+
+    def test_distinct_addresses_distinct_streams(self):
+        base = PhiloxSource(42, (3,)).generator.random(8)
+        assert not np.array_equal(PhiloxSource(42, (4,)).generator.random(8), base)
+        assert not np.array_equal(PhiloxSource(43, (3,)).generator.random(8), base)
+        assert not np.array_equal(
+            PhiloxSource(42, (3, 0)).generator.random(8), base)
+
+    def test_samplers_share_the_law_machinery(self):
+        # PhiloxSource is a RandomSource: every sampling primitive works on it.
+        source = PhiloxSource(3, (0,))
+        assert isinstance(source, RandomSource)
+        shifts = source.geometric_array(0.5, 1000)
+        assert shifts.min() >= 0
+        assert source.bernoulli_array(0.5, 10).dtype == bool

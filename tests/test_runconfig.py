@@ -11,9 +11,9 @@ Four layers of coverage:
    historical "flag parsed but silently dropped" CLI bugs.
 3. One way to pass a knob — every public function that takes ``config``
    takes it keyword-only and takes no knob as a parameter of its own.
-4. Golden byte-identity — fixed-seed merged numbers and v2 plan keys
-   over the full spawn/philox × pickle/shm × scalar/vectorized/fused
-   matrix, pinned to the values the pre-RunConfig code produced.
+4. Golden byte-identity — fixed-seed merged numbers and run keys over
+   the pickle/shm × scalar/vectorized/fused matrix, pinned to the
+   values the pre-RunConfig code produced.
 """
 
 from __future__ import annotations
@@ -80,12 +80,23 @@ class TestResolve:
     @pytest.mark.parametrize("field, value", [
         ("workers", 0), ("workers", -2), ("shards", 0), ("retries", -1),
         ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
-        ("timeout", float("inf")), ("rng_plan", "mersenne"),
+        ("timeout", float("inf")),
         ("transport", "carrier-pigeon"), ("backend", "quantum"),
     ])
     def test_bad_knobs_raise(self, field, value):
         with pytest.raises(ValueError):
             RunConfig(**{field: value}).resolve()
+
+    def test_checkpoint_must_be_a_path(self, tmp_path):
+        # The engine keys the journal itself; a pre-keyed journal object
+        # would key the cache and the manifest too (removed in 4.0).
+        from repro.stats.checkpoint import ShardCheckpoint
+
+        journal = ShardCheckpoint(tmp_path / "run.jsonl", "k" * 16)
+        with pytest.raises(TypeError, match="journal path"):
+            RunConfig(checkpoint=journal).resolve()
+        for path in (str(tmp_path / "run.jsonl"), tmp_path / "run.jsonl"):
+            assert RunConfig(checkpoint=path).resolve().checkpoint == path
 
     def test_fused_rejected_where_not_allowed(self):
         with pytest.raises(ValueError, match="fused"):
@@ -101,19 +112,10 @@ class TestMetadata:
         bindings = RunConfig.cli_bindings()
         assert set(bindings) == {
             "workers", "shards", "retries", "timeout", "checkpoint",
-            "fingerprint", "cache", "manifest", "trace", "progress",
-            "backend", "rng_plan", "transport",
+            "cache", "manifest", "trace", "progress", "backend", "transport",
         }
-        assert bindings["fingerprint"] is None  # API-only, by design
         assert bindings["timeout"] == "--shard-timeout"
-        assert all(flag.startswith("--") for name, flag in bindings.items()
-                   if flag is not None)
-
-    def test_plan_key_inputs_expose_exactly_the_identity_knobs(self):
-        config = RunConfig(workers=4, shards=8, rng_plan="philox",
-                           fingerprint="abc", retries=5, transport="shm")
-        assert config.plan_key_inputs() == {
-            "shards": 8, "rng_plan": "philox", "fingerprint": "abc"}
+        assert all(flag.startswith("--") for flag in bindings.values())
 
     def test_resolved_shards_uses_the_fixed_default_under_parallelism(self):
         from repro.stats.parallel import DEFAULT_SHARDS
@@ -132,12 +134,12 @@ class TestMetadata:
         class Args:
             workers = 3
             shard_timeout = 12.5
-            rng_plan = "philox"
+            backend = "fused"
             transport = "shm"
         config = RunConfig.from_args(Args())
         assert config.workers == 3
         assert config.timeout == 12.5
-        assert config.rng_plan == "philox"
+        assert config.backend == "fused"
         assert config.transport == "shm"
         assert config.shards is None  # missing attrs keep field defaults
 
@@ -152,9 +154,9 @@ class TestMetadata:
 def _probe_config(tmp_path, **overrides):
     base = dict(
         workers=2, shards=3, retries=1, timeout=30.0,
-        checkpoint=str(tmp_path / "probe.ckpt"), fingerprint="deadbeef",
+        checkpoint=str(tmp_path / "probe.ckpt"),
         cache=str(tmp_path / "cache"), trace=str(tmp_path / "trace.jsonl"),
-        rng_plan="philox", transport="pickle",
+        transport="pickle",
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -181,12 +183,10 @@ class _EngineRecorder:
 def _assert_engine_saw_probe(call, config):
     plan, seen = call["plan"], call["config"]
     assert plan.shards == config.shards
-    assert plan.rng_plan == config.rng_plan
     assert seen.workers == config.workers
     assert seen.retries == config.retries
     assert seen.timeout == config.timeout
     assert seen.checkpoint == config.checkpoint
-    assert seen.fingerprint == config.fingerprint
     assert seen.cache == config.cache
     assert seen.transport == config.transport
     assert call["observer"] is not None  # the trace knob, derived
@@ -399,17 +399,25 @@ class TestOneWayToPassAKnob:
 
     @pytest.mark.parametrize("removed", ["UNSET", "resolve_run_config",
                                          "estimate_event",
-                                         "estimate_shift_disjointness"])
+                                         "estimate_shift_disjointness",
+                                         "RNG_PLANS", "resolve_rng_plan",
+                                         "philox_stream",
+                                         "assert_frequencies_equivalent"])
     def test_removed_names_are_exported_nowhere(self, removed):
         for module_name in (*PUBLIC_MODULES, "repro.runconfig",
-                            "repro.stats.montecarlo", "repro.stats.parallel"):
+                            "repro.stats.montecarlo", "repro.stats.parallel",
+                            "repro.stats.rng", "repro.litmus.explore"):
             module = importlib.import_module(module_name)
             assert removed not in getattr(module, "__all__", ()), module_name
             assert not hasattr(module, removed), module_name
 
     def test_removed_methods_are_gone(self):
+        from repro.stats.checkpoint import ShardCheckpoint
+
         assert not hasattr(RunConfig, "updated")
         assert not hasattr(RunConfig, "engine_options")
+        assert not hasattr(RunConfig, "plan_key_inputs")
+        assert not hasattr(ShardCheckpoint, "for_plan")
         assert not hasattr(ShiftProcess, "count_disjoint")
 
 
@@ -425,10 +433,12 @@ def _double(value):
 # Golden byte-identity across the full engine matrix
 # ----------------------------------------------------------------------
 
-#: Fixed-seed merged numbers and v2 plan keys produced by the
-#: pre-RunConfig code (estimate_non_manifestation(TSO, 2, 4000, seed=7,
-#: shards=4) / run_canonical_bug("TSO", 2, 400, seed=7, shards=4)).
-#: The refactor must keep every one byte-identical.
+#: Fixed-seed merged numbers and run keys produced by the pre-RunConfig
+#: code (estimate_non_manifestation(TSO, 2, 4000, seed=7, shards=4) /
+#: run_canonical_bug("TSO", 2, 400, seed=7, shards=4)).  The refactor
+#: must keep every one byte-identical.  The middle key names the shard
+#: streams: the spawn plan, the only derivation since 4.0 (the 3.x
+#: philox rows went with that plan).
 JOINED_GOLDEN = {
     ("scalar", "spawn", "pickle"): (521, "f8af8f7c11a170e3"),
     ("vectorized", "spawn", "pickle"): (541, "ced60950df46032b"),
@@ -436,42 +446,33 @@ JOINED_GOLDEN = {
     ("scalar", "spawn", "shm"): (521, "f8af8f7c11a170e3"),
     ("vectorized", "spawn", "shm"): (541, "ced60950df46032b"),
     ("fused", "spawn", "shm"): (541, "29bb05b241367824"),
-    ("scalar", "philox", "pickle"): (495, "86fae0431d414848"),
-    ("vectorized", "philox", "pickle"): (554, "92de2eea886fc987"),
-    ("fused", "philox", "pickle"): (554, "68f4bf6e53bb762f"),
-    ("scalar", "philox", "shm"): (495, "86fae0431d414848"),
-    ("vectorized", "philox", "shm"): (554, "92de2eea886fc987"),
-    ("fused", "philox", "shm"): (554, "68f4bf6e53bb762f"),
 }
 
 MACHINE_GOLDEN = {
     ("scalar", "spawn"): (358, "1dcbef340ac3c146"),
     ("vectorized", "spawn"): (352, "590646dfb9daa17c"),
-    ("scalar", "philox"): (354, "bdcd567da5ca59e0"),
-    ("vectorized", "philox"): (347, "2b6a693db3c76aa1"),
 }
 
 
 class TestGoldenByteIdentity:
-    @pytest.mark.parametrize("backend, rng_plan, transport",
+    @pytest.mark.parametrize("backend, stream, transport",
                              sorted(JOINED_GOLDEN))
-    def test_joined_matrix(self, tmp_path, backend, rng_plan, transport):
-        successes, key = JOINED_GOLDEN[(backend, rng_plan, transport)]
+    def test_joined_matrix(self, tmp_path, backend, stream, transport):
+        successes, key = JOINED_GOLDEN[(backend, stream, transport)]
         manifest = tmp_path / "run.json"
-        config = RunConfig(shards=4, backend=backend, rng_plan=rng_plan,
-                           transport=transport, manifest=manifest)
+        config = RunConfig(shards=4, backend=backend, transport=transport,
+                           manifest=manifest)
         result = estimate_non_manifestation(TSO, 2, 4000, seed=7,
                                             config=config)
         assert result.successes == successes
         assert result.trials == 4000
         assert load_manifest(manifest)["runs"][0]["plan"]["key"] == key
 
-    @pytest.mark.parametrize("backend, rng_plan", sorted(MACHINE_GOLDEN))
-    def test_machine_matrix(self, tmp_path, backend, rng_plan):
-        manifestations, key = MACHINE_GOLDEN[(backend, rng_plan)]
+    @pytest.mark.parametrize("backend, stream", sorted(MACHINE_GOLDEN))
+    def test_machine_matrix(self, tmp_path, backend, stream):
+        manifestations, key = MACHINE_GOLDEN[(backend, stream)]
         manifest = tmp_path / "run.json"
-        config = RunConfig(shards=4, backend=backend, rng_plan=rng_plan,
-                           manifest=manifest)
+        config = RunConfig(shards=4, backend=backend, manifest=manifest)
         result = run_canonical_bug("TSO", threads=2, trials=400, seed=7,
                                    config=config)
         assert result.manifestations == manifestations

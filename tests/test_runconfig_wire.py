@@ -27,13 +27,11 @@ DISTINCT = RunConfig(
     retries=2,
     timeout=12.5,
     checkpoint="run.jsonl",
-    fingerprint="deadbeef",
     cache="cache-dir",
     manifest="manifest.json",
     trace="trace.jsonl",
     progress=True,
     backend="vectorized",
-    rng_plan="philox",
     transport="shm",
 )
 
@@ -96,7 +94,7 @@ class TestRejection:
         with pytest.raises(ValueError):
             RunConfig.from_json_dict({"shards": -1})
         with pytest.raises(ValueError):
-            RunConfig.from_json_dict({"rng_plan": "mersenne"})
+            RunConfig.from_json_dict({"transport": "carrier-pigeon"})
 
     def test_non_dict_payload_rejected(self):
         with pytest.raises(TypeError, match="object"):
@@ -121,11 +119,11 @@ class TestUnsetAndLiveObjects:
 
 class TestBaseFolding:
     def test_omitted_keys_keep_base_values(self):
-        base = RunConfig(workers=4, retries=3, rng_plan="philox")
+        base = RunConfig(workers=4, retries=3, backend="fused")
         merged = RunConfig.from_json_dict({"workers": 2}, base=base)
         assert merged.workers == 2
         assert merged.retries == 3
-        assert merged.rng_plan == "philox"
+        assert merged.backend == "fused"
 
     def test_empty_payload_returns_base(self):
         base = RunConfig(workers=4)

@@ -149,9 +149,12 @@ class TestJobKey:
     def test_statistical_knobs_split_the_key(self):
         base = self.key(RunConfig(shards=4))
         assert base != self.key(RunConfig(shards=8))
-        assert base != self.key(RunConfig(shards=4, rng_plan="philox"))
-        assert base != self.key(RunConfig(shards=4, fingerprint="aa"))
         assert base != self.key(RunConfig(shards=4, backend="scalar"))
+
+    def test_shards_enter_resolved(self):
+        # workers=2 with shards unset runs the fixed 16-shard default.
+        assert self.key(RunConfig(workers=2)) == self.key(RunConfig(shards=16))
+        assert self.key(RunConfig()) == self.key(RunConfig(shards=1))
 
     def test_omitted_default_equals_explicit_default(self):
         sparse = self.key(params={"model": "TSO", "trials": 1000})
@@ -392,6 +395,36 @@ class TestEstimationService:
         assert result["result"]["trials"] == SMALL["params"]["trials"]
         second.shutdown(drain_seconds=1.0)
 
+    def test_jobs_queued_under_3x_resume_after_the_upgrade(self, tmp_path):
+        # Every 3.x config_wire held the two knobs 4.0 removed.  At their
+        # old defaults they are dropped on load and the job runs; any
+        # other value fails that job, naming the knob.
+        from repro.obs.manifest import summarise_result
+        from repro.service.estimators import run_estimator
+
+        spawn = dict(RunConfig(shards=2).to_json_dict(), rng_plan="spawn",
+                     fingerprint=None)
+        params = validate_params("non_manifestation", SMALL["params"])
+        jobs = [Job(id=f"job-0000{index}", key=f"k{index}",
+                    estimator="non_manifestation", params=params,
+                    config_wire=wire).to_wire()
+                for index, wire in ((1, spawn),
+                                    (2, dict(spawn, rng_plan="philox")))]
+        (tmp_path / "jobs.json").write_text(json.dumps(
+            {"kind": "repro/service-jobs", "format": 1, "seq": 2,
+             "jobs": jobs}))
+        service = EstimationService(tmp_path, job_workers=1)
+        wait_for(lambda: service.registry.get("job-00001").finished)
+        assert service.registry.get("job-00001").state == "done"
+        fresh = run_estimator("non_manifestation", params,
+                              RunConfig(shards=2))
+        assert service.result("job-00001")["result"] \
+            == json.loads(json.dumps(summarise_result(fresh)))
+        philox = service.registry.get("job-00002")
+        assert philox.state == "failed"
+        assert "rng_plan" in philox.error and "4.0" in philox.error
+        service.shutdown(drain_seconds=1.0)
+
     def test_submissions_refused_while_shutting_down(self, tmp_path):
         service = EstimationService(tmp_path, start=False)
         service.shutdown(drain_seconds=0.1)
@@ -478,6 +511,18 @@ class TestHTTP:
         error = json.loads(body)["error"]
         assert error["code"] == code
         assert "ValueError" not in error["message"]
+
+    @pytest.mark.parametrize("removed", [{"rng_plan": "spawn"},
+                                         {"fingerprint": "ab"}],
+                             ids=["rng_plan", "fingerprint"])
+    def test_knobs_removed_in_4_0_are_bad_config(self, http_service,
+                                                 removed):
+        with pytest.raises(ServiceError) as excinfo:
+            http_service.submit("non_manifestation",
+                                {"model": "TSO", "trials": 800},
+                                config=removed)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-config"
 
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
     def test_non_finite_timeout_is_bad_config(self, http_service, timeout):
