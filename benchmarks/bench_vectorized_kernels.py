@@ -14,10 +14,6 @@ second claim on the four kernel families:
   :func:`repro.kernels.shift_disjoint_batch`;
 * **joined** — the §6 pipeline: the scalar reference trial loop vs
   :func:`repro.kernels.non_manifestation_batch`;
-* **fused** — the same §6 pipeline as a single fused pass
-  (:func:`repro.kernels.non_manifestation_fused_batch`) vs the composed
-  batch kernel at **equal trial counts**, tracked as ``fused_speedup``
-  with a committed ``>= 1.3x`` floor (full mode);
 * **machine** — the §2.2 race: the per-trial simulated multiprocessor vs
   :func:`repro.kernels.canonical_bug_batch`.
 
@@ -47,7 +43,6 @@ from repro.core.settling import sample_window_growth
 from repro.core.shift import DEFAULT_SHIFT_RATIO, ShiftProcess
 from repro.kernels import (
     non_manifestation_batch,
-    non_manifestation_fused_batch,
     non_manifestation_scalar_batch,
     shift_disjoint_batch,
     window_growth_batch,
@@ -64,10 +59,6 @@ SHIFT_LENGTHS = (2, 2)
 #: The committed claim (full mode only): vectorized settling and shift
 #: throughput must be at least this factor over the scalar reference.
 SPEEDUP_FLOOR = 10.0
-
-#: The fused-chain claim (full mode only): the single-pass joined kernel
-#: must beat the composed batch kernel by this factor at equal trials.
-FUSED_FLOOR = 1.3
 
 
 def _throughput(name: str, trials: int, runner, rows: list[dict[str, object]]):
@@ -145,30 +136,6 @@ def _bench_joined(rows) -> float:
     return vector_rate / scalar_rate
 
 
-def _bench_fused(rows) -> float:
-    # Equal trial counts on both sides: the fused chain replaces the
-    # composed kernel like-for-like, so the ratio is a direct measure of
-    # what fusion (inversion sampling + in-place transforms) buys.  The
-    # smoke budget stays at 20k trials — below that, NumPy dispatch
-    # overhead dilutes the ratio the regression gate compares.
-    trials = scaled(400_000, 20_000)
-    options = dict(model=TSO, n=2, store_probability=0.5,
-                   beta=DEFAULT_SHIFT_RATIO, body_length=BODY_LENGTH,
-                   critical_section_length=WINDOW_LENGTH_OFFSET)
-
-    composed_rate = _throughput(
-        "joined/composed", trials,
-        lambda: non_manifestation_batch(
-            RandomSource(SEED), trials, **options),
-        rows)
-    fused_rate = _throughput(
-        "joined/fused", trials,
-        lambda: non_manifestation_fused_batch(
-            RandomSource(SEED), trials, **options),
-        rows)
-    return fused_rate / composed_rate
-
-
 def _bench_machine(rows) -> float:
     from repro.sim import run_canonical_bug
 
@@ -199,7 +166,6 @@ def test_vectorized_kernel_speedups(run_once):
             "settling_speedup": _bench_settling(rows),
             "shift_speedup": _bench_shift(rows),
             "joined_speedup": _bench_joined(rows),
-            "fused_speedup": _bench_fused(rows),
             "machine_speedup": _bench_machine(rows),
         }
         return rows, speedups
@@ -210,8 +176,7 @@ def test_vectorized_kernel_speedups(run_once):
     show("[kernels] " + ", ".join(
         f"{name.removesuffix('_speedup')} {value:.1f}x"
         for name, value in speedups.items()
-    ) + f" (floors, full mode: {SPEEDUP_FLOOR}x settling/shift, "
-        f"{FUSED_FLOOR}x fused)")
+    ) + f" (floor, full mode: {SPEEDUP_FLOOR}x settling/shift)")
 
     write_rows(
         results_path("vectorized_kernels"),
@@ -223,7 +188,6 @@ def test_vectorized_kernel_speedups(run_once):
             "smoke": smoke_mode(),
             "cpu_count": os.cpu_count(),
             "speedup_floor": SPEEDUP_FLOOR,
-            "fused_speedup_floor": FUSED_FLOOR,
             "tracked": {
                 name: {"value": round(value, 2), "higher_is_better": True}
                 for name, value in speedups.items()
@@ -242,7 +206,3 @@ def test_vectorized_kernel_speedups(run_once):
                 f"{name} {speedups[name]:.1f}x below the committed "
                 f"{SPEEDUP_FLOOR}x floor"
             )
-        assert speedups["fused_speedup"] >= FUSED_FLOOR, (
-            f"fused chain only {speedups['fused_speedup']:.2f}x over the "
-            f"composed kernel at equal trials (floor {FUSED_FLOOR}x)"
-        )

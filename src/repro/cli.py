@@ -40,13 +40,11 @@ points fetch their shards instead of recomputing them, with bit-identical
 results (``docs/CACHING.md``).  ``repro cache {stats,clear,verify}``
 inspects and manages the store.
 
-``--backend {scalar,vectorized,fused}`` selects the simulation kernel
-(``docs/KERNELS.md``): whole-array NumPy batches, the draw-by-draw
-reference loop, or (joined-model commands only) the single-pass fused
-chain.  The backends are statistically equivalent, and ``fused`` prints
-exactly the ``vectorized`` numbers whenever the shift ratio is at most
-2/3 (the default is 1/2); left unset, each command keeps its native
-default (``thm62``: vectorized, ``machine``: scalar).  ``--transport
+``--backend {scalar,vectorized}`` selects the simulation kernel
+(``docs/KERNELS.md``): whole-array NumPy batches or the draw-by-draw
+reference loop.  The backends are statistically equivalent; left unset,
+each command keeps its native default (``thm62``: vectorized,
+``machine``: scalar).  ``--transport
 {auto,pickle,shm}`` selects the shard result channel (shared-memory rows
 vs pickling; a scheduling concern — numbers are identical either way).
 

@@ -42,8 +42,9 @@ import numpy as np
 from ..errors import ModelDefinitionError
 from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
-from ..stats.rng import RandomSource
+from ..stats.rng import RandomSource, _check_beta
 from .distributions import DiscreteDistribution, ValueWithError
+from .instructions import _check_program_parameters
 from .memory_models import PSO, SC, TSO, WO, MemoryModel
 from .settling import DEFAULT_BODY_LENGTH
 from .shift import DEFAULT_SHIFT_RATIO, batch_disjoint
@@ -264,13 +265,16 @@ def estimate_heterogeneous_non_manifestation(
     :func:`repro.stats.montecarlo.run_event_trials`; ``config`` (a
     :class:`repro.runconfig.RunConfig`) carries the engine knobs, so
     the estimate shards, checkpoints, caches and is observed like any
-    other.  Every model is checked for a growth sampler before any shard
-    runs (``ModelDefinitionError``), and the kernel is vectorized only:
-    ``backend="scalar"`` or ``"fused"`` raises ``ValueError``.
+    other.  Every model is checked for a growth sampler, and the program
+    and shift parameters for range, before any shard runs
+    (``ModelDefinitionError``, ``ProgramError``, ``ValueError``), and the
+    kernel is vectorized only: ``backend="scalar"`` raises ``ValueError``.
     """
     if len(models) < 2:
         raise ValueError("the joined model needs at least 2 threads")
     _check_samplers(models)
+    _check_program_parameters(body_length, store_probability)
+    _check_beta(beta)
     cfg = (config or RunConfig()).resolve(default_backend="vectorized",
                                           allowed_backends=("vectorized",))
     kernel = partial(_fleet_batch_trial, models=tuple(models),

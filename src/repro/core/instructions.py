@@ -253,10 +253,24 @@ def generate_program(
     store_probability:
         The paper's ``p`` (default 1/2).
     """
+    _check_program_parameters(body_length, store_probability)
+    store_mask = source.type_array(store_probability, body_length)
+    body = [InstructionType.STORE if is_store else InstructionType.LOAD for is_store in store_mask]
+    return program_from_types(body)
+
+
+def _check_program_parameters(
+    body_length: int,
+    store_probability: float = DEFAULT_STORE_PROBABILITY,
+) -> None:
+    """Raise :class:`ProgramError` unless §3.1.1 can generate such programs.
+
+    :func:`generate_program` checks its arguments here, and so does every
+    driver that draws programs another way (type vectors, growth
+    matrices), before it plans a shard: a bad argument must fail at the
+    call on every backend, not return a number on some.
+    """
     if body_length < 0:
         raise ProgramError(f"body_length must be non-negative, got {body_length}")
     if not 0.0 <= store_probability <= 1.0:
         raise ProgramError(f"store_probability must be in [0, 1], got {store_probability}")
-    store_mask = source.type_array(store_probability, body_length)
-    body = [InstructionType.STORE if is_store else InstructionType.LOAD for is_store in store_mask]
-    return program_from_types(body)

@@ -39,8 +39,9 @@ import numpy as np
 from ..errors import ModelDefinitionError
 from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
-from ..stats.rng import RandomSource
+from ..stats.rng import RandomSource, _check_beta
 from .distributions import DiscreteDistribution, ValueWithError
+from .instructions import _check_program_parameters
 from .memory_models import PSO, SC, TSO, WO, MemoryModel
 from .settling import DEFAULT_BODY_LENGTH
 from .shift import DEFAULT_SHIFT_RATIO
@@ -269,25 +270,6 @@ def _disjointness_scalar_trial(
     )
 
 
-def _disjointness_fused_trial(
-    source: RandomSource,
-    batch: int,
-    model: MemoryModel,
-    n: int,
-    store_probability: float,
-    beta: float,
-    body_length: int,
-    critical_section_length: int,
-) -> int:
-    """The ``backend="fused"`` batch trial (single-pass fused chain)."""
-    from ..kernels.joined import non_manifestation_fused_batch
-
-    return non_manifestation_fused_batch(
-        source, batch, model, n, store_probability, beta, body_length,
-        critical_section_length,
-    )
-
-
 def estimate_non_manifestation(
     model: MemoryModel,
     n: int,
@@ -329,28 +311,28 @@ def estimate_non_manifestation(
     ``"vectorized"`` (the default, and this estimator's historical
     implementation — fixed-seed results are unchanged) runs each batch as
     whole-array operations; ``"scalar"`` runs the draw-by-draw reference
-    loop of :class:`repro.core.settling.SettlingProcess`; ``"fused"``
-    runs the single-pass fused chain
-    (:func:`repro.kernels.joined.non_manifestation_fused_batch`).
-    Backends are statistically equivalent.  The scalar backend draws in
-    a different stream order, so its fixed-seed outputs differ; the
-    fused backend returns exactly the vectorized counts whenever
-    ``beta <= 2/3`` (see :mod:`repro.kernels.joined`) and differs above.
-    Their distinct kernel fingerprints keep their checkpoint journals
-    and cache entries separate either way.
+    loop of :class:`repro.core.settling.SettlingProcess`.  The backends
+    are statistically equivalent; the scalar backend draws in a
+    different stream order, so its fixed-seed outputs differ, and the
+    distinct kernel fingerprints keep their checkpoint journals and
+    cache entries separate.
 
     ``transport`` selects the shard result channel, forwarded to
     :func:`repro.stats.montecarlo.run_event_trials`.  This estimator is
     the joined-model driver, so the config resolves with every backend
-    allowed and ``"vectorized"`` as the default.
+    allowed and ``"vectorized"`` as the default.  The program and shift
+    parameters are checked before any shard runs (``ProgramError`` for
+    ``store_probability``/``body_length``, ``ValueError`` for ``beta``),
+    on every backend.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 threads, got {n}")
+    _check_program_parameters(body_length, store_probability)
+    _check_beta(beta)
     cfg = (config or RunConfig()).resolve(default_backend="vectorized")
     kernel = {
         "vectorized": _disjointness_batch_trial,
         "scalar": _disjointness_scalar_trial,
-        "fused": _disjointness_fused_trial,
     }[cfg.backend]
     batch_trial = partial(
         kernel,

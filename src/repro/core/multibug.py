@@ -39,8 +39,9 @@ import numpy as np
 from ..errors import ModelDefinitionError
 from ..runconfig import RunConfig
 from ..stats.montecarlo import BernoulliResult, run_event_trials
-from ..stats.rng import RandomSource
+from ..stats.rng import RandomSource, _check_beta
 from .distributions import ValueWithError
+from .instructions import _check_program_parameters
 from .memory_models import MemoryModel
 from .settling import DEFAULT_BODY_LENGTH
 from .shift import DEFAULT_SHIFT_RATIO
@@ -161,12 +162,15 @@ def estimate_multi_bug_survival(
     :func:`repro.stats.montecarlo.run_event_trials`; ``config`` (a
     :class:`repro.runconfig.RunConfig`) carries the engine knobs, so
     the estimate shards, checkpoints, caches and is observed like any
-    other.  The model is checked before any shard runs
-    (``ModelDefinitionError``), and the kernel is vectorized only:
-    ``backend="scalar"`` or ``"fused"`` raises ``ValueError``.
+    other.  The model and the program and shift parameters are checked
+    before any shard runs (``ModelDefinitionError``, ``ProgramError``,
+    ``ValueError``), and the kernel is vectorized only:
+    ``backend="scalar"`` raises ``ValueError``.
     """
     if bug_count < 1:
         raise ValueError(f"bug_count must be >= 1, got {bug_count}")
+    _check_program_parameters(body_length, store_probability)
+    _check_beta(beta)
     if model.uniform_settle_probability is None and model.relaxed_pairs:
         raise ModelDefinitionError(
             "multi-bug Monte Carlo needs a uniform settle probability"

@@ -103,6 +103,12 @@ def batch_disjoint(shifts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         lengths = np.broadcast_to(lengths, shifts.shape)
     if lengths.shape != shifts.shape:
         raise ValueError(f"lengths shape {lengths.shape} incompatible with {shifts.shape}")
+    if shifts.shape[1] == 2:
+        # The sort below in closed form: with s0 <= s1 the segments are
+        # disjoint iff s1 > s0 + l0, otherwise iff s0 > s1 + l1 (a tie
+        # keeps thread order, as the stable argsort does).
+        s0, s1 = shifts[:, 0], shifts[:, 1]
+        return np.where(s0 <= s1, s1 - s0 > lengths[:, 0], s0 - s1 > lengths[:, 1])
     order = np.argsort(shifts, axis=1, kind="stable")
     starts = np.take_along_axis(shifts, order, axis=1)
     ends = starts + np.take_along_axis(lengths, order, axis=1)
@@ -150,8 +156,8 @@ def estimate_disjointness(
     :func:`repro.stats.montecarlo.run_event_trials`; ``config`` (a
     :class:`repro.runconfig.RunConfig`) carries the engine knobs, so the
     estimate shards, checkpoints, caches and is observed like any other.
-    The kernel is vectorized only: ``backend="scalar"`` or ``"fused"``
-    raises ``ValueError``.
+    The kernel is vectorized only: ``backend="scalar"`` raises
+    ``ValueError``.
     """
     from ..kernels.shift import shift_disjoint_batch
 

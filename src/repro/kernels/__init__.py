@@ -13,10 +13,8 @@ Backend contract
 Every kernel-backed driver (``estimate_non_manifestation``,
 ``run_canonical_bug``, ``measure_critical_windows``, the analysis sweeps,
 and the ``--backend`` CLI flag) accepts ``backend="scalar"`` or
-``backend="vectorized"``; the joined-model paths additionally accept
-``backend="fused"`` (the single-pass
-:func:`repro.kernels.joined.non_manifestation_fused_batch` chain), and
-drivers without a fused kernel reject it explicitly via
+``backend="vectorized"``; the shift, multi-bug and fleet estimators have
+no scalar kernel and reject it explicitly via
 ``resolve_backend(..., allowed=...)``:
 
 * Different backends draw randomness in different stream orders, so they
@@ -38,11 +36,7 @@ contract and backend-selection guidance.
 
 from __future__ import annotations
 
-from .joined import (
-    non_manifestation_batch,
-    non_manifestation_fused_batch,
-    non_manifestation_scalar_batch,
-)
+from .joined import non_manifestation_batch, non_manifestation_scalar_batch
 from .machine import (
     SUPPORTED_MACHINE_MODELS,
     canonical_bug_batch,
@@ -66,7 +60,6 @@ __all__ = [
     "sample_shifts_batch",
     "non_manifestation_batch",
     "non_manifestation_scalar_batch",
-    "non_manifestation_fused_batch",
     "machine_race_batch",
     "canonical_bug_batch",
     "SUPPORTED_MACHINE_MODELS",
@@ -75,11 +68,10 @@ __all__ = [
     "assert_contains_probability",
 ]
 
-#: The recognised simulation backends.  ``"fused"`` is the single-pass
-#: joined-model chain (:func:`non_manifestation_fused_batch`); drivers
-#: without a fused kernel restrict their accepted subset via the
-#: ``allowed`` parameter of :func:`resolve_backend`.
-BACKENDS = ("scalar", "vectorized", "fused")
+#: The recognised simulation backends.  Drivers without a scalar kernel
+#: restrict their accepted subset via the ``allowed`` parameter of
+#: :func:`resolve_backend`.
+BACKENDS = ("scalar", "vectorized")
 
 
 def resolve_backend(backend: str,
@@ -87,7 +79,7 @@ def resolve_backend(backend: str,
     """Validate a backend name; returns it unchanged.
 
     ``allowed`` restricts the accepted subset for drivers that do not
-    implement every backend (e.g. the machine paths have no fused
+    implement every backend (e.g. the shift estimator has no scalar
     kernel) — unknown names and known-but-unsupported names both raise,
     with messages that tell the two cases apart.
 
@@ -123,10 +115,6 @@ KERNEL_CATALOGUE: dict[str, tuple[str, str]] = {
     "non_manifestation_batch": (
         "Theorems 6.2 / 6.3",
         "Batch joined-model trials: shared program, settled windows, shifts, Pr[A].",
-    ),
-    "non_manifestation_fused_batch": (
-        "Theorems 6.2 / 6.3",
-        "Fused settle-shift-disjointness pass: inversion-sampled, in-place, z-equivalent.",
     ),
     "machine_race_batch": (
         "§2.2 canonical bug",

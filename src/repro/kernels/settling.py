@@ -9,14 +9,17 @@ a whole batch as array operations, using the same model-specific laws:
 * **TSO/PSO** — the trailing-store-run Markov chain of Lemma 4.2 advanced
   ``body_length`` rounds with array state, then the critical-load climb
   (and, for PSO, the critical-store chase).
-* anything else — an honest scalar loop over the reference sampler, so
+* anything else — an honest scalar loop over the reference settler, so
   custom models still work (just not fast).
 
-The vectorized chain draws its per-round climb variable unconditionally
-(the scalar chain draws it only on load rounds); the unused draws are
-independent of everything else, so the sampled law is identical while the
-stream positions differ — the backends are statistically equivalent, not
-bit-identical (see ``docs/KERNELS.md``).
+:func:`window_growth_batch` is the one-thread column of the §6 growth
+matrix, :func:`repro.core.window_sampling.sample_growth_matrix` (with one
+thread the shared-program coupling is void), so the two draw the same
+numbers.  The vectorized chain draws its per-round climb variable
+unconditionally (the scalar chain draws it only on load rounds); the
+unused draws are independent of everything else, so the sampled law is
+identical while the stream positions differ — the backends are
+statistically equivalent, not bit-identical (see ``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.instructions import DEFAULT_STORE_PROBABILITY
-from ..core.memory_models import PSO, SC, TSO, WO, MemoryModel
-from ..core.settling import (
-    DEFAULT_BODY_LENGTH,
-    _require_store_load_only,
-    sample_window_growth,
-)
+from ..core.memory_models import MemoryModel
+from ..core.settling import DEFAULT_BODY_LENGTH, _require_store_load_only
+from ..core.window_sampling import sample_growth_matrix
 from ..stats.rng import RandomSource
 
 __all__ = ["window_growth_batch", "trailing_run_batch"]
@@ -64,31 +64,13 @@ def window_growth_batch(
 
     Vectorized analogue of
     :func:`repro.core.settling.sample_window_growth`; rows are i.i.d.
-    single-thread draws (for the shared-program *matrix* coupling of §6
-    use :func:`repro.core.window_sampling.sample_growth_matrix`).
+    single-thread draws, the one-thread column of
+    :func:`repro.core.window_sampling.sample_growth_matrix` (use that
+    sampler for the shared-program *matrix* coupling of §6).
     Returns an int64 array of shape ``(trials,)``.
     """
-    _check_trials(trials)
-    if model.relaxed_pairs == SC.relaxed_pairs:
-        return np.zeros(trials, dtype=np.int64)
-    settle = model.uniform_settle_probability
-    if settle is None:
-        return _window_growth_reference(model, source, trials, body_length,
-                                        store_probability)
-    if model.relaxed_pairs == WO.relaxed_pairs:
-        load_climb = np.minimum(source.geometric_array(settle, trials), body_length)
-        store_chase = np.minimum(source.geometric_array(settle, trials), load_climb)
-        return load_climb - store_chase
-    if model.relaxed_pairs in (TSO.relaxed_pairs, PSO.relaxed_pairs):
-        runs = _trailing_run_chain(source, settle, store_probability, trials,
-                                   body_length)
-        load_climb = np.minimum(source.geometric_array(settle, trials), runs)
-        if model.relaxed_pairs == TSO.relaxed_pairs:
-            return load_climb
-        store_chase = np.minimum(source.geometric_array(settle, trials), load_climb)
-        return load_climb - store_chase
-    return _window_growth_reference(model, source, trials, body_length,
-                                    store_probability)
+    return sample_growth_matrix(model, source, trials, 1, body_length,
+                                store_probability)[:, 0]
 
 
 def _trailing_run_chain(
@@ -112,21 +94,6 @@ def _trailing_run_chain(
         climbs = source.geometric_array(settle, trials)
         runs = np.where(is_store, runs + 1, np.minimum(runs, climbs))
     return runs
-
-
-def _window_growth_reference(
-    model: MemoryModel,
-    source: RandomSource,
-    trials: int,
-    body_length: int,
-    store_probability: float,
-) -> np.ndarray:
-    """Custom-model fallback: the scalar reference sampler, looped."""
-    return np.array(
-        [sample_window_growth(model, source, body_length, store_probability)
-         for _ in range(trials)],
-        dtype=np.int64,
-    )
 
 
 def _check_trials(trials: int) -> None:

@@ -12,7 +12,7 @@ collapses them into one frozen, validated record with a **single
 resolution point** (:meth:`RunConfig.resolve`):
 
 >>> from repro.runconfig import RunConfig
->>> config = RunConfig(workers=4, retries=2, backend="fused")
+>>> config = RunConfig(workers=4, retries=2, backend="scalar")
 >>> # estimate_non_manifestation(TSO, 2, 100_000, config=config)
 
 Design rules:
@@ -20,9 +20,9 @@ Design rules:
 * **One record, one resolve.**  ``resolve()`` validates every knob
   (unknown ``transport``/``backend`` names raise), applies
   the calling driver's native backend default, and rejects backends the
-  driver does not implement (``backend="fused"`` exists only on the
-  joined-model paths) — so an invalid combination fails loudly at the
-  call site instead of being silently ignored downstream.
+  driver does not implement (the shift, multi-bug and fleet estimators
+  have no scalar kernel) — so an invalid combination fails loudly at
+  the call site instead of being silently ignored downstream.
 * **Experiment identity stays out.**  ``trials``/``seed``/model
   parameters are *what* is estimated; ``RunConfig`` is *how* the
   estimation executes.  Of its fields, only the resolved ``shards``
@@ -119,9 +119,9 @@ class RunConfig:
         The observability knobs; :meth:`observer` derives the
         :class:`~repro.obs.RunObserver` they imply.
     ``backend``
-        Simulation kernel (``"scalar"``/``"vectorized"``/``"fused"``);
-        ``None`` keeps each driver's native default, and drivers
-        without a fused kernel reject ``"fused"`` at :meth:`resolve`.
+        Simulation kernel (``"scalar"``/``"vectorized"``); ``None``
+        keeps each driver's native default, and drivers without a
+        scalar kernel reject ``"scalar"`` at :meth:`resolve`.
     ``transport``
         Shard result channel (``"auto"``/``"pickle"``/``"shm"``); a
         scheduling concern, absent from every key.
@@ -158,9 +158,9 @@ class RunConfig:
         doc="live stderr progress line (shards done, trials/s, ETA), or a "
             "snapshot callback")
     backend: str | None = _knob(
-        None, "--backend", choices=("scalar", "vectorized", "fused"),
-        doc="simulation kernel: `scalar`, `vectorized`, or `fused` (unset: "
-            "each driver's native default)")
+        None, "--backend", choices=("scalar", "vectorized"),
+        doc="simulation kernel: `scalar` or `vectorized` (unset: each "
+            "driver's native default)")
     transport: str = _knob(
         "auto", "--transport", choices=("auto", "pickle", "shm"),
         doc="shard result channel: `auto`, `pickle`, or `shm` (scheduling "
@@ -312,8 +312,8 @@ class RunConfig:
         This is the engine's **single resolution point**: each driver
         calls it once, naming its native ``default_backend`` and — when
         it does not implement every kernel — the ``allowed_backends``
-        subset (so e.g. ``backend="fused"`` raises on the machine paths
-        instead of being silently substituted).  Unknown
+        subset (so e.g. ``backend="scalar"`` raises on the shift
+        estimator instead of being silently substituted).  Unknown
         ``transport``/``backend`` names, non-positive
         ``workers``/``shards``, a non-positive or non-finite ``timeout``
         (``nan``/``inf`` would fail every pooled shard), and negative

@@ -23,6 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
 
+from ..core.instructions import _check_program_parameters
 from ..runconfig import RunConfig
 from ..stats.intervals import Proportion, wilson_interval
 from ..stats.montecarlo import CategoricalResult, _estimate, merge_categorical
@@ -263,15 +264,13 @@ def run_canonical_bug(
           of :mod:`repro.kernels.machine` — statistically equivalent,
           typically an order of magnitude faster, but restricted to the
           racy variant on SC/TSO/PSO under the geometric-launch
-          scheduler (anything else raises).  The machine has no fused
-          kernel, so ``backend="fused"`` is rejected (the config
-          resolves with ``allowed_backends=("scalar", "vectorized")``).
-          See ``docs/KERNELS.md``.
+          scheduler (anything else raises).  See ``docs/KERNELS.md``.
         * ``transport`` selects the shard result channel.
     core_options:
         Forwarded to the core constructor (e.g. ``drain_probability``).
         An option the model's core does not accept raises
-        ``TypeError`` before any shard runs.
+        ``TypeError`` before any shard runs, as a negative
+        ``body_length`` raises ``ProgramError``.
     """
     if threads < 2:
         raise ValueError(f"the race needs at least 2 threads, got {threads}")
@@ -280,14 +279,14 @@ def run_canonical_bug(
     if fenced and atomic:
         raise ValueError("fenced and atomic variants are mutually exclusive")
     _check_core_options(model_name, core_options)
+    _check_program_parameters(body_length)
     if atomic:
         builder = canonical_increment_atomic
     elif fenced:
         builder = canonical_increment_fenced
     else:
         builder = canonical_increment
-    cfg = (config or RunConfig()).resolve(
-        default_backend="scalar", allowed_backends=("scalar", "vectorized"))
+    cfg = (config or RunConfig()).resolve(default_backend="scalar")
     if cfg.backend == "vectorized":
         beta = _machine_backend_beta(model_name, scheduler, fenced, atomic)
         kernel = partial(

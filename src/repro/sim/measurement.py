@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from ..core.instructions import _check_program_parameters
 from ..errors import SimulationError
 from ..runconfig import RunConfig
 from ..stats.bootstrap import BootstrapInterval, bootstrap_mean_interval
@@ -239,23 +240,21 @@ def measure_critical_windows(
     (``docs/OBSERVABILITY.md``).  ``backend="vectorized"`` measures the
     same statistics on the whole-array kernel of
     :mod:`repro.kernels.machine` (racy canonical workload, SC/TSO/PSO,
-    geometric-launch scheduler only — see ``docs/KERNELS.md``); the
-    machine has no fused kernel, so ``backend="fused"`` is rejected
-    explicitly.  ``transport`` selects the shard result channel (see
+    geometric-launch scheduler only — see ``docs/KERNELS.md``).
+    ``transport`` selects the shard result channel (see
     :mod:`repro.stats.transport`).  Like
     :func:`~repro.sim.executor.run_canonical_bug` this is a
-    scalar-default machine driver, so the config resolves with
-    ``allowed_backends=("scalar", "vectorized")``, and ``core_options``
-    the model's core does not accept raise ``TypeError`` before any
-    shard runs.
+    scalar-default machine driver, and ``core_options`` the model's
+    core does not accept raise ``TypeError`` before any shard runs, as
+    a negative ``body_length`` raises ``ProgramError``.
     """
     if threads < 2:
         raise ValueError(f"need at least 2 threads, got {threads}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     _check_core_options(model_name, core_options)
-    cfg = (config or RunConfig()).resolve(
-        default_backend="scalar", allowed_backends=("scalar", "vectorized"))
+    _check_program_parameters(body_length)
+    cfg = (config or RunConfig()).resolve(default_backend="scalar")
     if cfg.backend == "vectorized":
         beta = _machine_backend_beta(model_name, scheduler, False, False)
         kernel = partial(

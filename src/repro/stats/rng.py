@@ -122,11 +122,32 @@ class RandomSource:
         return self._generator.random(size) < probability
 
     def geometric_array(self, beta: float, size: int | tuple[int, ...]) -> np.ndarray:
-        """Vectorised :meth:`geometric`; returns an int64 array of shifts."""
+        """Vectorised :meth:`geometric`; returns an int64 array of shifts.
+
+        The variates are ``Generator.geometric(1 - beta) - 1`` on this
+        stream.  For a success probability ``p = 1 - beta >= 1/3``
+        numpy draws by search, one uniform double ``u`` per variate, and
+        the search returns what ``floor(log1p(-u) / log(beta))``
+        computes from that same double, so that inversion runs here in
+        place on one uniform block: the same numbers in under half the
+        time.  The two computations round differently only next to the
+        CDF's steps; a scan around every step finds 53 such uniforms at
+        ``beta = 1/2`` and 12 to 184 at ``beta`` in {0.1, 0.3, 0.6, 0.66,
+        2/3}, out of the 2^53 that numpy draws from (below 3e-14 per
+        variate).  Below ``p = 1/3`` numpy draws by another method, which
+        is called as is.
+        """
         _check_beta(beta)
         if beta == 0.0:
             return np.zeros(size, dtype=np.int64)
-        return self._generator.geometric(1.0 - beta, size=size).astype(np.int64) - 1
+        if 1.0 - beta < 1.0 / 3.0:  # numpy's own test on p
+            return self._generator.geometric(1.0 - beta, size=size).astype(np.int64) - 1
+        u = self._generator.random(size)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= np.log(beta)
+        np.floor(u, out=u)
+        return u.astype(np.int64)
 
     def type_array(self, store_probability: float, size: int) -> np.ndarray:
         """Sample an instruction-type vector: ``True`` marks a store.

@@ -42,6 +42,7 @@ class TestBadInputsAreUsageErrors:
         ["litmus", "explore", "--models", "NOPE"],
         ["litmus", "explore", "--mode", "random", "--trials", "0"],
         ["thm62", "--trials", "-5"],
+        ["--backend", "fused", "thm62", "--trials", "4000"],
     ], ids=" ".join)
     def test_exits_2_without_output(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -19,8 +19,10 @@ the seven engine-aware estimators:
    pickles, so a requested pool really runs it in parallel.
 3. **Engine surface.**  The estimators that used to pass closures
    (shift, fleet, multi-bug) shard, cache and observe like the rest.
-4. **Failing at the call.**  A bad model or backend raises before any
-   shard runs, so the engine never retries a programming error.
+4. **Failing at the call.**  A bad model, backend, program or shift
+   argument raises before any shard runs, on every backend, so the
+   engine never retries a programming error and no backend returns a
+   number the scalar reference would refuse.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.core import (
     estimate_multi_bug_survival,
     estimate_non_manifestation,
 )
-from repro.errors import ModelDefinitionError
+from repro.errors import ModelDefinitionError, ProgramError
 from repro.litmus import explore_random
 from repro.obs import load_manifest
 from repro.sim import measure_critical_windows, run_canonical_bug
@@ -71,8 +73,7 @@ IDENTITY_CASES = [
         [dict(model=TSO_SLOW), dict(n=3), dict(store_probability=0.25),
          dict(beta=0.25), dict(body_length=4),
          dict(critical_section_length=3), dict(seed=1),
-         dict(config=dict(backend="scalar")),
-         dict(config=dict(backend="fused"))],
+         dict(config=dict(backend="scalar"))],
         id="estimate_non_manifestation"),
     pytest.param(
         run_canonical_bug, dict(model_name="TSO", threads=2, trials=8,
@@ -253,12 +254,55 @@ def test_fleet_without_a_sampler_fails_at_the_call(engine_calls, retries):
     assert engine_calls == []
 
 
-@pytest.mark.parametrize("backend", ["scalar", "fused"])
+@pytest.mark.parametrize("backend", ["scalar"])
 @pytest.mark.parametrize("estimate", CHANGED)
 def test_only_the_vectorized_backend_is_accepted(engine_calls, estimate,
                                                  backend):
     with pytest.raises(ValueError, match=backend):
         estimate(RunConfig(shards=2, backend=backend))
+    assert engine_calls == []
+
+
+#: Each program-drawing driver with the program and shift arguments it
+#: takes; every one must refuse an out-of-range value before planning.
+ARGUMENT_DRIVERS = {
+    "estimate_non_manifestation": (
+        lambda config, **bad: estimate_non_manifestation(
+            TSO, 2, 1000, config=config, **bad),
+        ("store_probability", "body_length", "beta")),
+    "estimate_multi_bug_survival": (
+        lambda config, **bad: estimate_multi_bug_survival(
+            TSO, 2, 500, config=config, **bad),
+        ("store_probability", "body_length", "beta")),
+    "estimate_heterogeneous_non_manifestation": (
+        lambda config, **bad: estimate_heterogeneous_non_manifestation(
+            [TSO, WO], 1000, config=config, **bad),
+        ("store_probability", "body_length", "beta")),
+    "run_canonical_bug": (
+        lambda config, **bad: run_canonical_bug("TSO", 2, 100, config=config,
+                                                **bad),
+        ("body_length",)),
+    "measure_critical_windows": (
+        lambda config, **bad: measure_critical_windows(
+            "TSO", 2, 100, config=config, **bad),
+        ("body_length",)),
+}
+
+BAD_VALUES = {"store_probability": 1.5, "body_length": -1, "beta": 1.5}
+
+
+@pytest.mark.parametrize("driver, argument", [
+    pytest.param(driver, argument, id=f"{driver}-{argument}")
+    for driver, (_, arguments) in ARGUMENT_DRIVERS.items()
+    for argument in arguments])
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+def test_program_and_shift_arguments_fail_at_the_call(engine_calls, driver,
+                                                      argument, backend):
+    drive, _ = ARGUMENT_DRIVERS[driver]
+    config = RunConfig(workers=2, shards=4, retries=2, backend=backend)
+    error = ValueError if argument == "beta" else ProgramError
+    with pytest.raises(error, match=argument):
+        drive(config, **{argument: BAD_VALUES[argument]})
     assert engine_calls == []
 
 

@@ -27,15 +27,15 @@ from repro.core import (
     estimate_non_manifestation,
     non_manifestation_probability,
 )
-from repro.core.memory_models import PSO
+from repro.core.memory_models import LD, PSO, MemoryModel
 from repro.core.settling import DEFAULT_BODY_LENGTH, sample_window_growth
 from repro.core.shift import DEFAULT_SHIFT_RATIO, ShiftProcess, estimate_disjointness
 from repro.core.shift_analytic import disjointness_probability
+from repro.core.window_sampling import sample_growth_matrix
 from repro.kernels import (
     BACKENDS,
     KERNEL_CATALOGUE,
     non_manifestation_batch,
-    non_manifestation_fused_batch,
     non_manifestation_scalar_batch,
     resolve_backend,
     sample_shifts_batch,
@@ -50,9 +50,14 @@ from repro.stats import RandomSource
 
 MODELS = {"SC": SC, "TSO": TSO, "WO": WO, "PSO": PSO}
 
+#: A custom model with no vectorized law: both samplers settle it with
+#: the reference simulator.
+LD_LD = MemoryModel("LD-LD", [(LD, LD)])
+
 
 class TestBackendResolution:
     def test_known_backends_pass_through(self):
+        assert BACKENDS == ("scalar", "vectorized")
         for backend in BACKENDS:
             assert resolve_backend(backend) == backend
 
@@ -64,7 +69,7 @@ class TestBackendResolution:
         assert resolve_backend("scalar",
                                allowed=("scalar", "vectorized")) == "scalar"
         with pytest.raises(ValueError, match="not supported here"):
-            resolve_backend("fused", allowed=("scalar", "vectorized"))
+            resolve_backend("scalar", allowed=("vectorized",))
 
     def test_allowed_rejection_differs_from_unknown(self):
         # A known-but-unsupported backend must not masquerade as a typo.
@@ -108,6 +113,17 @@ class TestSettlingKernel:
                 2.0 ** -gamma / 3.0, confidence=0.999,
                 context=f"WO Pr[B_{gamma}]",
             )
+
+    @pytest.mark.parametrize("model", [SC, TSO, WO, PSO, LD_LD],
+                             ids=lambda model: model.name)
+    def test_is_the_one_thread_column_of_the_growth_matrix(self, model):
+        trials = 300 if model is LD_LD else 5_000
+        for seed in range(3):
+            column = sample_growth_matrix(model, RandomSource(seed), trials, 1,
+                                          body_length=12)[:, 0]
+            batch = window_growth_batch(model, RandomSource(seed), trials,
+                                        body_length=12)
+            np.testing.assert_array_equal(batch, column)
 
     @pytest.mark.parametrize("name", ["TSO", "WO", "PSO"])
     def test_equivalent_to_scalar_reference(self, name):
@@ -223,105 +239,3 @@ class TestJoinedKernel:
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="backend"):
             estimate_non_manifestation(SC, 2, 1_000, config=RunConfig(backend="cuda"))
-
-
-class TestFusedKernel:
-    """The single-pass fused chain: z-equivalent to the composed kernels.
-
-    The fused backend inverts its geometric draws from uniforms instead
-    of replaying the composed chain's generator calls, so it is pinned by
-    two-sample equivalence at 0.999 (same laws, different streams) plus
-    its own fixed-seed determinism — and, where numpy's geometric sampler
-    reads the stream the same way (every ratio at most 2/3), by equality.
-    """
-
-    OPTIONS = dict(store_probability=0.5, beta=DEFAULT_SHIFT_RATIO,
-                   body_length=DEFAULT_BODY_LENGTH,
-                   critical_section_length=2)
-
-    @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_equivalent_to_composed_chain(self, name):
-        trials = 60_000
-        fused = non_manifestation_fused_batch(
-            RandomSource(71), trials, model=MODELS[name], n=2, **self.OPTIONS)
-        composed = non_manifestation_batch(
-            RandomSource(72), trials, model=MODELS[name], n=2, **self.OPTIONS)
-        assert_equivalent_proportions(
-            fused, trials, composed, trials,
-            confidence=0.999, context=f"fused vs composed {name} n=2",
-        )
-
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_equivalent_beyond_the_closed_form_pair(self, n):
-        trials = 60_000
-        fused = non_manifestation_fused_batch(
-            RandomSource(73), trials, model=TSO, n=n, **self.OPTIONS)
-        composed = non_manifestation_batch(
-            RandomSource(74), trials, model=TSO, n=n, **self.OPTIONS)
-        assert_equivalent_proportions(
-            fused, trials, composed, trials,
-            confidence=0.999, context=f"fused vs composed TSO n={n}",
-        )
-
-    def test_fixed_seed_is_deterministic(self):
-        draws = [non_manifestation_fused_batch(
-            RandomSource(75), 5_000, model=PSO, n=2, **self.OPTIONS)
-            for _ in range(2)]
-        assert draws[0] == draws[1]
-
-    def test_degenerate_parameters_match_composed_exactly(self):
-        # beta=0 shifts and p in {0, 1} stores draw no randomness, so the
-        # fused and composed counts coincide exactly, not just in law.
-        for p in (0.0, 1.0):
-            options = dict(store_probability=p, beta=0.0,
-                           body_length=4, critical_section_length=2)
-            fused = non_manifestation_fused_batch(
-                RandomSource(76), 500, model=TSO, n=2, **options)
-            composed = non_manifestation_batch(
-                RandomSource(76), 500, model=TSO, n=2, **options)
-            assert fused == composed
-
-    @pytest.mark.parametrize("beta, equal", [(0.5, True), (0.8, False)])
-    def test_equals_composed_counts_iff_beta_at_most_two_thirds(
-            self, beta, equal):
-        # For p = 1 - beta >= 1/3 numpy's Generator.geometric draws by
-        # search from one uniform per variate, which is exactly the
-        # fused inversion of that uniform; above 2/3 it does not.
-        options = dict(self.OPTIONS, beta=beta)
-        for name, model in sorted(MODELS.items()):
-            fused = non_manifestation_fused_batch(
-                RandomSource(77), 20_000, model=model, n=3, **options)
-            composed = non_manifestation_batch(
-                RandomSource(77), 20_000, model=model, n=3, **options)
-            assert (fused == composed) is equal, name
-
-    def test_validates_batch_and_n(self):
-        with pytest.raises(ValueError, match="positive"):
-            non_manifestation_fused_batch(
-                RandomSource(0), 0, model=SC, n=2, **self.OPTIONS)
-        with pytest.raises(ValueError, match="positive"):
-            non_manifestation_fused_batch(
-                RandomSource(0), 10, model=SC, n=0, **self.OPTIONS)
-
-    def test_estimator_backend_lands_on_the_exact_value(self):
-        result = estimate_non_manifestation(WO, 2, 60_000, seed=8,
-                                            confidence=0.999,
-                                            config=RunConfig(backend="fused"))
-        assert result.agrees_with(non_manifestation_probability(WO, 2).value)
-
-    def test_estimator_backend_survives_sharding(self):
-        serial = estimate_non_manifestation(TSO, 2, 8_000, seed=9,
-                                            config=RunConfig(shards=4, backend="fused"))
-        parallel = estimate_non_manifestation(TSO, 2, 8_000, seed=9,
-                                              config=RunConfig(shards=4, workers=2,
-                                                               backend="fused"))
-        assert serial.successes == parallel.successes
-
-    def test_machine_paths_reject_fused(self):
-        from repro.sim import run_canonical_bug
-        from repro.sim.measurement import measure_critical_windows
-
-        with pytest.raises(ValueError, match="not supported here"):
-            run_canonical_bug("TSO", threads=2, trials=100, config=RunConfig(backend="fused"))
-        with pytest.raises(ValueError, match="not supported here"):
-            measure_critical_windows("TSO", 2, 100, config=RunConfig(backend="fused"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from repro.core import (
     DiscreteDistribution,
     MemoryModel,
     SettlingProcess,
+    batch_disjoint,
     bounded_partitions,
     c_constant,
     disjointness_probability,
@@ -175,6 +177,27 @@ class TestShiftProperties:
         shifts, lengths = shifts[:size], lengths[:size]
         if segments_disjoint(shifts, lengths, closed=True):
             assert segments_disjoint(shifts, lengths, closed=False)
+
+    @given(
+        rows=st.lists(st.tuples(*[st.integers(min_value=0, max_value=4)] * 2,
+                                *[st.integers(min_value=-2, max_value=5)] * 2),
+                      min_size=1, max_size=30),
+        shared_lengths=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_two_thread_batch_disjoint_is_the_sorted_check(self, rows,
+                                                           shared_lengths):
+        # Narrow shift ranges make ties common; negative lengths make a
+        # tie's order decide the answer, as in the stable sort.
+        shifts = np.array([row[:2] for row in rows])
+        lengths = np.array([row[2:] for row in rows])
+        if shared_lengths:
+            lengths = lengths[0]
+        batched = batch_disjoint(shifts, lengths)
+        assert batched.shape == (len(rows),)
+        for index, row in enumerate(shifts):
+            row_lengths = lengths if shared_lengths else lengths[index]
+            assert batched[index] == segments_disjoint(row, row_lengths)
 
     @given(n=st.integers(min_value=1, max_value=30))
     @settings(max_examples=30)

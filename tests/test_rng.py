@@ -108,6 +108,27 @@ class TestGeometric:
     def test_array_dtype(self, source):
         assert source.geometric_array(0.5, 8).dtype == np.int64
 
+    #: Both sides of numpy's switch at p = 1 - beta = 1/3 from search
+    #: (inverted in place by ``geometric_array``) to its other method,
+    #: including the doubles next to 2/3.
+    RATIOS = [0.0, 0.1, 0.5, 0.66, 2 / 3, float(np.nextafter(2 / 3, 0)),
+              float(np.nextafter(2 / 3, 1)), 0.9]
+
+    @pytest.mark.parametrize("size", [60_000, (15_000, 4)],
+                             ids=["int", "tuple"])
+    @pytest.mark.parametrize("beta", RATIOS)
+    def test_array_draws_numpy_geometric_variates(self, beta, size):
+        for seed in range(3):
+            drawn, reference = RandomSource(seed), RandomSource(seed)
+            shifts = drawn.geometric_array(beta, size)
+            expected = reference.generator.geometric(1.0 - beta, size=size) - 1
+            assert shifts.dtype == np.int64
+            np.testing.assert_array_equal(shifts, expected)
+            # Equal stream positions afterwards, so later draws agree too;
+            # the point mass at beta = 0 draws nothing.
+            after = RandomSource(seed) if beta == 0.0 else reference
+            assert drawn.generator.random() == after.generator.random()
+
 
 class TestUniformInt:
     def test_bounds_inclusive(self, source):

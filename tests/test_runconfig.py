@@ -12,8 +12,8 @@ Four layers of coverage:
 3. One way to pass a knob — every public function that takes ``config``
    takes it keyword-only and takes no knob as a parameter of its own.
 4. Golden byte-identity — fixed-seed merged numbers and run keys over
-   the pickle/shm × scalar/vectorized/fused matrix, pinned to the
-   values the pre-RunConfig code produced.
+   the pickle/shm × scalar/vectorized matrix, pinned to the values the
+   pre-RunConfig code produced.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.analysis import (
 )
 from repro.core.manifestation import (
     _disjointness_batch_trial,
-    _disjointness_fused_trial,
     _disjointness_scalar_trial,
     estimate_non_manifestation,
 )
@@ -98,13 +97,9 @@ class TestResolve:
         for path in (str(tmp_path / "run.jsonl"), tmp_path / "run.jsonl"):
             assert RunConfig(checkpoint=path).resolve().checkpoint == path
 
-    def test_fused_rejected_where_not_allowed(self):
-        with pytest.raises(ValueError, match="fused"):
-            RunConfig(backend="fused").resolve(
-                allowed_backends=("scalar", "vectorized"))
-
-    def test_fused_allowed_on_unrestricted_drivers(self):
-        assert RunConfig(backend="fused").resolve().backend == "fused"
+    def test_the_fused_backend_removed_in_5_0_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown backend 'fused'"):
+            RunConfig(backend="fused").resolve()
 
 
 class TestMetadata:
@@ -134,12 +129,12 @@ class TestMetadata:
         class Args:
             workers = 3
             shard_timeout = 12.5
-            backend = "fused"
+            backend = "scalar"
             transport = "shm"
         config = RunConfig.from_args(Args())
         assert config.workers == 3
         assert config.timeout == 12.5
-        assert config.backend == "fused"
+        assert config.backend == "scalar"
         assert config.transport == "shm"
         assert config.shards is None  # missing attrs keep field defaults
 
@@ -257,8 +252,7 @@ class TestKnobPropagation:
 
     def test_backend_selects_the_joined_kernel(self, tmp_path, monkeypatch):
         expected = {"scalar": _disjointness_scalar_trial,
-                    "vectorized": _disjointness_batch_trial,
-                    "fused": _disjointness_fused_trial}
+                    "vectorized": _disjointness_batch_trial}
         for backend, func in expected.items():
             recorder = _EngineRecorder(_bernoulli)
             monkeypatch.setattr(montecarlo_module, "run_sharded", recorder)
@@ -277,13 +271,6 @@ class TestKnobPropagation:
             run_canonical_bug("TSO", 2, 100,
                               config=_probe_config(tmp_path, backend=backend))
             assert recorder.only_call["kernel"].func is func
-
-    def test_machine_drivers_reject_fused(self, tmp_path):
-        config = _probe_config(tmp_path, backend="fused")
-        with pytest.raises(ValueError, match="fused"):
-            run_canonical_bug("TSO", 2, 100, config=config)
-        with pytest.raises(ValueError, match="fused"):
-            measure_critical_windows("TSO", 2, 100, config=config)
 
     SWEEPS = [
         pytest.param(lambda cfg: thread_sweep([2, 3], config=cfg),
@@ -402,11 +389,15 @@ class TestOneWayToPassAKnob:
                                          "estimate_shift_disjointness",
                                          "RNG_PLANS", "resolve_rng_plan",
                                          "philox_stream",
-                                         "assert_frequencies_equivalent"])
+                                         "assert_frequencies_equivalent",
+                                         "non_manifestation_fused_batch",
+                                         "_disjointness_fused_trial"])
     def test_removed_names_are_exported_nowhere(self, removed):
         for module_name in (*PUBLIC_MODULES, "repro.runconfig",
                             "repro.stats.montecarlo", "repro.stats.parallel",
-                            "repro.stats.rng", "repro.litmus.explore"):
+                            "repro.stats.rng", "repro.litmus.explore",
+                            "repro.kernels.joined",
+                            "repro.core.manifestation"):
             module = importlib.import_module(module_name)
             assert removed not in getattr(module, "__all__", ()), module_name
             assert not hasattr(module, removed), module_name
@@ -442,10 +433,8 @@ def _double(value):
 JOINED_GOLDEN = {
     ("scalar", "spawn", "pickle"): (521, "f8af8f7c11a170e3"),
     ("vectorized", "spawn", "pickle"): (541, "ced60950df46032b"),
-    ("fused", "spawn", "pickle"): (541, "29bb05b241367824"),
     ("scalar", "spawn", "shm"): (521, "f8af8f7c11a170e3"),
     ("vectorized", "spawn", "shm"): (541, "ced60950df46032b"),
-    ("fused", "spawn", "shm"): (541, "29bb05b241367824"),
 }
 
 MACHINE_GOLDEN = {

@@ -119,11 +119,11 @@ class TestUnsetAndLiveObjects:
 
 class TestBaseFolding:
     def test_omitted_keys_keep_base_values(self):
-        base = RunConfig(workers=4, retries=3, backend="fused")
+        base = RunConfig(workers=4, retries=3, backend="scalar")
         merged = RunConfig.from_json_dict({"workers": 2}, base=base)
         assert merged.workers == 2
         assert merged.retries == 3
-        assert merged.backend == "fused"
+        assert merged.backend == "scalar"
 
     def test_empty_payload_returns_base(self):
         base = RunConfig(workers=4)

@@ -425,6 +425,42 @@ class TestEstimationService:
         assert "rng_plan" in philox.error and "4.0" in philox.error
         service.shutdown(drain_seconds=1.0)
 
+    def test_fused_jobs_queued_under_4x_fail_after_the_upgrade(self, tmp_path):
+        # 5.0 removed backend="fused".  A job a 4.x server left queued with
+        # it fails on its own, naming the backend; its neighbour still runs.
+        params = validate_params("non_manifestation", SMALL["params"])
+        jobs = [Job(id=f"job-0000{index}", key=f"k{index}",
+                    estimator="non_manifestation", params=params,
+                    config_wire=RunConfig(shards=2,
+                                          backend=backend).to_json_dict()
+                    ).to_wire()
+                for index, backend in ((1, "fused"), (2, "vectorized"))]
+        (tmp_path / "jobs.json").write_text(json.dumps(
+            {"kind": "repro/service-jobs", "format": 1, "seq": 2,
+             "jobs": jobs}))
+        service = EstimationService(tmp_path, job_workers=1)
+        wait_for(lambda: all(service.registry.get(f"job-0000{index}").finished
+                             for index in (1, 2)))
+        fused = service.registry.get("job-00001")
+        assert fused.state == "failed"
+        assert "fused" in fused.error
+        assert service.registry.get("job-00002").state == "done"
+        service.shutdown(drain_seconds=1.0)
+
+    @pytest.mark.parametrize("bad", [{"store_probability": 1.5},
+                                     {"body_length": -1}],
+                             ids=["store_probability", "body_length"])
+    def test_out_of_range_program_params_fail_the_job(self, tmp_path, bad):
+        service = EstimationService(tmp_path, job_workers=1)
+        response, _ = service.submit(dict(
+            SMALL, params=dict(SMALL["params"], **bad)))
+        job = service.registry.get(response["job"]["id"])
+        wait_for(lambda: job.finished)
+        (name,) = bad
+        assert job.state == "failed"
+        assert job.error.startswith("ProgramError") and name in job.error
+        service.shutdown(drain_seconds=1.0)
+
     def test_submissions_refused_while_shutting_down(self, tmp_path):
         service = EstimationService(tmp_path, start=False)
         service.shutdown(drain_seconds=0.1)
@@ -523,6 +559,15 @@ class TestHTTP:
                                 config=removed)
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad-config"
+
+    def test_fused_backend_removed_in_5_0_is_bad_config(self, http_service):
+        with pytest.raises(ServiceError) as excinfo:
+            http_service.submit("non_manifestation",
+                                {"model": "TSO", "trials": 800},
+                                config={"backend": "fused"})
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-config"
+        assert "fused" in str(excinfo.value)
 
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
     def test_non_finite_timeout_is_bad_config(self, http_service, timeout):
