@@ -12,10 +12,12 @@ second claim on the four kernel families:
 * **shift** — Theorem 5.1 disjointness: per-trial
   :meth:`repro.core.shift.ShiftProcess.sample_event` vs
   :func:`repro.kernels.shift_disjoint_batch`;
-* **joined** — the §6 pipeline: the scalar reference trial loop vs
+* **joined** — the §6 pipeline: the scalar reference trial loop (kept
+  with the tier-1 tests, ``tests/reference.py``) vs
   :func:`repro.kernels.non_manifestation_batch`;
-* **machine** — the §2.2 race: the per-trial simulated multiprocessor vs
-  :func:`repro.kernels.canonical_bug_batch`.
+* **machine** — the §2.2 race: ``run_canonical_bug``'s two machines,
+  ``backend="scalar"`` (the per-trial simulated multiprocessor) vs
+  ``backend="vectorized"`` (:func:`repro.kernels.canonical_bug_batch`).
 
 Each side is timed on its own budget (the scalar reference would take
 minutes at the vectorized trial counts) and compared by *throughput*
@@ -33,7 +35,9 @@ compares the tracked ratios against this committed baseline.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 from conftest import results_path, scaled, show, smoke_mode
 
@@ -43,13 +47,16 @@ from repro.core.settling import sample_window_growth
 from repro.core.shift import DEFAULT_SHIFT_RATIO, ShiftProcess
 from repro.kernels import (
     non_manifestation_batch,
-    non_manifestation_scalar_batch,
     shift_disjoint_batch,
     window_growth_batch,
 )
 from repro.reporting import render_table
 from repro.reporting.io import write_rows
 from repro.stats import RandomSource
+
+#: The joined reference loop lives with the tier-1 tests, under the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.reference import non_manifestation_scalar_batch  # noqa: E402
 
 SEED = 20_011
 REPEATS = 3
@@ -147,7 +154,8 @@ def _bench_machine(rows) -> float:
 
     def run(backend: str, trials: int):
         return run_canonical_bug("TSO", 2, trials, seed=SEED,
-                                 config=RunConfig(workers=1, shards=1, backend=backend),
+                                 backend=backend,
+                                 config=RunConfig(workers=1, shards=1),
                                  body_length=BODY_LENGTH)
 
     scalar_rate = _throughput(

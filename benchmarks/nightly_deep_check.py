@@ -4,7 +4,7 @@
 CI's per-commit suites keep trial budgets small; statistical bugs that
 hide inside wide confidence intervals only surface at depth.  This
 script — run by the scheduled nightly workflow — drives the **vectorized
-backend** of :func:`repro.core.estimate_non_manifestation` at a deep
+kernel** of :func:`repro.core.estimate_non_manifestation` at a deep
 trial budget (default 10^6) and asserts the paper's closed-form
 Theorem 6.2 values at every memory model:
 
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         return estimate_non_manifestation(
             model, n, options.trials, seed=options.seed,
             confidence=CONFIDENCE,
-            config=RunConfig(workers=options.workers, backend="vectorized"),
+            config=RunConfig(workers=options.workers),
         )
 
     def run_brackets() -> None:

@@ -258,13 +258,13 @@ def monte_carlo_check(
 ) -> list[dict[str, object]]:
     """Analytic vs Monte-Carlo ``Pr[A]`` rows for the verification benches.
 
-    The Monte-Carlo leg forwards one resolved
+    The Monte-Carlo leg forwards one
     :class:`~repro.runconfig.RunConfig` — ``workers``/``shards``, the
     fault-tolerance options (``retries``/``timeout``/``checkpoint``), the
     result cache (``cache`` — overlapping sweep points and re-runs fetch
     completed shards instead of recomputing them, see ``docs/CACHING.md``),
-    the observability options (``manifest``/``trace``/``progress``), the
-    kernel ``backend``, and the ``transport`` engine knob —
+    the observability options (``manifest``/``trace``/``progress``), and
+    the ``transport`` engine knob —
     to :func:`repro.core.manifestation.estimate_non_manifestation`; the
     per-model checkpoint keys keep one journal file safe across the whole
     model loop, and each model's run appends its own labelled record to
@@ -272,7 +272,6 @@ def monte_carlo_check(
     estimators exactly (``seed=None`` draws fresh entropy).  The models
     share one process pool (:func:`~repro.stats.faults.pool_scope`).
     """
-    cfg = (config or RunConfig()).resolve(default_backend="vectorized")
     rows = []
     with pool_scope():
         for model in models:
@@ -280,7 +279,7 @@ def monte_carlo_check(
                 model, n, allow_independent_approximation=True
             )
             empirical = estimate_non_manifestation(
-                model, n, trials, seed=seed, config=cfg,
+                model, n, trials, seed=seed, config=config,
             )
             rows.append(
                 {

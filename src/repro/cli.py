@@ -40,13 +40,12 @@ points fetch their shards instead of recomputing them, with bit-identical
 results (``docs/CACHING.md``).  ``repro cache {stats,clear,verify}``
 inspects and manages the store.
 
-``--backend {scalar,vectorized}`` selects the simulation kernel
-(``docs/KERNELS.md``): whole-array NumPy batches or the draw-by-draw
-reference loop.  The backends are statistically equivalent; left unset,
-each command keeps its native default (``thm62``: vectorized,
-``machine``: scalar).  ``--transport
-{auto,pickle,shm}`` selects the shard result channel (shared-memory rows
-vs pickling; a scheduling concern — numbers are identical either way).
+``--transport {auto,pickle,shm}`` selects the shard result channel
+(shared-memory rows vs pickling; a scheduling concern — numbers are
+identical either way).  Each command runs one kernel
+(``docs/KERNELS.md``); ``machine --backend {scalar,vectorized}`` is the
+one choice, between the cycle-accurate machine (the default) and its
+statistically equivalent whole-array kernel.
 
 Every global engine flag is parsed into **one**
 :class:`repro.runconfig.RunConfig` (see ``docs/API.md``, "RunConfig")
@@ -89,7 +88,7 @@ from .core import (
     table1_rows,
     window_distribution,
 )
-from .errors import LitmusError, ReproError
+from .errors import LitmusError, ProgramError, ReproError, SimulationError
 from .litmus import ALL_TESTS, check_all, check_test, get_test, get_zoo_model
 from .reporting import EXPERIMENTS, render_table
 from .runconfig import RunConfig, positive_int
@@ -353,16 +352,23 @@ def _cmd_litmus_generate(args: argparse.Namespace) -> None:
 
 
 def _cmd_machine(args: argparse.Namespace) -> None:
-    result = run_canonical_bug(
-        args.model,
-        threads=args.threads,
-        trials=args.trials,
-        seed=args.seed,
-        body_length=args.body_length,
-        fenced=args.fenced,
-        atomic=args.atomic,
-        config=args.run_config,
-    )
+    try:
+        result = run_canonical_bug(
+            args.model,
+            threads=args.threads,
+            trials=args.trials,
+            seed=args.seed,
+            body_length=args.body_length,
+            fenced=args.fenced,
+            atomic=args.atomic,
+            backend=args.backend,
+            config=args.run_config,
+        )
+    except (ProgramError, SimulationError, ValueError) as error:
+        # Refused at the call, before any trial (a trial's own failure
+        # arrives wrapped as a ShardExecutionError): a count, variant or
+        # model the chosen machine cannot run.
+        raise _UsageError(str(error)) from None
     print(result)
 
 
@@ -703,6 +709,11 @@ def build_parser() -> argparse.ArgumentParser:
     machine.add_argument("--body-length", type=int, default=8)
     machine.add_argument("--fenced", action="store_true")
     machine.add_argument("--atomic", action="store_true")
+    machine.add_argument("--backend", choices=("scalar", "vectorized"),
+                         default="scalar",
+                         help="scalar: the cycle-accurate machine (every "
+                         "model and variant); vectorized: its whole-array "
+                         "kernel (racy SC/TSO/PSO only)")
     machine.set_defaults(run=_cmd_machine)
 
     fences = sub.add_parser("fences", help="the §7 fence-distance sweep")

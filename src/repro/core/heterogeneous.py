@@ -267,20 +267,17 @@ def estimate_heterogeneous_non_manifestation(
     the estimate shards, checkpoints, caches and is observed like any
     other.  Every model is checked for a growth sampler, and the program
     and shift parameters for range, before any shard runs
-    (``ModelDefinitionError``, ``ProgramError``, ``ValueError``), and the
-    kernel is vectorized only: ``backend="scalar"`` raises ``ValueError``.
+    (``ModelDefinitionError``, ``ProgramError``, ``ValueError``).
     """
     if len(models) < 2:
         raise ValueError("the joined model needs at least 2 threads")
     _check_samplers(models)
     _check_program_parameters(body_length, store_probability)
     _check_beta(beta)
-    cfg = (config or RunConfig()).resolve(default_backend="vectorized",
-                                          allowed_backends=("vectorized",))
     kernel = partial(_fleet_batch_trial, models=tuple(models),
                      store_probability=store_probability, beta=beta,
                      body_length=body_length)
     label = (f"fleet:{'+'.join(model.name for model in models)}"
              f":p={store_probability}:beta={beta}:body={body_length}")
     return run_event_trials(kernel, trials, seed=seed, confidence=confidence,
-                            checkpoint_label=label, config=cfg)
+                            checkpoint_label=label, config=config)

@@ -268,7 +268,7 @@ def _check_program_parameters(
     :func:`generate_program` checks its arguments here, and so does every
     driver that draws programs another way (type vectors, growth
     matrices), before it plans a shard: a bad argument must fail at the
-    call on every backend, not return a number on some.
+    call on every kernel, not return a number on some.
     """
     if body_length < 0:
         raise ProgramError(f"body_length must be non-negative, got {body_length}")

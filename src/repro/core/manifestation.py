@@ -251,23 +251,13 @@ def _disjointness_batch_trial(
     )
 
 
-def _disjointness_scalar_trial(
-    source: RandomSource,
-    batch: int,
-    model: MemoryModel,
-    n: int,
-    store_probability: float,
-    beta: float,
-    body_length: int,
-    critical_section_length: int,
-) -> int:
-    """The ``backend="scalar"`` batch trial (reference draw-by-draw loop)."""
-    from ..kernels.joined import non_manifestation_scalar_batch
-
-    return non_manifestation_scalar_batch(
-        source, batch, model, n, store_probability, beta, body_length,
-        critical_section_length,
-    )
+def _check_joined_arguments(n: int, store_probability: float, beta: float,
+                            body_length: int) -> None:
+    """The argument checks of :func:`estimate_non_manifestation`."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 threads, got {n}")
+    _check_program_parameters(body_length, store_probability)
+    _check_beta(beta)
 
 
 def estimate_non_manifestation(
@@ -298,44 +288,26 @@ def estimate_non_manifestation(
     name and the experiment parameters, so one journal file can hold
     several models' runs without cross-contamination.  The key also
     folds in the kernel *fingerprint*, derived from the fully-bound
-    trial kernel, which is what distinguishes the backends — the label
-    carries no ``backend=`` salt.
+    trial kernel.
     ``cache`` enables the content-addressed shard result cache
     (``"auto"``, a directory, or a :class:`repro.cache.ShardStore`; see
     ``docs/CACHING.md``).
     ``manifest``/``trace``/``progress`` are the observability knobs
     (see ``docs/OBSERVABILITY.md``); manifest run records carry the same
     salted label, so one manifest file can hold all four models' runs.
-
-    ``backend`` selects the trial kernel (see ``docs/KERNELS.md``):
-    ``"vectorized"`` (the default, and this estimator's historical
-    implementation — fixed-seed results are unchanged) runs each batch as
-    whole-array operations; ``"scalar"`` runs the draw-by-draw reference
-    loop of :class:`repro.core.settling.SettlingProcess`.  The backends
-    are statistically equivalent; the scalar backend draws in a
-    different stream order, so its fixed-seed outputs differ, and the
-    distinct kernel fingerprints keep their checkpoint journals and
-    cache entries separate.
-
     ``transport`` selects the shard result channel, forwarded to
-    :func:`repro.stats.montecarlo.run_event_trials`.  This estimator is
-    the joined-model driver, so the config resolves with every backend
-    allowed and ``"vectorized"`` as the default.  The program and shift
+    :func:`repro.stats.montecarlo.run_event_trials`.
+
+    Each batch runs the vectorized kernel
+    :func:`repro.kernels.joined.non_manifestation_batch` (this
+    estimator's historical implementation, so fixed-seed results are
+    unchanged; see ``docs/KERNELS.md``).  The program and shift
     parameters are checked before any shard runs (``ProgramError`` for
-    ``store_probability``/``body_length``, ``ValueError`` for ``beta``),
-    on every backend.
+    ``store_probability``/``body_length``, ``ValueError`` for ``beta``).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 threads, got {n}")
-    _check_program_parameters(body_length, store_probability)
-    _check_beta(beta)
-    cfg = (config or RunConfig()).resolve(default_backend="vectorized")
-    kernel = {
-        "vectorized": _disjointness_batch_trial,
-        "scalar": _disjointness_scalar_trial,
-    }[cfg.backend]
+    _check_joined_arguments(n, store_probability, beta, body_length)
     batch_trial = partial(
-        kernel,
+        _disjointness_batch_trial,
         model=model,
         n=n,
         store_probability=store_probability,
@@ -347,7 +319,7 @@ def estimate_non_manifestation(
              f":beta={beta}:body={body_length}:L={critical_section_length}")
     return run_event_trials(batch_trial, trials, seed=seed,
                             confidence=confidence,
-                            checkpoint_label=label, config=cfg)
+                            checkpoint_label=label, config=config)
 
 
 # ----------------------------------------------------------------------

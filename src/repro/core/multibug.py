@@ -164,8 +164,7 @@ def estimate_multi_bug_survival(
     the estimate shards, checkpoints, caches and is observed like any
     other.  The model and the program and shift parameters are checked
     before any shard runs (``ModelDefinitionError``, ``ProgramError``,
-    ``ValueError``), and the kernel is vectorized only:
-    ``backend="scalar"`` raises ``ValueError``.
+    ``ValueError``).
     """
     if bug_count < 1:
         raise ValueError(f"bug_count must be >= 1, got {bug_count}")
@@ -175,15 +174,13 @@ def estimate_multi_bug_survival(
         raise ModelDefinitionError(
             "multi-bug Monte Carlo needs a uniform settle probability"
         )
-    cfg = (config or RunConfig()).resolve(default_backend="vectorized",
-                                          allowed_backends=("vectorized",))
     kernel = partial(_multi_bug_batch_trial, model=model, bug_count=bug_count,
                      store_probability=store_probability, beta=beta,
                      body_length=body_length)
     label = (f"multibug:{model.name}:K={bug_count}:p={store_probability}"
              f":beta={beta}:body={body_length}")
     return run_event_trials(kernel, trials, seed=seed, confidence=confidence,
-                            checkpoint_label=label, config=cfg)
+                            checkpoint_label=label, config=config)
 
 
 def multi_bug_gap_curve(

@@ -156,8 +156,6 @@ def estimate_disjointness(
     :func:`repro.stats.montecarlo.run_event_trials`; ``config`` (a
     :class:`repro.runconfig.RunConfig`) carries the engine knobs, so the
     estimate shards, checkpoints, caches and is observed like any other.
-    The kernel is vectorized only: ``backend="scalar"`` raises
-    ``ValueError``.
     """
     from ..kernels.shift import shift_disjoint_batch
 
@@ -165,9 +163,8 @@ def estimate_disjointness(
     if not lengths:
         raise ValueError("need at least one segment")
     ShiftProcess(beta)  # validates beta at the call, not inside a shard
-    cfg = (config or RunConfig()).resolve(default_backend="vectorized",
-                                          allowed_backends=("vectorized",))
     label = f"shift:lengths={','.join(map(str, lengths))}:beta={beta}"
     return run_event_trials(
         partial(shift_disjoint_batch, lengths=lengths, beta=beta), trials,
-        seed=seed, confidence=confidence, checkpoint_label=label, config=cfg)
+        seed=seed, confidence=confidence, checkpoint_label=label,
+        config=config)

@@ -16,29 +16,19 @@ own geometric variates (every ratio up to 2/3, which covers the paper's
 1/2), and :func:`repro.core.shift.batch_disjoint` checks two threads in
 closed form instead of sorting.
 
-``non_manifestation_scalar_batch`` is the scalar reference backend: per
-trial it generates one explicit program, settles each thread with the
-round-by-round reference simulator
-(:class:`repro.core.settling.SettlingProcess`), and checks disjointness
-on scalar draws.  It defines the semantics the vectorized kernel must
-reproduce statistically, and is what ``backend="scalar"`` selects.
+The draw-by-draw reference loop it is checked against (one explicit
+program per trial, settled round by round) lives with the tests, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.instructions import generate_program
 from ..core.memory_models import MemoryModel
-from ..core.settling import SettlingProcess
-from ..core.shift import batch_disjoint, segments_disjoint
+from ..core.shift import batch_disjoint
 from ..core.window_sampling import sample_growth_matrix
 from ..stats.rng import RandomSource
 
-__all__ = [
-    "non_manifestation_batch",
-    "non_manifestation_scalar_batch",
-]
+__all__ = ["non_manifestation_batch"]
 
 
 def non_manifestation_batch(
@@ -64,32 +54,3 @@ def non_manifestation_batch(
     shifts = source.geometric_array(beta, (batch, n))
     return int(batch_disjoint(shifts, lengths).sum())
 
-
-def non_manifestation_scalar_batch(
-    source: RandomSource,
-    batch: int,
-    model: MemoryModel,
-    n: int,
-    store_probability: float,
-    beta: float,
-    body_length: int,
-    critical_section_length: int,
-) -> int:
-    """The scalar reference §6 trial loop (one draw at a time).
-
-    Per trial: one shared program (§6's "identical copies of a single
-    program"), ``n`` independent reference settlings, ``n`` scalar
-    geometric shifts, and the closed-interval disjointness check.
-    """
-    process = SettlingProcess(model)
-    successes = 0
-    for _ in range(batch):
-        program = generate_program(body_length, source, store_probability)
-        lengths = np.empty(n, dtype=np.int64)
-        for thread in range(n):
-            growth = process.settle(program, source).window_growth
-            lengths[thread] = growth + critical_section_length
-        shifts = np.array([source.geometric(beta) for _ in range(n)],
-                          dtype=np.int64)
-        successes += segments_disjoint(shifts, lengths)
-    return int(successes)

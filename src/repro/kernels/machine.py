@@ -13,8 +13,8 @@ under :class:`repro.sim.scheduler.GeometricLaunchScheduler`, for the
 **SC**, **TSO** and **PSO** cores (:data:`SUPPORTED_MACHINE_MODELS`).
 The WO core's out-of-order ready-set dynamics (register hazards across a
 random issue window) do not vectorize honestly, and the fenced/atomic
-variants change the per-op semantics — all of those raise, and the
-drivers fall back to ``backend="scalar"``.
+variants change the per-op semantics — all of those raise here, and
+``run_canonical_bug(backend="scalar")`` runs them.
 
 Semantics mirrored from the scalar machine (validated statistically in
 the test suite):
@@ -33,8 +33,8 @@ the test suite):
   are at least two cycles apart.
 
 The kernel draws randomness in a different stream order than the scalar
-machine (per-cycle arrays instead of per-core streams), so the backends
-are statistically equivalent, not bit-identical.
+machine (per-cycle arrays instead of per-core streams), so the two
+machines are statistically equivalent, not bit-identical.
 """
 
 from __future__ import annotations

@@ -459,6 +459,17 @@ def _random_shard(
     return machine.sample(source, trials)
 
 
+def _check_random_point(test: LitmusTest, model: MemoryModel) -> None:
+    """The checks random exploration of one point runs before any shard
+    (the service runs them at submit too)."""
+    _check_observable(test, model)
+    # Count every thread's orders here, before any shard: a thread with
+    # too many raises LitmusError to the caller, and the shards (serial,
+    # or forked from this process after this point) find the counts in
+    # the memo.  A worker forked earlier in a pool scope recounts once.
+    Machine(test.programs, model).orders()
+
+
 def explore_random(
     test,
     model,
@@ -481,12 +492,7 @@ def explore_random(
     model = _resolve_models([model])[0]
     if trials < 1:
         raise LitmusError(f"trials must be positive, got {trials}")
-    _check_observable(test, model)
-    # Count every thread's orders here, before any shard: a thread with
-    # too many raises LitmusError to the caller, and the shards (serial,
-    # or forked from this process after this point) find the counts in
-    # the memo.  A worker forked earlier in a pool scope recounts once.
-    Machine(test.programs, model).orders()
+    _check_random_point(test, model)
     identity = model_digest(model)
     kernel = partial(_random_shard, test=test, model=model,
                      model_identity=identity,

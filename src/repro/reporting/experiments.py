@@ -176,7 +176,8 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         id="E20",
         paper_artifact="infrastructure: vectorized kernels",
         summary="Whole-array NumPy kernels for the settling/shift/joined/"
-        "machine processes (backend='vectorized' / --backend), "
+        "machine processes (one kernel per estimator; the machine's "
+        "run_canonical_bug(backend=) / repro machine --backend), "
         "statistically equivalent to the scalar reference and pinned by "
         "closed-form, two-sample and exact-support checks; >=10x "
         "single-core speedup committed in BENCH_vectorized_kernels.json "

@@ -1,35 +1,34 @@
 """``repro.runconfig`` — the unified execution context for the engine.
 
 Every trial-based estimator in the library runs on the same sharded
-Monte-Carlo engine, and the engine has eleven execution knobs:
+Monte-Carlo engine, and the engine has ten execution knobs:
 parallelism (``workers``/``shards``), fault tolerance
 (``retries``/``timeout``/``checkpoint``), caching (``cache``),
-observability (``manifest``/``trace``/``progress``), and the
-kernel/transport selections (``backend``/``transport``).  Hand-threading
+observability (``manifest``/``trace``/``progress``), and the shard
+result channel (``transport``).  Hand-threading
 those through every estimator, sweep, and CLI path produced real bugs —
 flags parsed but silently dropped on some paths — so :class:`RunConfig`
 collapses them into one frozen, validated record with a **single
 resolution point** (:meth:`RunConfig.resolve`):
 
 >>> from repro.runconfig import RunConfig
->>> config = RunConfig(workers=4, retries=2, backend="scalar")
+>>> config = RunConfig(workers=4, retries=2)
 >>> # estimate_non_manifestation(TSO, 2, 100_000, config=config)
 
 Design rules:
 
 * **One record, one resolve.**  ``resolve()`` validates every knob
-  (unknown ``transport``/``backend`` names raise), applies
-  the calling driver's native backend default, and rejects backends the
-  driver does not implement (the shift, multi-bug and fleet estimators
-  have no scalar kernel) — so an invalid combination fails loudly at
-  the call site instead of being silently ignored downstream.
+  (an unknown ``transport`` name raises), so an invalid value fails
+  loudly at the call site instead of being silently ignored downstream.
 * **Experiment identity stays out.**  ``trials``/``seed``/model
   parameters are *what* is estimated; ``RunConfig`` is *how* the
   estimation executes.  Of its fields, only the resolved ``shards``
   enters a run's key (:func:`~repro.stats.checkpoint.plan_key`, which
-  the engine derives from the plan, the label and the kernel it runs)
-  and ``backend`` selects that kernel — everything else is a scheduling
-  or observability concern that can never change a merged number.
+  the engine derives from the plan, the label and the kernel it runs);
+  everything else is a scheduling or observability concern that can
+  never change a merged number.  Each estimator runs one kernel, so no
+  knob picks it (``run_canonical_bug`` takes its machine as an argument
+  of its own, ``backend=``).
 * **One way in.**  ``config=`` is the only parameter that carries an
   engine knob: every estimator, sweep and engine entry point takes it
   keyword-only, and none takes a knob as a keyword of its own (the
@@ -118,10 +117,6 @@ class RunConfig:
     ``manifest`` / ``trace`` / ``progress``
         The observability knobs; :meth:`observer` derives the
         :class:`~repro.obs.RunObserver` they imply.
-    ``backend``
-        Simulation kernel (``"scalar"``/``"vectorized"``); ``None``
-        keeps each driver's native default, and drivers without a
-        scalar kernel reject ``"scalar"`` at :meth:`resolve`.
     ``transport``
         Shard result channel (``"auto"``/``"pickle"``/``"shm"``); a
         scheduling concern, absent from every key.
@@ -157,10 +152,6 @@ class RunConfig:
         False, "--progress", action="store_true",
         doc="live stderr progress line (shards done, trials/s, ETA), or a "
             "snapshot callback")
-    backend: str | None = _knob(
-        None, "--backend", choices=("scalar", "vectorized"),
-        doc="simulation kernel: `scalar` or `vectorized` (unset: each "
-            "driver's native default)")
     transport: str = _knob(
         "auto", "--transport", choices=("auto", "pickle", "shm"),
         doc="shard result channel: `auto`, `pickle`, or `shm` (scheduling "
@@ -229,14 +220,13 @@ class RunConfig:
         "manifest": (str, type(None)),
         "trace": (str, type(None)),
         "progress": (bool,),
-        "backend": (str, type(None)),
         "transport": (str,),
     }
 
     def to_json_dict(self) -> dict[str, Any]:
         """This config as a JSON-ready wire dict (every field, plain types).
 
-        The wire format carries exactly the eleven knob fields with
+        The wire format carries exactly the ten knob fields with
         JSON-native values: paths become strings, and fields holding
         live objects (a ``ShardStore``, a progress callback) raise
         ``TypeError`` — the wire is for
@@ -294,33 +284,22 @@ class RunConfig:
                                 f"wire, got {value!r}")
         start = base if base is not None else cls()
         merged = replace(start, **payload) if payload else start
-        merged.resolve()  # validate knob values; backend stays un-defaulted
-        return merged
+        return merged.resolve()
 
     # ------------------------------------------------------------------
     # The single resolution point
     # ------------------------------------------------------------------
 
-    def resolve(
-        self,
-        *,
-        default_backend: str | None = None,
-        allowed_backends: tuple[str, ...] | None = None,
-    ) -> "RunConfig":
-        """Validate every knob and apply the driver's backend default.
+    def resolve(self) -> "RunConfig":
+        """Validate every knob; returns the config itself.
 
         This is the engine's **single resolution point**: each driver
-        calls it once, naming its native ``default_backend`` and — when
-        it does not implement every kernel — the ``allowed_backends``
-        subset (so e.g. ``backend="scalar"`` raises on the shift
-        estimator instead of being silently substituted).  Unknown
-        ``transport``/``backend`` names, non-positive
-        ``workers``/``shards``, a non-positive or non-finite ``timeout``
-        (``nan``/``inf`` would fail every pooled shard), and negative
-        ``retries`` raise ``ValueError``; a ``checkpoint`` that is not a
-        path raises ``TypeError`` (the engine keys the journal itself).
-        Returns a config whose ``backend`` is concrete whenever the
-        caller supplied a default.
+        calls it once, before any shard runs.  An unknown ``transport``
+        name, non-positive ``workers``/``shards``, a non-positive or
+        non-finite ``timeout`` (``nan``/``inf`` would fail every pooled
+        shard), and negative ``retries`` raise ``ValueError``; a
+        ``checkpoint`` that is not a path raises ``TypeError`` (the
+        engine keys the journal itself).
         """
         from .stats.transport import resolve_transport
 
@@ -337,14 +316,7 @@ class RunConfig:
             raise TypeError(f"checkpoint must be a journal path, got "
                             f"{type(self.checkpoint).__name__}")
         resolve_transport(self.transport)
-        backend = self.backend if self.backend is not None else default_backend
-        if backend is not None:
-            from .kernels import resolve_backend
-
-            backend = resolve_backend(backend, allowed=allowed_backends)
-        if backend == self.backend:
-            return self
-        return replace(self, backend=backend)
+        return self
 
     # ------------------------------------------------------------------
     # Derivations

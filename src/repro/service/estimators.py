@@ -1,18 +1,21 @@
 """The served estimator catalogue and the request-dedup identity.
 
 The service exposes a *closed* catalogue of estimators — each an entry
-in :data:`ESTIMATORS` pairing a name with a typed parameter schema and a
-runner.  Params are validated with the same strictness as the config
-wire format: unknown names, wrong types (including ``bool`` where an
-``int`` is expected), and missing required params all raise
+in :data:`ESTIMATORS` pairing a name with a typed parameter schema, a
+value check and a runner.  Params are validated with the same
+strictness as the config wire format: unknown names, wrong types
+(including ``bool`` where an ``int`` is expected), missing required
+params, and values the library would refuse (an unknown model, a
+probability out of range, a backend the machine cannot run) all raise
 :class:`~repro.service.schemas.ServiceError` before a job is created.
+The value checks are the library's own, so the two cannot drift.
 
 :func:`job_key` is the cross-request dedup identity.  It hashes exactly
 what determines the *numbers* a job produces: the estimator name, the
 fully-defaulted params (so an omitted default and an explicitly-passed
-default collide, as they must), the ``backend`` selection, and the one
-config knob that enters the run key (``plan_key``): the resolved shard
-count.  Scheduling knobs (workers, retries,
+default collide, as they must; ``canonical_bug``'s ``backend`` is one of
+them), and the one config knob that enters the run key (``plan_key``):
+the resolved shard count.  Scheduling knobs (workers, retries,
 timeout, transport, observability) are deliberately absent: they can
 never change a merged number, so they must never split a dedup class.
 See ``docs/CACHING.md`` ("Cross-request dedup") for the contract.
@@ -25,6 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..errors import ReproError
 from ..runconfig import RunConfig
 from .schemas import ServiceError
 
@@ -61,16 +65,20 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """A served estimator: wire name, summary, param schema, runner.
+    """A served estimator: wire name, summary, param schema, check, runner.
 
-    ``runner`` takes the fully-defaulted param dict and the job's
-    resolved :class:`RunConfig` and returns the library result object
-    (summarised onto the wire via :func:`repro.obs.summarise_result`).
+    ``check`` takes the fully-defaulted param dict and raises the
+    library's own error for a value the runner would refuse; it runs at
+    submit, so a bad value never becomes a job.  ``runner`` takes the
+    same dict and the job's resolved :class:`RunConfig` and returns the
+    library result object (summarised onto the wire via
+    :func:`repro.obs.summarise_result`).
     """
 
     name: str
     summary: str
     params: tuple[ParamSpec, ...]
+    check: Callable[[dict[str, Any]], None]
     runner: Callable[[dict[str, Any], RunConfig], Any]
 
     def describe(self) -> dict[str, Any]:
@@ -91,6 +99,20 @@ class EstimatorSpec:
         }
 
 
+def _check_non_manifestation(params: dict[str, Any]) -> None:
+    from ..core.manifestation import _check_joined_arguments
+    from ..core.memory_models import get_model
+    from ..core.shift import DEFAULT_SHIFT_RATIO
+    from ..stats.intervals import _check_confidence
+    from ..stats.montecarlo import _check_trials
+
+    get_model(params["model"])
+    _check_trials(params["trials"])
+    _check_joined_arguments(params["n"], params["store_probability"],
+                            DEFAULT_SHIFT_RATIO, params["body_length"])
+    _check_confidence(params["confidence"])
+
+
 def _run_non_manifestation(params: dict[str, Any], config: RunConfig) -> Any:
     from ..core.manifestation import estimate_non_manifestation
     from ..core.memory_models import get_model
@@ -107,6 +129,14 @@ def _run_non_manifestation(params: dict[str, Any], config: RunConfig) -> Any:
     )
 
 
+def _check_canonical_bug(params: dict[str, Any]) -> None:
+    from ..sim.executor import _race_kernel
+
+    _race_kernel(params["model"], params["threads"], params["trials"],
+                 params["body_length"], None, params["fenced"],
+                 params["atomic"], params["confidence"], params["backend"], {})
+
+
 def _run_canonical_bug(params: dict[str, Any], config: RunConfig) -> Any:
     from ..sim.executor import run_canonical_bug
 
@@ -119,50 +149,80 @@ def _run_canonical_bug(params: dict[str, Any], config: RunConfig) -> Any:
         fenced=params["fenced"],
         atomic=params["atomic"],
         confidence=params["confidence"],
+        backend=params["backend"],
         config=config,
     )
+
+
+def _check_litmus_explore(params: dict[str, Any]) -> None:
+    from ..litmus import get_test
+    from ..litmus.explore import _check_observable, _check_random_point
+    from ..litmus.zoo import get_zoo_model
+    from ..stats.montecarlo import _check_trials
+
+    if params["mode"] not in ("exhaustive", "random"):
+        raise ValueError(f"param 'mode' must be 'exhaustive' or 'random', "
+                         f"got {params['mode']!r}")
+    test = get_test(params["test"])
+    model = get_zoo_model(params["model"])
+    if params["mode"] == "random":
+        _check_trials(params["trials"])
+        _check_random_point(test, model)
+    else:
+        _check_observable(test, model)
 
 
 def _run_litmus_explore(params: dict[str, Any], config: RunConfig) -> Any:
     from ..litmus import explore_exhaustive, explore_random, get_test
     from ..litmus.zoo import get_zoo_model
 
-    mode = params["mode"]
-    if mode == "exhaustive":
+    if params["mode"] == "exhaustive":
         report = explore_exhaustive([get_test(params["test"])],
                                     [get_zoo_model(params["model"])],
                                     config=config)
         return report.to_json_dict()
-    if mode == "random":
-        table = explore_random(params["test"], params["model"],
-                               params["trials"], seed=params["seed"],
-                               config=config)
-        return table.to_json_dict()
-    raise ServiceError(
-        400, "bad-param",
-        f"param 'mode' must be 'exhaustive' or 'random', got {mode!r}")
+    table = explore_random(params["test"], params["model"],
+                           params["trials"], seed=params["seed"],
+                           config=config)
+    return table.to_json_dict()
+
+
+def _family_spec(params: dict[str, Any]) -> Any:
+    from ..litmus import FamilySpec
+
+    return FamilySpec(
+        threads=params["threads"],
+        ops_per_thread=params["ops_per_thread"],
+        addresses=params["addresses"],
+        spacing=params["spacing"],
+        fence_density=float(params["fence_density"]),
+        store_fraction=float(params["store_fraction"]),
+    )
+
+
+def _check_litmus_family(params: dict[str, Any]) -> None:
+    from ..litmus import generate_family
+    from ..litmus.explore import _check_random_point
+    from ..litmus.zoo import get_zoo_model
+    from ..stats.intervals import _check_confidence
+    from ..stats.montecarlo import _check_trials
+
+    spec = _family_spec(params)
+    model = get_zoo_model(params["model"])
+    _check_trials(params["trials"])
+    _check_confidence(params["confidence"])
+    for test in generate_family(spec, params["count"], params["seed"]):
+        _check_random_point(test, model)
 
 
 def _run_litmus_family(params: dict[str, Any], config: RunConfig) -> Any:
-    from ..errors import LitmusError
-    from ..litmus import FamilySpec, sweep_family
+    from ..litmus import sweep_family
 
-    try:
-        spec = FamilySpec(
-            threads=params["threads"],
-            ops_per_thread=params["ops_per_thread"],
-            addresses=params["addresses"],
-            spacing=params["spacing"],
-            fence_density=float(params["fence_density"]),
-            store_fraction=float(params["store_fraction"]),
-        )
-        report = sweep_family(
-            spec, [params["model"]], count=params["count"],
-            trials=params["trials"], seed=params["seed"],
-            confidence=params["confidence"], config=config,
-        )
-    except LitmusError as error:
-        raise ServiceError(400, "bad-param", str(error)) from None
+    report = sweep_family(
+        _family_spec(params), [params["model"]], count=params["count"],
+        trials=params["trials"], seed=params["seed"],
+        confidence=params["confidence"], config=config,
+    )
     return report.to_json_dict()
 
 
@@ -195,6 +255,7 @@ ESTIMATORS: dict[str, EstimatorSpec] = {
             _BODY,
             _CONFIDENCE,
         ),
+        check=_check_non_manifestation,
         runner=_run_non_manifestation,
     ),
     "canonical_bug": EstimatorSpec(
@@ -214,7 +275,12 @@ ESTIMATORS: dict[str, EstimatorSpec] = {
                       "make the increment atomic (race eliminated)",
                       default=False),
             _CONFIDENCE,
+            ParamSpec("backend", (str,),
+                      "the machine: 'scalar' (cycle-accurate, every model "
+                      "and variant) or 'vectorized' (whole-array; racy "
+                      "SC/TSO/PSO only)", default="scalar"),
         ),
+        check=_check_canonical_bug,
         runner=_run_canonical_bug,
     ),
     "litmus_explore": EstimatorSpec(
@@ -236,6 +302,7 @@ ESTIMATORS: dict[str, EstimatorSpec] = {
                       default=100_000),
             _SEED,
         ),
+        check=_check_litmus_explore,
         runner=_run_litmus_explore,
     ),
     "litmus_family": EstimatorSpec(
@@ -270,6 +337,7 @@ ESTIMATORS: dict[str, EstimatorSpec] = {
             _SEED,
             _CONFIDENCE,
         ),
+        check=_check_litmus_family,
         runner=_run_litmus_family,
     ),
 }
@@ -279,10 +347,12 @@ def validate_params(estimator: str, params: dict[str, Any]) -> dict[str, Any]:
     """Validate and *fully default* an estimator's params.
 
     Raises :class:`ServiceError` for an unknown estimator, unknown or
-    wrongly-typed params, or a missing required param.  Returns the
-    complete param dict (every schema entry present) — the canonical
-    form both :func:`job_key` and the job record store, so dedup never
-    depends on which defaults a client spelled out.
+    wrongly-typed params, a missing required param, or a value the
+    estimator's ``check`` refuses (400 ``bad-param`` carrying the
+    library's message).  Returns the complete param dict (every schema
+    entry present) — the canonical form both :func:`job_key` and the
+    job record store, so dedup never depends on which defaults a client
+    spelled out.
     """
     spec = ESTIMATORS.get(estimator)
     if spec is None:
@@ -307,25 +377,26 @@ def validate_params(estimator: str, params: dict[str, Any]) -> dict[str, Any]:
                 f"estimator {estimator!r} requires param {param.name!r}")
         else:
             full[param.name] = param.default
+    try:
+        spec.check(full)
+    except (ReproError, ValueError, KeyError) as error:
+        message = error.args[0] if error.args else str(error)
+        raise ServiceError(400, "bad-param", str(message)) from None
     return full
 
 
 def job_key(estimator: str, params: dict[str, Any], config: RunConfig) -> str:
     """The dedup identity of a submission (sha256[:16], like ``plan_key``).
 
-    Hashes the estimator name, the fully-defaulted params, the
-    ``backend`` selection and the config's
-    :meth:`~repro.runconfig.RunConfig.resolved_shards`.
-    ``backend=None`` ("the driver's native default") is
-    conservatively distinct from naming the default explicitly — a
-    false split costs one redundant computation whose shards still hit
-    the content-addressed cache; a false merge could serve a number
-    computed by a different kernel.  Scheduling knobs never enter.
+    Hashes the estimator name, the fully-defaulted params and the
+    config's :meth:`~repro.runconfig.RunConfig.resolved_shards`.  Each
+    estimator runs one kernel, chosen by its params alone
+    (``canonical_bug``'s ``backend``), so the key never needs a config
+    knob to tell two kernels apart.  Scheduling knobs never enter.
     """
     identity = {
         "estimator": estimator,
         "params": params,
-        "backend": config.backend,
         "shards": config.resolved_shards(),
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))

@@ -42,11 +42,13 @@ JOB_STATES = ("queued", "running", "done", "failed")
 _SNAPSHOT_KIND = "repro/service-jobs"
 _SNAPSHOT_FORMAT = 1
 
-#: ``RunConfig`` knobs removed in 4.0, with the value every 3.x wire
-#: config held unless a client set it.  A snapshot job holding exactly
-#: that value loses the key on load (4.0 computes the same numbers); an
+#: ``RunConfig`` knobs removed since 3.x: name -> (the value every wire
+#: config of the release before held unless a client set it, the release
+#: that removed the knob).  A snapshot job holding exactly that value
+#: loses the key on load (the new release computes the same numbers); an
 #: unfinished job that set any other value cannot run and fails.
-_REMOVED_KNOBS = {"rng_plan": "spawn", "fingerprint": None}
+_REMOVED_KNOBS = {"rng_plan": ("spawn", "4.0"), "fingerprint": (None, "4.0"),
+                  "backend": (None, "6.0")}
 
 
 @dataclass
@@ -118,8 +120,8 @@ class Job:
         return self.state in ("done", "failed")
 
     def drop_removed_knobs(self) -> None:
-        """Upgrade a 3.x ``config_wire`` for 4.0 (see :data:`_REMOVED_KNOBS`)."""
-        for knob, default in _REMOVED_KNOBS.items():
+        """Upgrade an older ``config_wire`` (see :data:`_REMOVED_KNOBS`)."""
+        for knob, (default, release) in _REMOVED_KNOBS.items():
             if knob not in self.config_wire:
                 continue
             value = self.config_wire[knob]
@@ -127,7 +129,7 @@ class Job:
                 del self.config_wire[knob]
             elif not self.finished:
                 self.mark_failed(f"RunConfig knob {knob!r} was removed in "
-                                 f"4.0; this job set {knob}={value!r}")
+                                 f"{release}; this job set {knob}={value!r}")
 
 
 class JobRegistry:

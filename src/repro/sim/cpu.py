@@ -376,9 +376,13 @@ def make_core(
     **options,
 ) -> Core:
     """Instantiate the core class implementing ``model_name``."""
+    return _core_kind(model_name)(name, program, memory, source, **options)
+
+
+def _core_kind(model_name: str) -> type[Core]:
+    """The core class implementing ``model_name`` (``SimulationError`` if none)."""
     try:
-        kind = CORE_KINDS[model_name.upper()]
+        return CORE_KINDS[model_name.upper()]
     except KeyError:
         known = ", ".join(sorted(CORE_KINDS))
         raise SimulationError(f"no core model named {model_name!r}; known: {known}") from None
-    return kind(name, program, memory, source, **options)

@@ -25,11 +25,16 @@ from functools import partial
 
 from ..core.instructions import _check_program_parameters
 from ..runconfig import RunConfig
-from ..stats.intervals import Proportion, wilson_interval
-from ..stats.montecarlo import CategoricalResult, _estimate, merge_categorical
+from ..stats.intervals import Proportion, _check_confidence, wilson_interval
+from ..stats.montecarlo import (
+    CategoricalResult,
+    _check_trials,
+    _estimate,
+    merge_categorical,
+)
 from ..stats.rng import RandomSource, iter_batches
 from ..stats.transport import CategoricalLayout
-from .cpu import CORE_KINDS, Core
+from .cpu import Core, _core_kind
 from .isa import ThreadProgram
 from .machine import Machine
 from .programs import (
@@ -47,7 +52,7 @@ __all__ = ["CanonicalBugResult", "run_canonical_bug"]
 #: size (two streams per trial: body sampling and machine execution).
 TRIAL_SPAWN_BATCH = 1024
 
-#: Trials per whole-array kernel call on the vectorized backend.
+#: Trials per whole-array kernel call on the vectorized machine.
 VECTORIZED_TRIAL_BATCH = 4096
 
 
@@ -57,12 +62,10 @@ def _check_core_options(model_name: str, core_options: dict[str, object]) -> Non
     Runs before any planning, so a typo — or an engine knob passed as a
     keyword instead of through ``config=`` — fails at the call site
     instead of inside the first shard, where the engine would retry it
-    as if it were a transient fault.  An unknown model is left to
-    :func:`~repro.sim.cpu.make_core` to report.
+    as if it were a transient fault.  An unknown model raises
+    ``SimulationError`` here for the same reason.
     """
-    kind = CORE_KINDS.get(model_name.upper())
-    if kind is None:
-        return
+    kind = _core_kind(model_name)
     accepted = (inspect.signature(kind).parameters.keys()
                 - inspect.signature(Core).parameters.keys())
     knobs = {spec.name for spec in fields(RunConfig)}
@@ -80,7 +83,7 @@ def _machine_backend_beta(
     fenced: bool,
     atomic: bool,
 ) -> float:
-    """Validate vectorized-backend constraints; returns the launch β.
+    """Validate the vectorized machine's constraints; returns the launch β.
 
     The vectorized machine kernel covers the racy canonical workload on
     SC/TSO/PSO under the geometric-launch scheduler only (see
@@ -203,6 +206,65 @@ def _canonical_bug_vectorized_shard(
     return CategoricalResult(dict(outcomes), shard_trials, confidence, None)
 
 
+def _race_kernel(
+    model_name: str,
+    threads: int,
+    trials: int,
+    body_length: int,
+    scheduler: Scheduler | None,
+    fenced: bool,
+    atomic: bool,
+    confidence: float,
+    backend: str,
+    core_options: dict[str, object],
+) -> partial:
+    """Check every argument of :func:`run_canonical_bug`; bind its kernel.
+
+    Raises before any shard runs (the service runs it at submit too):
+    ``ValueError`` for a count, variant, confidence or backend out of
+    range, ``TypeError``/``SimulationError`` for a core option or model
+    the machine cannot run, ``ProgramError`` for the body length.
+    """
+    if threads < 2:
+        raise ValueError(f"the race needs at least 2 threads, got {threads}")
+    _check_trials(trials)
+    if fenced and atomic:
+        raise ValueError("fenced and atomic variants are mutually exclusive")
+    _check_confidence(confidence)
+    _check_core_options(model_name, core_options)
+    _check_program_parameters(body_length)
+    if backend == "vectorized":
+        beta = _machine_backend_beta(model_name, scheduler, fenced, atomic)
+        return partial(
+            _canonical_bug_vectorized_shard,
+            model_name=model_name,
+            threads=threads,
+            body_length=body_length,
+            beta=beta,
+            confidence=confidence,
+            core_options=core_options,
+        )
+    if backend != "scalar":
+        raise ValueError(f"unknown backend {backend!r}; run_canonical_bug "
+                         "runs 'scalar' or 'vectorized'")
+    if atomic:
+        builder = canonical_increment_atomic
+    elif fenced:
+        builder = canonical_increment_fenced
+    else:
+        builder = canonical_increment
+    return partial(
+        _canonical_bug_shard,
+        model_name=model_name,
+        threads=threads,
+        body_length=body_length,
+        scheduler=scheduler,
+        builder=builder,
+        confidence=confidence,
+        core_options=core_options,
+    )
+
+
 def run_canonical_bug(
     model_name: str,
     threads: int,
@@ -214,6 +276,7 @@ def run_canonical_bug(
     atomic: bool = False,
     confidence: float = 0.99,
     *,
+    backend: str = "scalar",
     config: RunConfig | None = None,
     **core_options,
 ) -> CanonicalBugResult:
@@ -236,6 +299,17 @@ def run_canonical_bug(
     atomic:
         Replace the racy load/increment/store with one atomic fetch-and-add
         (the bug's fix; mutually exclusive with ``fenced``).
+    backend:
+        The machine that runs the trials.  ``"scalar"`` (the default,
+        behind E10 and every published number) runs the cycle-accurate
+        object machine, and is the only one that runs WO, fences,
+        atomics and custom schedulers.  ``"vectorized"`` runs the
+        whole-array kernel of :mod:`repro.kernels.machine` —
+        statistically equivalent and much faster, but restricted to the
+        racy variant on SC/TSO/PSO under the geometric-launch scheduler
+        (anything else raises ``SimulationError``).  The two machines
+        have different kernel fingerprints, so their run keys differ.
+        See ``docs/KERNELS.md``.
     config:
         A :class:`repro.runconfig.RunConfig` carrying every execution
         knob:
@@ -251,20 +325,12 @@ def run_canonical_bug(
         * ``retries``/``timeout``/``checkpoint`` are the fault-tolerance
           options (see :func:`repro.stats.parallel.run_sharded`).  The
           checkpoint key is salted with the model/threads/variant, so
-          one journal file can hold several machine experiments, and
-          the run key folds in the kernel fingerprint, which
-          distinguishes the two backends.
+          one journal file can hold several machine experiments.
         * ``cache`` enables the content-addressed shard result cache
           (see ``docs/CACHING.md``).
         * ``manifest``/``trace``/``progress`` are the observability
           knobs, read-only with respect to the result (see
           ``docs/OBSERVABILITY.md``).
-        * ``backend``: ``"scalar"`` (default) runs the cycle-accurate
-          object machine; ``"vectorized"`` runs the whole-array kernel
-          of :mod:`repro.kernels.machine` — statistically equivalent,
-          typically an order of magnitude faster, but restricted to the
-          racy variant on SC/TSO/PSO under the geometric-launch
-          scheduler (anything else raises).  See ``docs/KERNELS.md``.
         * ``transport`` selects the shard result channel.
     core_options:
         Forwarded to the core constructor (e.g. ``drain_probability``).
@@ -272,43 +338,8 @@ def run_canonical_bug(
         ``TypeError`` before any shard runs, as a negative
         ``body_length`` raises ``ProgramError``.
     """
-    if threads < 2:
-        raise ValueError(f"the race needs at least 2 threads, got {threads}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if fenced and atomic:
-        raise ValueError("fenced and atomic variants are mutually exclusive")
-    _check_core_options(model_name, core_options)
-    _check_program_parameters(body_length)
-    if atomic:
-        builder = canonical_increment_atomic
-    elif fenced:
-        builder = canonical_increment_fenced
-    else:
-        builder = canonical_increment
-    cfg = (config or RunConfig()).resolve(default_backend="scalar")
-    if cfg.backend == "vectorized":
-        beta = _machine_backend_beta(model_name, scheduler, fenced, atomic)
-        kernel = partial(
-            _canonical_bug_vectorized_shard,
-            model_name=model_name,
-            threads=threads,
-            body_length=body_length,
-            beta=beta,
-            confidence=confidence,
-            core_options=core_options,
-        )
-    else:
-        kernel = partial(
-            _canonical_bug_shard,
-            model_name=model_name,
-            threads=threads,
-            body_length=body_length,
-            scheduler=scheduler,
-            builder=builder,
-            confidence=confidence,
-            core_options=core_options,
-        )
+    kernel = _race_kernel(model_name, threads, trials, body_length, scheduler,
+                          fenced, atomic, confidence, backend, core_options)
     variant = "atomic" if atomic else ("fenced" if fenced else "racy")
     label = (f"canonical:{model_name}:n={threads}:body={body_length}"
              f":variant={variant}")
@@ -324,4 +355,4 @@ def run_canonical_bug(
         )
 
     return _estimate(kernel, trials, seed, label, CategoricalLayout(confidence),
-                     build, cfg)
+                     build, (config or RunConfig()).resolve())

@@ -30,10 +30,10 @@ from ..core.instructions import _check_program_parameters
 from ..errors import SimulationError
 from ..runconfig import RunConfig
 from ..stats.bootstrap import BootstrapInterval, bootstrap_mean_interval
-from ..stats.montecarlo import _estimate
+from ..stats.montecarlo import _check_trials, _estimate
 from ..stats.transport import WindowLayout
 from ..stats.rng import RandomSource, iter_batches
-from .executor import TRIAL_SPAWN_BATCH, _check_core_options, _machine_backend_beta
+from .executor import TRIAL_SPAWN_BATCH, _check_core_options
 from .machine import Machine, MachineResult
 from .memory import AccessKind
 from .programs import SHARED_COUNTER, canonical_increment, sample_body_types
@@ -162,52 +162,6 @@ def _window_shard(
     )
 
 
-def _window_shard_vectorized(
-    source: RandomSource,
-    shard_trials: int,
-    model_name: str,
-    threads: int,
-    body_length: int,
-    beta: float,
-    core_options: dict[str, object],
-) -> _WindowShard:
-    """Whole-array window measurement for one shard.
-
-    The overlap check sorts each trial's windows by read cycle and tests
-    adjacent pairs — equivalent to :func:`_windows_overlap` (for sorted
-    intervals any overlapping pair implies an overlapping adjacent pair).
-    Lazy kernel import: :mod:`repro.kernels` imports this package during
-    its own initialisation.
-    """
-    from ..kernels.machine import machine_race_batch
-
-    durations: list[np.ndarray] = []
-    overlap_trials = 0
-    manifest_trials = 0
-    manifest_without_overlap = 0
-    for batch in iter_batches(shard_trials, TRIAL_SPAWN_BATCH):
-        reads, commits, finals = machine_race_batch(
-            source.child(), batch, model_name, threads=threads,
-            body_length=body_length, beta=beta, **core_options,
-        )
-        durations.append((commits - reads).ravel())
-        order = np.argsort(reads, axis=1, kind="stable")
-        starts = np.take_along_axis(reads, order, axis=1)
-        ends = np.take_along_axis(commits, order, axis=1)
-        overlapped = (starts[:, 1:] <= ends[:, :-1]).any(axis=1)
-        manifested = finals < threads
-        overlap_trials += int(overlapped.sum())
-        manifest_trials += int(manifested.sum())
-        manifest_without_overlap += int((manifested & ~overlapped).sum())
-    return _WindowShard(
-        durations=np.concatenate(durations) if durations
-        else np.empty(0, dtype=np.int64),
-        overlap_trials=overlap_trials,
-        manifest_trials=manifest_trials,
-        manifest_without_overlap=manifest_without_overlap,
-    )
-
-
 def measure_critical_windows(
     model_name: str,
     threads: int,
@@ -233,47 +187,29 @@ def measure_critical_windows(
     requested, never the worker count).
     ``retries``/``timeout``/``checkpoint`` configure the fault-tolerance
     layer (:func:`repro.stats.parallel.run_sharded`);
-    ``cache`` the content-addressed shard cache (``docs/CACHING.md``;
-    the run key's kernel fingerprint distinguishes the backends, labels
-    carry no ``backend=`` salt);
+    ``cache`` the content-addressed shard cache (``docs/CACHING.md``);
     ``manifest``/``trace``/``progress`` the observability layer
-    (``docs/OBSERVABILITY.md``).  ``backend="vectorized"`` measures the
-    same statistics on the whole-array kernel of
-    :mod:`repro.kernels.machine` (racy canonical workload, SC/TSO/PSO,
-    geometric-launch scheduler only — see ``docs/KERNELS.md``).
+    (``docs/OBSERVABILITY.md``).
     ``transport`` selects the shard result channel (see
-    :mod:`repro.stats.transport`).  Like
-    :func:`~repro.sim.executor.run_canonical_bug` this is a
-    scalar-default machine driver, and ``core_options`` the model's
-    core does not accept raise ``TypeError`` before any shard runs, as
-    a negative ``body_length`` raises ``ProgramError``.
+    :mod:`repro.stats.transport`).  The trials run on the scalar
+    machine, the one that logs every access.  As in
+    :func:`~repro.sim.executor.run_canonical_bug`, ``core_options`` the
+    model's core does not accept raise ``TypeError`` before any shard
+    runs, as a negative ``body_length`` raises ``ProgramError``.
     """
     if threads < 2:
         raise ValueError(f"need at least 2 threads, got {threads}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_trials(trials)
     _check_core_options(model_name, core_options)
     _check_program_parameters(body_length)
-    cfg = (config or RunConfig()).resolve(default_backend="scalar")
-    if cfg.backend == "vectorized":
-        beta = _machine_backend_beta(model_name, scheduler, False, False)
-        kernel = partial(
-            _window_shard_vectorized,
-            model_name=model_name,
-            threads=threads,
-            body_length=body_length,
-            beta=beta,
-            core_options=core_options,
-        )
-    else:
-        kernel = partial(
-            _window_shard,
-            model_name=model_name,
-            threads=threads,
-            body_length=body_length,
-            scheduler=scheduler,
-            core_options=core_options,
-        )
+    kernel = partial(
+        _window_shard,
+        model_name=model_name,
+        threads=threads,
+        body_length=body_length,
+        scheduler=scheduler,
+        core_options=core_options,
+    )
     label = f"windows:{model_name}:n={threads}:body={body_length}"
 
     def build(parts: list[_WindowShard], plan) -> WindowMeasurement:
@@ -289,4 +225,4 @@ def measure_critical_windows(
         )
 
     return _estimate(kernel, trials, seed, label, WindowLayout(threads), build,
-                     cfg)
+                     (config or RunConfig()).resolve())

@@ -33,8 +33,8 @@ function from the key, so any two experiments colliding on
 ``(trials, shards, seed, label)`` silently reused each other's journaled
 shards and merged wrong numbers.  Format 2 closes that hole: the
 fingerprint digests the *computation* (function identity, code, bound
-parameters, backend — distinct kernel functions have distinct qualified
-names), so a different kernel can never satisfy a shard from another
+parameters — distinct kernel functions have distinct qualified names),
+so a different kernel can never satisfy a shard from another
 kernel's journal.  Mismatches are conservative by construction — a false
 mismatch merely re-executes a shard; only a collision could merge wrong
 numbers, and the fingerprint is a SHA-256 digest of the full closure.
@@ -225,7 +225,7 @@ def kernel_fingerprint(kernel: Any, extra: Any = None) -> str:
     The digest covers the kernel's qualified name, its compiled code, its
     defaults and closure, and — through recursive ``functools.partial``
     unwrapping — every parameter the estimators bound into it (trial
-    function, memory model, thread count, batch size, backend-specific
+    function, memory model, thread count, batch size, the machine's
     kernel function, ...).  Two kernels that compute different things get
     different fingerprints; the same kernel fingerprints identically
     across processes and machines (memory addresses are scrubbed, hashes

@@ -176,6 +176,10 @@ def _check_counts(successes: int, trials: int, confidence: float) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
+    _check_confidence(confidence)
+
+
+def _check_confidence(confidence: float) -> None:
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 

@@ -209,8 +209,7 @@ def run_sharded(
     ``config`` (a :class:`repro.runconfig.RunConfig`, default: all
     defaults) carries every execution knob below.  The plan — not the
     config — is the run's statistical identity, so ``config.shards`` is
-    ignored here (it matters to the callers that *build* the plan), as
-    is ``config.backend``.
+    ignored here (it matters to the callers that *build* the plan).
 
     A run has one key, ``plan_key(trials, shards, seed,
     checkpoint_label, kernel_fingerprint(kernel))``

@@ -1,31 +1,82 @@
-"""Statistical equivalence harness for scalar-vs-vectorized backends.
+"""Reference-only code the suite checks the library against.
 
-The two backends draw randomness in different stream orders, so their
-fixed-seed outputs differ bit-for-bit while sampling the same law.  The
-correctness claim is therefore *statistical*: two independent samples of
-the same Bernoulli event must produce proportions whose gap is explained
-by sampling noise.  This module centralises that check so every
-equivalence test in the suite applies the same two-sample z-tolerance
-instead of ad-hoc magic constants.
+Two pieces live here rather than in ``src/``, because no library path
+runs them:
 
-``equivalence_tolerance`` is the half-width of the two-sample normal
-test for the difference of proportions at the given confidence — at the
-suite's default 0.999 a true-null test flakes about once per thousand
-runs per assertion, and any systematic semantic divergence larger than
-the tolerance fails deterministically as trial counts grow.
+* :func:`non_manifestation_scalar_batch` — the draw-by-draw §6 trial
+  loop: per trial one explicit program, ``n`` reference settlings
+  (:class:`repro.core.settling.SettlingProcess`) and scalar geometric
+  shifts.  It defines the semantics the vectorized kernel
+  :func:`repro.kernels.joined.non_manifestation_batch` must reproduce
+  statistically; it draws in a different stream order, so its
+  fixed-seed numbers differ.
+* the two-sample equivalence harness.  A reference loop and a
+  vectorized kernel draw randomness in different stream orders, so
+  their fixed-seed outputs differ bit-for-bit while sampling the same
+  law.  The correctness claim is therefore *statistical*: two
+  independent samples of the same Bernoulli event must produce
+  proportions whose gap is explained by sampling noise.
+  :func:`equivalence_tolerance` is the half-width of the two-sample
+  normal test for the difference of proportions at the given
+  confidence — at the suite's default 0.999 a true-null test flakes
+  about once per thousand runs per assertion, and any systematic
+  semantic divergence larger than the tolerance fails deterministically
+  as trial counts grow.
+
+The module is not collected as a test file; the benchmarks import it as
+``tests.reference``.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..stats.intervals import normal_quantile, wilson_interval
+import numpy as np
+
+from repro.core.instructions import generate_program
+from repro.core.memory_models import MemoryModel
+from repro.core.settling import SettlingProcess
+from repro.core.shift import segments_disjoint
+from repro.stats.intervals import normal_quantile, wilson_interval
+from repro.stats.rng import RandomSource
 
 __all__ = [
+    "non_manifestation_scalar_batch",
     "equivalence_tolerance",
     "assert_equivalent_proportions",
     "assert_contains_probability",
 ]
+
+
+def non_manifestation_scalar_batch(
+    source: RandomSource,
+    batch: int,
+    model: MemoryModel,
+    n: int,
+    store_probability: float,
+    beta: float,
+    body_length: int,
+    critical_section_length: int,
+) -> int:
+    """The scalar reference §6 trial loop (one draw at a time).
+
+    Per trial: one shared program (§6's "identical copies of a single
+    program"), ``n`` independent reference settlings, ``n`` scalar
+    geometric shifts, and the closed-interval disjointness check.
+    """
+    process = SettlingProcess(model)
+    successes = 0
+    for _ in range(batch):
+        program = generate_program(body_length, source, store_probability)
+        lengths = np.empty(n, dtype=np.int64)
+        for thread in range(n):
+            growth = process.settle(program, source).window_growth
+            lengths[thread] = growth + critical_section_length
+        shifts = np.array([source.geometric(beta) for _ in range(n)],
+                          dtype=np.int64)
+        successes += segments_disjoint(shifts, lengths)
+    return int(successes)
+
 
 #: Per-assertion confidence used by the suite's equivalence tests: tight
 #: enough to catch semantic drift, loose enough (≈1/1000 false-positive
@@ -77,7 +128,7 @@ def assert_equivalent_proportions(
     gap = abs(p_a - p_b)
     label = f" [{context}]" if context else ""
     assert gap <= tolerance, (
-        f"backend proportions diverge{label}: "
+        f"proportions diverge{label}: "
         f"{p_a:.6f} ({successes_a}/{trials_a}) vs "
         f"{p_b:.6f} ({successes_b}/{trials_b}); "
         f"gap {gap:.6f} > tolerance {tolerance:.6f} @ {confidence}"

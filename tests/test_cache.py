@@ -8,7 +8,7 @@ Three layers of contract:
   ``repro cache`` CLI drives (``clear``/``verify``/``stats``).
 * **Key injectivity** — the v2 :func:`plan_key` and
   :func:`shard_entry_key` must separate *every* axis a shard's bytes
-  depend on: kernel fingerprint (and hence backend), trials, shards,
+  depend on: kernel fingerprint (and hence the machine), trials, shards,
   seed, label, shard index.  Property-tested with hypothesis.
 * **Engine integration** — ``cache=`` makes warm re-runs fetch their
   shards (hit counters prove it) while staying **bit-identical** to
@@ -230,12 +230,15 @@ class TestKeyInjectivity:
         assert len(keys) == 3
 
     def test_backends_get_distinct_fingerprints(self):
-        from repro.core.manifestation import (
-            _disjointness_batch_trial,
-            _disjointness_scalar_trial,
-        )
-        assert (kernel_fingerprint(_disjointness_batch_trial)
-                != kernel_fingerprint(_disjointness_scalar_trial))
+        # run_canonical_bug's two machines, as the driver binds them.
+        from repro.sim.executor import _race_kernel
+
+        scalar, vectorized = (
+            _race_kernel("TSO", 2, 100, 8, None, False, False, 0.99,
+                         backend, {})
+            for backend in ("scalar", "vectorized"))
+        assert scalar.func is not vectorized.func
+        assert kernel_fingerprint(scalar) != kernel_fingerprint(vectorized)
 
 
 # ---------------------------------------------------------------------------

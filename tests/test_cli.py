@@ -43,6 +43,14 @@ class TestBadInputsAreUsageErrors:
         ["litmus", "explore", "--mode", "random", "--trials", "0"],
         ["thm62", "--trials", "-5"],
         ["--backend", "fused", "thm62", "--trials", "4000"],
+        ["--backend", "vectorized", "thm62", "--trials", "10"],
+        ["machine", "--backend", "gpu", "--trials", "10"],
+        ["machine", "--backend", "vectorized", "--model", "WO",
+         "--trials", "10"],
+        ["machine", "--model", "XYZ", "--trials", "10"],
+        ["machine", "--fenced", "--atomic", "--trials", "10"],
+        ["machine", "--threads", "1", "--trials", "10"],
+        ["machine", "--body-length", "-1", "--trials", "10"],
     ], ids=" ".join)
     def test_exits_2_without_output(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -255,8 +263,7 @@ SUBCOMMAND_ARGV = {
 #: Global engine flags with distinctive values, given *before* the
 #: subcommand (the root parser serves every subcommand).
 ENGINE_FLAGS = ["--workers", "2", "--shards", "3", "--retries", "1",
-                "--shard-timeout", "30", "--backend", "vectorized",
-                "--transport", "shm"]
+                "--shard-timeout", "30", "--transport", "shm"]
 
 
 def _assert_probe_config(config: RunConfig) -> None:
@@ -264,7 +271,6 @@ def _assert_probe_config(config: RunConfig) -> None:
     assert config.shards == 3
     assert config.retries == 1
     assert config.timeout == 30.0
-    assert config.backend == "vectorized"
     assert config.transport == "shm"
 
 
@@ -372,6 +378,30 @@ class TestHandlersForwardRunConfig:
             assert config.retries == 1
             assert config.timeout == 30.0
             assert config.transport == "pickle"
+
+
+class TestMachineBackend:
+    """``repro machine --backend`` is run_canonical_bug's own argument,
+    not an engine knob: it reaches the driver, never the RunConfig."""
+
+    def test_backend_reaches_the_driver(self, capsys, monkeypatch):
+        seen = []
+        real = cli_module.run_canonical_bug
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["backend"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "run_canonical_bug", recording)
+        argv = ["machine", "--model", "TSO", "--trials", "200"]
+        scalar = run_cli(capsys, *argv)
+        vectorized = run_cli(capsys, *argv, "--backend", "vectorized")
+        assert seen == ["scalar", "vectorized"]
+        assert vectorized.strip() == str(
+            real("TSO", 2, 200, backend="vectorized"))
+        assert scalar != vectorized
+        assert not hasattr(RunConfig.from_args(build_parser().parse_args(
+            argv + ["--backend", "vectorized"])), "backend")
 
 
 class TestTransportFlag:

@@ -9,9 +9,9 @@ the seven engine-aware estimators:
 1. **Run identity.**  The run key (read off the run manifest) moves
    with every argument that changes the numbers — a model field, the
    thread count, the store probability, β, the body length, the segment
-   lengths, the bug count, the seed, and the backend where there is more
-   than one — and with no scheduling knob (workers, transport, retries,
-   progress).  The same variants, run through one shared checkpoint
+   lengths, the bug count, the seed, and ``run_canonical_bug``'s
+   ``backend`` (the one driver with two kernels) — and with no scheduling
+   knob (workers, transport, retries, progress).  The same variants, run through one shared checkpoint
    journal and one shared cache dir, each get their own numbers.  This
    is the property behind the one-off cache and checkpoint identity
    fixes of the kernel fingerprint and the model digest.
@@ -19,10 +19,10 @@ the seven engine-aware estimators:
    pickles, so a requested pool really runs it in parallel.
 3. **Engine surface.**  The estimators that used to pass closures
    (shift, fleet, multi-bug) shard, cache and observe like the rest.
-4. **Failing at the call.**  A bad model, backend, program or shift
-   argument raises before any shard runs, on every backend, so the
-   engine never retries a programming error and no backend returns a
-   number the scalar reference would refuse.
+4. **Failing at the call.**  A bad model, program or shift argument
+   raises before any shard runs, on every kernel, so the engine never
+   retries a programming error and no kernel returns a number the
+   scalar reference would refuse.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ IDENTITY_CASES = [
         estimate_non_manifestation, dict(model=TSO, n=2, trials=64),
         [dict(model=TSO_SLOW), dict(n=3), dict(store_probability=0.25),
          dict(beta=0.25), dict(body_length=4),
-         dict(critical_section_length=3), dict(seed=1),
-         dict(config=dict(backend="scalar"))],
+         dict(critical_section_length=3), dict(seed=1)],
         id="estimate_non_manifestation"),
     pytest.param(
         run_canonical_bug, dict(model_name="TSO", threads=2, trials=8,
@@ -81,16 +80,14 @@ IDENTITY_CASES = [
         [dict(model_name="PSO"), dict(drain_probability=0.3),
          dict(threads=3), dict(body_length=3),
          dict(scheduler=GeometricLaunchScheduler(0.25)), dict(fenced=True),
-         dict(atomic=True), dict(seed=1),
-         dict(config=dict(backend="vectorized"))],
+         dict(atomic=True), dict(seed=1), dict(backend="vectorized")],
         id="run_canonical_bug"),
     pytest.param(
         measure_critical_windows, dict(model_name="TSO", threads=2, trials=8,
                                        body_length=2),
         [dict(model_name="PSO"), dict(drain_probability=0.3),
          dict(threads=3), dict(body_length=3),
-         dict(scheduler=GeometricLaunchScheduler(0.25)), dict(seed=1),
-         dict(config=dict(backend="vectorized"))],
+         dict(scheduler=GeometricLaunchScheduler(0.25)), dict(seed=1)],
         id="measure_critical_windows"),
     pytest.param(
         explore_random, dict(test="SB", model=TSO, trials=64),
@@ -254,55 +251,48 @@ def test_fleet_without_a_sampler_fails_at_the_call(engine_calls, retries):
     assert engine_calls == []
 
 
-@pytest.mark.parametrize("backend", ["scalar"])
-@pytest.mark.parametrize("estimate", CHANGED)
-def test_only_the_vectorized_backend_is_accepted(engine_calls, estimate,
-                                                 backend):
-    with pytest.raises(ValueError, match=backend):
-        estimate(RunConfig(shards=2, backend=backend))
-    assert engine_calls == []
-
-
-#: Each program-drawing driver with the program and shift arguments it
-#: takes; every one must refuse an out-of-range value before planning.
+#: Each program-drawing driver with the kernels it runs and the program
+#: and shift arguments it takes; every one must refuse an out-of-range
+#: value before planning.  Only ``run_canonical_bug`` has two kernels,
+#: chosen by its ``backend`` argument.
 ARGUMENT_DRIVERS = {
     "estimate_non_manifestation": (
-        lambda config, **bad: estimate_non_manifestation(
+        lambda backend, config, **bad: estimate_non_manifestation(
             TSO, 2, 1000, config=config, **bad),
-        ("store_probability", "body_length", "beta")),
+        ("vectorized",), ("store_probability", "body_length", "beta")),
     "estimate_multi_bug_survival": (
-        lambda config, **bad: estimate_multi_bug_survival(
+        lambda backend, config, **bad: estimate_multi_bug_survival(
             TSO, 2, 500, config=config, **bad),
-        ("store_probability", "body_length", "beta")),
+        ("vectorized",), ("store_probability", "body_length", "beta")),
     "estimate_heterogeneous_non_manifestation": (
-        lambda config, **bad: estimate_heterogeneous_non_manifestation(
+        lambda backend, config, **bad: estimate_heterogeneous_non_manifestation(
             [TSO, WO], 1000, config=config, **bad),
-        ("store_probability", "body_length", "beta")),
+        ("vectorized",), ("store_probability", "body_length", "beta")),
     "run_canonical_bug": (
-        lambda config, **bad: run_canonical_bug("TSO", 2, 100, config=config,
-                                                **bad),
-        ("body_length",)),
+        lambda backend, config, **bad: run_canonical_bug(
+            "TSO", 2, 100, backend=backend, config=config, **bad),
+        ("scalar", "vectorized"), ("body_length",)),
     "measure_critical_windows": (
-        lambda config, **bad: measure_critical_windows(
+        lambda backend, config, **bad: measure_critical_windows(
             "TSO", 2, 100, config=config, **bad),
-        ("body_length",)),
+        ("scalar",), ("body_length",)),
 }
 
 BAD_VALUES = {"store_probability": 1.5, "body_length": -1, "beta": 1.5}
 
 
-@pytest.mark.parametrize("driver, argument", [
-    pytest.param(driver, argument, id=f"{driver}-{argument}")
-    for driver, (_, arguments) in ARGUMENT_DRIVERS.items()
+@pytest.mark.parametrize("kernel, driver, argument", [
+    pytest.param(kernel, driver, argument, id=f"{kernel}-{driver}-{argument}")
+    for driver, (_, kernels, arguments) in ARGUMENT_DRIVERS.items()
+    for kernel in kernels
     for argument in arguments])
-@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-def test_program_and_shift_arguments_fail_at_the_call(engine_calls, driver,
-                                                      argument, backend):
-    drive, _ = ARGUMENT_DRIVERS[driver]
-    config = RunConfig(workers=2, shards=4, retries=2, backend=backend)
+def test_program_and_shift_arguments_fail_at_the_call(engine_calls, kernel,
+                                                      driver, argument):
+    drive, _, _ = ARGUMENT_DRIVERS[driver]
+    config = RunConfig(workers=2, shards=4, retries=2)
     error = ValueError if argument == "beta" else ProgramError
     with pytest.raises(error, match=argument):
-        drive(config, **{argument: BAD_VALUES[argument]})
+        drive(kernel, config, **{argument: BAD_VALUES[argument]})
     assert engine_calls == []
 
 

@@ -8,6 +8,7 @@ import repro.sim.executor as executor_module
 import repro.sim.measurement as measurement_module
 import repro.stats.montecarlo as montecarlo_module
 from repro import RunConfig
+from repro.errors import SimulationError
 from repro.sim import measure_critical_windows, run_canonical_bug
 from repro.sim.scheduler import LockStepScheduler
 
@@ -108,12 +109,27 @@ class TestCoreOptionsCheckedUpFront:
                    config=RunConfig(retries=3, shards=2))
         assert engine_calls == []
 
-    @pytest.mark.parametrize("knob", ["workers", "backend", "shards"])
+    @pytest.mark.parametrize("knob", ["workers", "shards"])
     @pytest.mark.parametrize("module, driver", MACHINE_DRIVERS)
     def test_stale_knob_keyword_names_the_config(self, engine_calls, module,
                                                  driver, knob):
         with pytest.raises(TypeError, match=r"config=RunConfig\("):
             driver("TSO", 2, 10, **{knob: 2})
+        assert engine_calls == []
+
+    @pytest.mark.parametrize("module, driver", MACHINE_DRIVERS)
+    def test_unknown_model_raises_before_any_shard(self, engine_calls,
+                                                   module, driver):
+        with pytest.raises(SimulationError, match="no core model named 'XYZ'"):
+            driver("XYZ", 2, 10, config=RunConfig(retries=3, shards=2))
+        assert engine_calls == []
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+    def test_confidence_out_of_range_raises_at_the_call(self, engine_calls,
+                                                        confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            run_canonical_bug("TSO", 2, 10, confidence=confidence,
+                              config=RunConfig(shards=2))
         assert engine_calls == []
 
     def test_option_of_another_core_is_rejected(self, engine_calls):

@@ -5,16 +5,18 @@ reference and to the paper:
 
 * **closed form** — kernel estimates must land on the Theorem 4.1 /
   Theorem 5.1 / Theorem 6.2 values;
-* **two-sample equivalence** — scalar and vectorized backends are
-  different orderings of the same stream family, so their proportions
-  must agree within the pooled z-tolerance of
-  :mod:`repro.kernels.validation`;
+* **two-sample equivalence** — the scalar reference loops and the
+  vectorized kernels are different orderings of the same stream family,
+  so their proportions must agree within the pooled z-tolerance of
+  ``tests/reference.py``;
 * **golden values** — ``non_manifestation_batch`` is the historical
   engine kernel relocated verbatim, so the published Monte-Carlo numbers
   must stay **bit-identical** for a fixed ``(seed, shards)``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,21 +34,23 @@ from repro.core.settling import DEFAULT_BODY_LENGTH, sample_window_growth
 from repro.core.shift import DEFAULT_SHIFT_RATIO, ShiftProcess, estimate_disjointness
 from repro.core.shift_analytic import disjointness_probability
 from repro.core.window_sampling import sample_growth_matrix
+from repro.errors import SimulationError
 from repro.kernels import (
-    BACKENDS,
     KERNEL_CATALOGUE,
     non_manifestation_batch,
-    non_manifestation_scalar_batch,
-    resolve_backend,
     sample_shifts_batch,
     shift_disjoint_batch,
     window_growth_batch,
 )
-from repro.kernels.validation import (
+from repro.sim import run_canonical_bug
+from repro.stats import RandomSource
+from repro.stats.montecarlo import run_event_trials
+
+from .reference import (
     assert_contains_probability,
     assert_equivalent_proportions,
+    non_manifestation_scalar_batch,
 )
-from repro.stats import RandomSource
 
 MODELS = {"SC": SC, "TSO": TSO, "WO": WO, "PSO": PSO}
 
@@ -56,25 +60,38 @@ LD_LD = MemoryModel("LD-LD", [(LD, LD)])
 
 
 class TestBackendResolution:
-    def test_known_backends_pass_through(self):
-        assert BACKENDS == ("scalar", "vectorized")
-        for backend in BACKENDS:
-            assert resolve_backend(backend) == backend
+    """``run_canonical_bug``'s ``backend`` argument, the one kernel choice
+    left: every other estimator runs one kernel."""
 
-    def test_unknown_backend_raises_with_choices(self):
-        with pytest.raises(ValueError, match="scalar"):
-            resolve_backend("gpu")
+    def test_known_backends_pass_through(self):
+        for backend in ("scalar", "vectorized"):
+            result = run_canonical_bug("TSO", 2, 50, seed=1, backend=backend)
+            assert result.trials == 50
+
+    def test_unknown_backend_raises_with_choices(self, monkeypatch):
+        import repro.stats.montecarlo as montecarlo_module
+
+        calls = []
+        monkeypatch.setattr(montecarlo_module, "run_sharded",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="'scalar' or 'vectorized'"):
+            run_canonical_bug("TSO", 2, 50, backend="gpu",
+                              config=RunConfig(shards=2, retries=2))
+        assert calls == []  # at the call, before any shard
 
     def test_allowed_subset_rejects_known_backends(self):
-        assert resolve_backend("scalar",
-                               allowed=("scalar", "vectorized")) == "scalar"
-        with pytest.raises(ValueError, match="not supported here"):
-            resolve_backend("scalar", allowed=("vectorized",))
+        # The vectorized machine covers SC/TSO/PSO only.
+        with pytest.raises(SimulationError, match="supports SC, TSO, PSO"):
+            run_canonical_bug("WO", 2, 50, backend="vectorized")
+        assert run_canonical_bug("WO", 2, 50, backend="scalar").trials == 50
 
     def test_allowed_rejection_differs_from_unknown(self):
         # A known-but-unsupported backend must not masquerade as a typo.
+        with pytest.raises(SimulationError) as excinfo:
+            run_canonical_bug("WO", 2, 50, backend="vectorized")
+        assert "unknown backend" not in str(excinfo.value)
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu", allowed=("scalar",))
+            run_canonical_bug("WO", 2, 50, backend="gpu")
 
     def test_catalogue_names_are_exported(self):
         import repro.kernels as kernels
@@ -209,8 +226,13 @@ class TestJoinedKernel:
         assert result.successes == 54
 
     def test_scalar_backend_agrees_with_theorem_62(self):
-        result = estimate_non_manifestation(SC, 2, 20_000, seed=0,
-                                            config=RunConfig(backend="scalar"))
+        # The reference loop on the engine, bound as the estimator binds
+        # the vectorized kernel.
+        reference = partial(non_manifestation_scalar_batch, model=SC, n=2,
+                            store_probability=0.5, beta=DEFAULT_SHIFT_RATIO,
+                            body_length=DEFAULT_BODY_LENGTH,
+                            critical_section_length=2)
+        result = run_event_trials(reference, 20_000, seed=0)
         assert result.successes == 3347  # deterministic in (seed, shards)
         assert result.agrees_with(1.0 / 6.0)
 
@@ -229,13 +251,14 @@ class TestJoinedKernel:
             context="joined pipeline scalar vs vectorized",
         )
 
+    def test_unknown_backend_raises(self):
+        # One kernel: the joined estimator takes no backend at all.
+        with pytest.raises(TypeError, match="backend"):
+            estimate_non_manifestation(SC, 2, 1_000, backend="cuda")
+
     def test_vectorized_lands_on_the_exact_value(self):
         result = estimate_non_manifestation(WO, 2, 60_000, seed=3,
                                             confidence=0.999)
         exact = non_manifestation_probability(WO, 2).value
         assert np.isclose(exact, 7.0 / 54.0)
         assert result.agrees_with(exact)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="backend"):
-            estimate_non_manifestation(SC, 2, 1_000, config=RunConfig(backend="cuda"))

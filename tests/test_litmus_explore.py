@@ -562,14 +562,15 @@ class TestServiceEstimator:
         assert sum(result["counts"].values()) == 500
 
     def test_bad_mode_rejected(self):
-        from repro.service.estimators import run_estimator, validate_params
+        # At submit, before a job exists.
+        from repro.service.estimators import validate_params
         from repro.service.schemas import ServiceError
 
-        params = validate_params(
-            "litmus_explore",
-            {"test": "SB", "model": "TSO", "mode": "frobnicate"})
-        with pytest.raises(ServiceError):
-            run_estimator("litmus_explore", params, RunConfig())
+        with pytest.raises(ServiceError) as excinfo:
+            validate_params(
+                "litmus_explore",
+                {"test": "SB", "model": "TSO", "mode": "frobnicate"})
+        assert excinfo.value.code == "bad-param"
 
 
 class TestCli:

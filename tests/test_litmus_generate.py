@@ -262,27 +262,27 @@ class TestServiceEstimator:
         assert len(result["points"]) == 2
         assert result["points"][0]["model"] == "PSO-WB"
 
+    # Both are refused at submit, before a job exists.
     def test_invalid_spec_maps_to_service_error(self):
-        from repro.service.estimators import run_estimator, validate_params
+        from repro.service.estimators import validate_params
         from repro.service.schemas import ServiceError
 
-        params = validate_params(
-            "litmus_family",
-            {"model": "TSO", "spacing": 9, "ops_per_thread": 3})
         with pytest.raises(ServiceError) as excinfo:
-            run_estimator("litmus_family", params, RunConfig())
+            validate_params(
+                "litmus_family",
+                {"model": "TSO", "spacing": 9, "ops_per_thread": 3})
         assert excinfo.value.status == 400
 
     def test_too_many_orders_maps_to_service_error(self):
-        from repro.service.estimators import run_estimator, validate_params
+        from repro.service.estimators import validate_params
         from repro.service.schemas import ServiceError
 
-        params = validate_params(
-            "litmus_family",
-            {"model": "WO", "count": 1, "trials": 100, "ops_per_thread": 16,
-             "addresses": 16, "store_fraction": 1.0})
         with pytest.raises(ServiceError) as excinfo:
-            run_estimator("litmus_family", params, RunConfig(shards=2))
+            validate_params(
+                "litmus_family",
+                {"model": "WO", "count": 1, "trials": 100,
+                 "ops_per_thread": 16, "addresses": 16,
+                 "store_fraction": 1.0})
         assert excinfo.value.status == 400
         assert "legal orders" in str(excinfo.value)
 

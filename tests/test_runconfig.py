@@ -11,9 +11,9 @@ Four layers of coverage:
    historical "flag parsed but silently dropped" CLI bugs.
 3. One way to pass a knob — every public function that takes ``config``
    takes it keyword-only and takes no knob as a parameter of its own.
-4. Golden byte-identity — fixed-seed merged numbers and run keys over
-   the pickle/shm × scalar/vectorized matrix, pinned to the values the
-   pre-RunConfig code produced.
+4. Golden byte-identity — fixed-seed merged numbers and run keys of the
+   joined model over pickle/shm and of both canonical-bug machines,
+   pinned to the values the pre-RunConfig code produced.
 """
 
 from __future__ import annotations
@@ -37,11 +37,7 @@ from repro.analysis import (
     store_probability_sweep,
     thread_sweep,
 )
-from repro.core.manifestation import (
-    _disjointness_batch_trial,
-    _disjointness_scalar_trial,
-    estimate_non_manifestation,
-)
+from repro.core.manifestation import estimate_non_manifestation
 from repro.core.heterogeneous import estimate_heterogeneous_non_manifestation
 from repro.core.memory_models import SC, TSO
 from repro.core.multibug import estimate_multi_bug_survival
@@ -68,19 +64,11 @@ class TestResolve:
         config = RunConfig()
         assert config.resolve() == config
 
-    def test_driver_default_backend_is_applied(self):
-        resolved = RunConfig().resolve(default_backend="vectorized")
-        assert resolved.backend == "vectorized"
-
-    def test_explicit_backend_wins_over_driver_default(self):
-        resolved = RunConfig(backend="scalar").resolve(default_backend="vectorized")
-        assert resolved.backend == "scalar"
-
     @pytest.mark.parametrize("field, value", [
         ("workers", 0), ("workers", -2), ("shards", 0), ("retries", -1),
         ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
         ("timeout", float("inf")),
-        ("transport", "carrier-pigeon"), ("backend", "quantum"),
+        ("transport", "carrier-pigeon"),
     ])
     def test_bad_knobs_raise(self, field, value):
         with pytest.raises(ValueError):
@@ -98,8 +86,19 @@ class TestResolve:
             assert RunConfig(checkpoint=path).resolve().checkpoint == path
 
     def test_the_fused_backend_removed_in_5_0_is_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend 'fused'"):
-            RunConfig(backend="fused").resolve()
+        # 6.0 removed the backend knob itself (see below).
+        with pytest.raises(TypeError, match="backend"):
+            RunConfig(backend="fused")
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_backend_removed_in_6_0_is_not_a_field(self, backend):
+        # Each estimator runs one kernel; run_canonical_bug takes its
+        # machine as an argument of its own.
+        with pytest.raises(TypeError, match="backend"):
+            RunConfig(backend=backend)
+        assert "backend" not in RunConfig.cli_bindings()
+        assert list(inspect.signature(RunConfig.resolve).parameters) == \
+            ["self"]
 
 
 class TestMetadata:
@@ -107,7 +106,7 @@ class TestMetadata:
         bindings = RunConfig.cli_bindings()
         assert set(bindings) == {
             "workers", "shards", "retries", "timeout", "checkpoint",
-            "cache", "manifest", "trace", "progress", "backend", "transport",
+            "cache", "manifest", "trace", "progress", "transport",
         }
         assert bindings["timeout"] == "--shard-timeout"
         assert all(flag.startswith("--") for flag in bindings.values())
@@ -129,12 +128,12 @@ class TestMetadata:
         class Args:
             workers = 3
             shard_timeout = 12.5
-            backend = "scalar"
+            backend = "vectorized"  # repro machine's own flag, not a knob
             transport = "shm"
         config = RunConfig.from_args(Args())
         assert config.workers == 3
         assert config.timeout == 12.5
-        assert config.backend == "scalar"
+        assert not hasattr(config, "backend")
         assert config.transport == "shm"
         assert config.shards is None  # missing attrs keep field defaults
 
@@ -145,7 +144,7 @@ class TestMetadata:
 
 #: One distinctive value per knob.  trace (rather than manifest/progress)
 #: carries the observability leg so the assertion is a non-None observer
-#: without stderr noise; backend is exercised separately per driver.
+#: without stderr noise.
 def _probe_config(tmp_path, **overrides):
     base = dict(
         workers=2, shards=3, retries=1, timeout=30.0,
@@ -250,17 +249,6 @@ class TestKnobPropagation:
         drive(config)
         _assert_engine_saw_probe(recorder.only_call, config)
 
-    def test_backend_selects_the_joined_kernel(self, tmp_path, monkeypatch):
-        expected = {"scalar": _disjointness_scalar_trial,
-                    "vectorized": _disjointness_batch_trial}
-        for backend, func in expected.items():
-            recorder = _EngineRecorder(_bernoulli)
-            monkeypatch.setattr(montecarlo_module, "run_sharded", recorder)
-            estimate_non_manifestation(
-                TSO, 2, 100, config=_probe_config(tmp_path, backend=backend))
-            batch_trial = recorder.only_call["kernel"].keywords["batch_trial"]
-            assert batch_trial.func is func
-
     def test_backend_selects_the_machine_kernel(self, tmp_path, monkeypatch):
         for backend, func in [
             ("scalar", executor_module._canonical_bug_shard),
@@ -268,8 +256,8 @@ class TestKnobPropagation:
         ]:
             recorder = _EngineRecorder(_categorical)
             monkeypatch.setattr(montecarlo_module, "run_sharded", recorder)
-            run_canonical_bug("TSO", 2, 100,
-                              config=_probe_config(tmp_path, backend=backend))
+            run_canonical_bug("TSO", 2, 100, backend=backend,
+                              config=_probe_config(tmp_path))
             assert recorder.only_call["kernel"].func is func
 
     SWEEPS = [
@@ -391,13 +379,19 @@ class TestOneWayToPassAKnob:
                                          "philox_stream",
                                          "assert_frequencies_equivalent",
                                          "non_manifestation_fused_batch",
-                                         "_disjointness_fused_trial"])
+                                         "_disjointness_fused_trial",
+                                         "BACKENDS", "resolve_backend",
+                                         "non_manifestation_scalar_batch",
+                                         "_disjointness_scalar_trial",
+                                         "_window_shard_vectorized",
+                                         "trailing_run_batch"])
     def test_removed_names_are_exported_nowhere(self, removed):
         for module_name in (*PUBLIC_MODULES, "repro.runconfig",
                             "repro.stats.montecarlo", "repro.stats.parallel",
                             "repro.stats.rng", "repro.litmus.explore",
-                            "repro.kernels.joined",
-                            "repro.core.manifestation"):
+                            "repro.kernels.joined", "repro.kernels.settling",
+                            "repro.core.manifestation",
+                            "repro.sim.measurement"):
             module = importlib.import_module(module_name)
             assert removed not in getattr(module, "__all__", ()), module_name
             assert not hasattr(module, removed), module_name
@@ -427,13 +421,13 @@ def _double(value):
 #: Fixed-seed merged numbers and run keys produced by the pre-RunConfig
 #: code (estimate_non_manifestation(TSO, 2, 4000, seed=7, shards=4) /
 #: run_canonical_bug("TSO", 2, 400, seed=7, shards=4)).  The refactor
-#: must keep every one byte-identical.  The middle key names the shard
-#: streams: the spawn plan, the only derivation since 4.0 (the 3.x
-#: philox rows went with that plan).
+#: must keep every one byte-identical.  The first key names the kernel:
+#: the joined model runs its one vectorized kernel (the scalar rows went
+#: with the 6.0 backend knob), the machine either of its two.  The
+#: middle key names the shard streams: the spawn plan, the only
+#: derivation since 4.0 (the 3.x philox rows went with that plan).
 JOINED_GOLDEN = {
-    ("scalar", "spawn", "pickle"): (521, "f8af8f7c11a170e3"),
     ("vectorized", "spawn", "pickle"): (541, "ced60950df46032b"),
-    ("scalar", "spawn", "shm"): (521, "f8af8f7c11a170e3"),
     ("vectorized", "spawn", "shm"): (541, "ced60950df46032b"),
 }
 
@@ -444,13 +438,12 @@ MACHINE_GOLDEN = {
 
 
 class TestGoldenByteIdentity:
-    @pytest.mark.parametrize("backend, stream, transport",
+    @pytest.mark.parametrize("kernel, stream, transport",
                              sorted(JOINED_GOLDEN))
-    def test_joined_matrix(self, tmp_path, backend, stream, transport):
-        successes, key = JOINED_GOLDEN[(backend, stream, transport)]
+    def test_joined_matrix(self, tmp_path, kernel, stream, transport):
+        successes, key = JOINED_GOLDEN[(kernel, stream, transport)]
         manifest = tmp_path / "run.json"
-        config = RunConfig(shards=4, backend=backend, transport=transport,
-                           manifest=manifest)
+        config = RunConfig(shards=4, transport=transport, manifest=manifest)
         result = estimate_non_manifestation(TSO, 2, 4000, seed=7,
                                             config=config)
         assert result.successes == successes
@@ -461,9 +454,9 @@ class TestGoldenByteIdentity:
     def test_machine_matrix(self, tmp_path, backend, stream):
         manifestations, key = MACHINE_GOLDEN[(backend, stream)]
         manifest = tmp_path / "run.json"
-        config = RunConfig(shards=4, backend=backend, manifest=manifest)
+        config = RunConfig(shards=4, manifest=manifest)
         result = run_canonical_bug("TSO", threads=2, trials=400, seed=7,
-                                   config=config)
+                                   backend=backend, config=config)
         assert result.manifestations == manifestations
         assert result.trials == 400
         assert load_manifest(manifest)["runs"][0]["plan"]["key"] == key

@@ -31,7 +31,6 @@ DISTINCT = RunConfig(
     manifest="manifest.json",
     trace="trace.jsonl",
     progress=True,
-    backend="vectorized",
     transport="shm",
 )
 
@@ -119,11 +118,11 @@ class TestUnsetAndLiveObjects:
 
 class TestBaseFolding:
     def test_omitted_keys_keep_base_values(self):
-        base = RunConfig(workers=4, retries=3, backend="scalar")
+        base = RunConfig(workers=4, retries=3, transport="pickle")
         merged = RunConfig.from_json_dict({"workers": 2}, base=base)
         assert merged.workers == 2
         assert merged.retries == 3
-        assert merged.backend == "scalar"
+        assert merged.transport == "pickle"
 
     def test_empty_payload_returns_base(self):
         base = RunConfig(workers=4)

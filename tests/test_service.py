@@ -149,7 +149,6 @@ class TestJobKey:
     def test_statistical_knobs_split_the_key(self):
         base = self.key(RunConfig(shards=4))
         assert base != self.key(RunConfig(shards=8))
-        assert base != self.key(RunConfig(shards=4, backend="scalar"))
 
     def test_shards_enter_resolved(self):
         # workers=2 with shards unset runs the fixed 16-shard default.
@@ -165,6 +164,15 @@ class TestJobKey:
     def test_params_split_the_key(self):
         assert (self.key(params={"model": "TSO", "trials": 1000})
                 != self.key(params={"model": "WO", "trials": 1000}))
+        # canonical_bug's machine is a param, with its default folded in.
+        keys = [job_key("canonical_bug",
+                        validate_params("canonical_bug", params), RunConfig())
+                for params in ({"model": "TSO", "trials": 100},
+                               {"model": "TSO", "trials": 100,
+                                "backend": "scalar"},
+                               {"model": "TSO", "trials": 100,
+                                "backend": "vectorized"})]
+        assert keys[0] == keys[1] != keys[2]
 
 
 # ----------------------------------------------------------------------
@@ -334,12 +342,15 @@ class TestEstimationService:
         assert warm_result["result"] == cold_result["result"]
         service.shutdown(drain_seconds=1.0)
 
-    def test_failed_job_reports_and_counts(self, tmp_path):
+    def test_failed_job_reports_and_counts(self, tmp_path, monkeypatch):
+        # Every bad param value is refused at submit, so the failure is
+        # one the estimator raises while it runs.
+        def broken(estimator, params, config):
+            raise RuntimeError("the estimator broke mid-run")
+
+        monkeypatch.setattr("repro.service.server.run_estimator", broken)
         service = EstimationService(tmp_path, job_workers=1)
-        response, _ = service.submit({
-            "estimator": "non_manifestation",
-            "params": {"model": "NOSUCH", "trials": 10},
-        })
+        response, _ = service.submit(dict(SMALL))
         job_id = response["job"]["id"]
         wait_for(lambda: service.registry.get(job_id).finished)
         assert service.registry.get(job_id).state == "failed"
@@ -426,15 +437,16 @@ class TestEstimationService:
         service.shutdown(drain_seconds=1.0)
 
     def test_fused_jobs_queued_under_4x_fail_after_the_upgrade(self, tmp_path):
-        # 5.0 removed backend="fused".  A job a 4.x server left queued with
-        # it fails on its own, naming the backend; its neighbour still runs.
+        # 5.0 removed backend="fused" and 6.0 the backend knob.  A job a
+        # 4.x server left queued with it fails on its own, naming the
+        # backend; its neighbour still runs.
         params = validate_params("non_manifestation", SMALL["params"])
         jobs = [Job(id=f"job-0000{index}", key=f"k{index}",
                     estimator="non_manifestation", params=params,
-                    config_wire=RunConfig(shards=2,
-                                          backend=backend).to_json_dict()
+                    config_wire=dict(RunConfig(shards=2).to_json_dict(),
+                                     backend=backend)
                     ).to_wire()
-                for index, backend in ((1, "fused"), (2, "vectorized"))]
+                for index, backend in ((1, "fused"), (2, None))]
         (tmp_path / "jobs.json").write_text(json.dumps(
             {"kind": "repro/service-jobs", "format": 1, "seq": 2,
              "jobs": jobs}))
@@ -447,18 +459,33 @@ class TestEstimationService:
         assert service.registry.get("job-00002").state == "done"
         service.shutdown(drain_seconds=1.0)
 
-    @pytest.mark.parametrize("bad", [{"store_probability": 1.5},
-                                     {"body_length": -1}],
-                             ids=["store_probability", "body_length"])
-    def test_out_of_range_program_params_fail_the_job(self, tmp_path, bad):
+    def test_jobs_queued_under_5x_resume_or_fail_after_the_upgrade(
+            self, tmp_path):
+        # Every 5.x config_wire held "backend".  A null one is dropped on
+        # load and the job runs; a job that named a kernel fails, naming
+        # the knob — a canonical_bug client resubmits with params.backend.
+        wire = RunConfig(shards=2).to_json_dict()
+        jobs = [Job(id=f"job-0000{index}", key=f"k{index}",
+                    estimator=estimator,
+                    params=validate_params(estimator, params),
+                    config_wire=dict(wire, backend=backend)).to_wire()
+                for index, estimator, params, backend in (
+                    (1, "non_manifestation", SMALL["params"], None),
+                    (2, "non_manifestation", SMALL["params"], "vectorized"),
+                    (3, "canonical_bug", {"model": "TSO", "trials": 100},
+                     "vectorized"))]
+        (tmp_path / "jobs.json").write_text(json.dumps(
+            {"kind": "repro/service-jobs", "format": 1, "seq": 3,
+             "jobs": jobs}))
         service = EstimationService(tmp_path, job_workers=1)
-        response, _ = service.submit(dict(
-            SMALL, params=dict(SMALL["params"], **bad)))
-        job = service.registry.get(response["job"]["id"])
-        wait_for(lambda: job.finished)
-        (name,) = bad
-        assert job.state == "failed"
-        assert job.error.startswith("ProgramError") and name in job.error
+        wait_for(lambda: service.registry.get("job-00001").finished)
+        assert service.registry.get("job-00001").state == "done"
+        assert "backend" not in service.registry.get("job-00001").config_wire
+        for job_id in ("job-00002", "job-00003"):
+            job = service.registry.get(job_id)
+            assert job.state == "failed"
+            assert "'backend' was removed in 6.0" in job.error
+            assert "vectorized" in job.error
         service.shutdown(drain_seconds=1.0)
 
     def test_submissions_refused_while_shutting_down(self, tmp_path):
@@ -561,13 +588,59 @@ class TestHTTP:
         assert excinfo.value.code == "bad-config"
 
     def test_fused_backend_removed_in_5_0_is_bad_config(self, http_service):
+        # 6.0 removed the backend knob itself: every value is refused.
+        for backend in ("fused", "vectorized"):
+            with pytest.raises(ServiceError) as excinfo:
+                http_service.submit("non_manifestation",
+                                    {"model": "TSO", "trials": 800},
+                                    config={"backend": backend})
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad-config"
+            assert "backend" in str(excinfo.value)
+        assert http_service.jobs() == []
+
+    @pytest.mark.parametrize("estimator, params, message", [
+        ("non_manifestation", {"model": "TSO", "trials": 800,
+                               "store_probability": 1.5},
+         "store_probability"),
+        ("non_manifestation", {"model": "TSO", "trials": 800,
+                               "body_length": -1}, "body_length"),
+        ("non_manifestation", {"model": "TSO", "trials": 800, "n": 1},
+         "n >= 2"),
+        ("non_manifestation", {"model": "XYZ", "trials": 800}, "XYZ"),
+        ("non_manifestation", {"model": "TSO", "trials": 800,
+                               "confidence": 1.5}, "confidence"),
+        ("canonical_bug", {"model": "TSO", "trials": 0},
+         "trials must be positive"),
+        ("canonical_bug", {"model": "XYZ", "trials": 100},
+         "no core model named 'XYZ'"),
+        ("canonical_bug", {"model": "TSO", "trials": 100, "fenced": True,
+                           "atomic": True}, "mutually exclusive"),
+        ("litmus_explore", {"test": "SB", "model": "TSO", "mode": "bogus"},
+         "'mode' must be"),
+        ("litmus_explore", {"test": "NOPE", "model": "TSO"},
+         "unknown litmus test 'NOPE'"),
+        ("litmus_explore", {"test": "SB", "model": "TSO", "mode": "random",
+                            "trials": 0}, "trials must be positive"),
+        ("litmus_family", {"model": "TSO", "threads": 1},
+         "at least 2 threads"),
+        ("litmus_family", {"model": "TSO", "count": 0}, ">= 1 member"),
+        ("canonical_bug", {"model": "TSO", "trials": 100, "backend": "gpu"},
+         "unknown backend 'gpu'"),
+        ("canonical_bug", {"model": "WO", "trials": 100,
+                           "backend": "vectorized"}, "'WO' needs"),
+    ], ids=["store_probability", "body_length", "n", "model", "confidence",
+            "trials", "machine-model", "fenced-atomic", "mode", "test",
+            "random-trials", "threads", "count", "backend", "WO-vectorized"])
+    def test_bad_param_values_are_refused_at_submit(self, http_service,
+                                                    estimator, params,
+                                                    message):
         with pytest.raises(ServiceError) as excinfo:
-            http_service.submit("non_manifestation",
-                                {"model": "TSO", "trials": 800},
-                                config={"backend": "fused"})
+            http_service.submit(estimator, params)
         assert excinfo.value.status == 400
-        assert excinfo.value.code == "bad-config"
-        assert "fused" in str(excinfo.value)
+        assert excinfo.value.code == "bad-param"
+        assert message in str(excinfo.value)
+        assert http_service.jobs() == []
 
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
     def test_non_finite_timeout_is_bad_config(self, http_service, timeout):
