@@ -2,13 +2,13 @@
 
 The paper studies instruction reordering and "ignores store atomicity,
 which is tangential to our present analysis".  This bench enumerates the
-classic litmus tests under **SC ordering with non-atomic stores** and
-shows the two axes are genuinely orthogonal:
+classic litmus tests under **SC ordering with non-atomic stores**
+(the zoo's ``SC-NMCA``) and shows the two axes are genuinely orthogonal:
 
 * non-atomicity alone re-opens SB and IRIW (no reordering involved),
 * per-writer FIFO propagation keeps MP/LB/CoRR closed,
-* composing the axes (WO ordering + non-atomic stores) reaches a strict
-  superset of either alone.
+* composing the axes (WO ordering + non-atomic stores, ``WO-NMCA``)
+  reaches a strict superset of either alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from conftest import show
 
 from repro.core import SC, WO
-from repro.litmus import enumerate_outcomes, enumerate_outcomes_non_atomic, get_test
+from repro.litmus import SC_NMCA, WO_NMCA, enumerate_outcomes, get_test
 from repro.reporting import render_table
 
 TESTS = ("SB", "MP", "LB", "CoRR", "IRIW", "WRC")
@@ -30,9 +30,8 @@ def _project(outcomes, reference):
     }
 
 
-def _reachable(test, model, non_atomic: bool) -> bool:
-    enumerate_fn = enumerate_outcomes_non_atomic if non_atomic else enumerate_outcomes
-    outcomes = enumerate_fn(list(test.programs), model)
+def _reachable(test, model) -> bool:
+    outcomes = enumerate_outcomes(list(test.programs), model)
     return test.relaxed_outcome in _project(outcomes, test.relaxed_outcome)
 
 
@@ -44,10 +43,10 @@ def test_atomicity_axis_matrix(run_once):
             rows.append(
                 {
                     "test": name,
-                    "SC + atomic": _reachable(test, SC, non_atomic=False),
-                    "SC + non-atomic": _reachable(test, SC, non_atomic=True),
-                    "WO + atomic": _reachable(test, WO, non_atomic=False),
-                    "WO + non-atomic": _reachable(test, WO, non_atomic=True),
+                    "SC + atomic": _reachable(test, SC),
+                    "SC + non-atomic": _reachable(test, SC_NMCA),
+                    "WO + atomic": _reachable(test, WO),
+                    "WO + non-atomic": _reachable(test, WO_NMCA),
                 }
             )
         return rows
@@ -85,10 +84,10 @@ def test_non_atomic_outcome_counts_monotone(run_once):
                     "test": name,
                     "SC atomic": len(enumerate_outcomes(list(test.programs), SC)),
                     "SC non-atomic": len(
-                        enumerate_outcomes_non_atomic(list(test.programs), SC)
+                        enumerate_outcomes(list(test.programs), SC_NMCA)
                     ),
                     "WO non-atomic": len(
-                        enumerate_outcomes_non_atomic(list(test.programs), WO)
+                        enumerate_outcomes(list(test.programs), WO_NMCA)
                     ),
                 }
             )

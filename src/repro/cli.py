@@ -100,8 +100,8 @@ __all__ = ["main", "build_parser"]
 
 class _UsageError(Exception):
     """An argument value only a handler can reject, before it computes
-    anything (a family spec whose fields conflict): :func:`main` reports
-    it as a usage error."""
+    anything (a model the chosen machine cannot run): :func:`main`
+    reports it as a usage error."""
 
 
 def _non_negative_int(text: str) -> int:
@@ -312,24 +312,18 @@ def _cmd_litmus_generate(args: argparse.Namespace) -> None:
 
     from .litmus import FamilySpec, sweep_family
 
-    try:
-        spec = FamilySpec(
-            threads=args.threads,
-            ops_per_thread=args.ops_per_thread,
-            addresses=args.addresses,
-            spacing=args.spacing,
-            fence_density=args.fence_density,
-            store_fraction=args.store_fraction,
-        )
-        # Every LitmusError a sweep raises is about its inputs (here: a
-        # thread with too many legal orders), and it raises before
-        # anything is printed.
-        report = sweep_family(
-            spec, args.models, count=args.count, trials=args.trials,
-            seed=args.seed, config=args.run_config,
-        )
-    except LitmusError as error:
-        raise _UsageError(str(error)) from None
+    spec = FamilySpec(
+        threads=args.threads,
+        ops_per_thread=args.ops_per_thread,
+        addresses=args.addresses,
+        spacing=args.spacing,
+        fence_density=args.fence_density,
+        store_fraction=args.store_fraction,
+    )
+    report = sweep_family(
+        spec, args.models, count=args.count, trials=args.trials,
+        seed=args.seed, config=args.run_config,
+    )
     if args.programs:
         from .litmus import generate_family
         for test in generate_family(spec, args.count, args.seed):
@@ -789,6 +783,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unknown_leading_options(parser: argparse.ArgumentParser,
+                                    argv: Sequence[str] | None) -> None:
+    """Fail on an unknown option before the subcommand, naming it.
+
+    argparse skips such an option but takes the value after it for the
+    subcommand, so ``repro --backend vectorized thm62`` would report an
+    invalid choice ``'vectorized'``.  This parses the root's own options
+    up to the subcommand, the same way the root parser does.
+    """
+    leading = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    leading.error = parser.error
+    leading.add_argument("-h", "--help", action="store_true")
+    _add_engine_options(leading)
+    leading.add_argument("command", nargs=argparse.REMAINDER)
+    unknown = leading.parse_known_args(argv)[1]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro`` and the ``repro`` script.
 
@@ -798,12 +811,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     sees the same ``args.run_config`` and none can drop a flag.  A value
     the config rejects (``--retries -1``, ``--shard-timeout nan``) is a
     usage error: exit code 2 with the parser's message, no traceback.
-    So is a value a handler rejects before computing (a litmus family
-    spec whose fields conflict).  The command runs in one
+    So is a value a handler rejects before computing, every
+    :class:`~repro.errors.LitmusError` (the litmus layer raises one only
+    for its inputs, before anything is printed), and an unknown option
+    before the subcommand.  The command runs in one
     :func:`~repro.stats.faults.pool_scope`, so its pooled engine calls
     share one process pool.
     """
     parser = build_parser()
+    _reject_unknown_leading_options(parser, argv)
     args = parser.parse_args(argv)
     try:
         args.run_config = RunConfig.from_args(args)
@@ -812,6 +828,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with pool_scope():
             args.run(args)
-    except _UsageError as error:
+    except (_UsageError, LitmusError) as error:
         parser.error(str(error))
     return 0

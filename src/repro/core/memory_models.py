@@ -84,8 +84,9 @@ class MemoryModel:
     atomicity:
         The store-atomicity flavor: ``"atomic"`` (multi-copy-atomic shared
         memory, the paper's scoping assumption) or ``"non_atomic"``
-        (per-writer FIFO propagation, executed by
-        :mod:`repro.litmus.atomicity`).  Orthogonal to the relaxation set.
+        (per-writer FIFO propagation; the litmus step semantics of
+        :mod:`repro.litmus.core` reads it).  Orthogonal to the relaxation
+        set.
 
     Instances are immutable and hashable; the four paper models are module
     constants (:data:`SC`, :data:`TSO`, :data:`PSO`, :data:`WO`).

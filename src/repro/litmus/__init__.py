@@ -5,7 +5,6 @@ reproduces the architecture literature's allowed/forbidden outcomes
 (experiment E11).
 """
 
-from .atomicity import enumerate_outcomes_non_atomic
 from .checker import LitmusVerdict, check_all, check_test, outcome_to_string
 from .enumerator import Outcome, enumerate_outcomes, legal_reorderings
 from .generate import (
@@ -95,7 +94,6 @@ __all__ = [
     "check_test",
     "classify_robustness",
     "enumerate_outcomes",
-    "enumerate_outcomes_non_atomic",
     "enumerator_fingerprint",
     "explore_entry_key",
     "explore_exhaustive",

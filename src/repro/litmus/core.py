@@ -5,10 +5,11 @@ memory-operation types may reorder (Table 1).  This module states once
 what a litmus execution step does; every executor in :mod:`repro.litmus`
 walks it.
 
-* **Compile** (:class:`Machine`): once per ``(programs, model,
-  atomicity)``, into operation tuples over numbered locations and
-  registers, plus per operation a *blocker mask* of the earlier
-  operations of its thread that it may not pass (:func:`blocker_masks`).
+* **Compile** (:class:`Machine`): once per ``(programs, model)``, into
+  operation tuples over numbered locations and registers, plus per
+  operation a *blocker mask* of the earlier operations of its thread
+  that it may not pass (:func:`blocker_masks`).  The model's
+  ``atomicity`` flavor decides whether stores are atomic.
 * **Enabling rule** (:func:`enabled`): a thread may run any pending
   operation that no earlier pending operation of the same thread
   blocks.  By the bubble-sort argument this gives exactly the
@@ -255,7 +256,11 @@ def _compile(operation, name, locations, registers) -> tuple[int, int, int, int]
 
 
 class Machine:
-    """A litmus test compiled for one model and one atomicity flavor.
+    """A litmus test compiled for one model, stores as the model says.
+
+    The model's ``atomicity`` flavor picks the store semantics; under
+    ``"non_atomic"`` stores final memory is ill-defined, so a test that
+    observes memory is refused (:class:`LitmusError` naming the model).
 
     Operations become ``(kind, location, register, value)`` tuples over
     numbered slots: a load's ``register`` is its destination, a store's
@@ -272,15 +277,14 @@ class Machine:
         model: MemoryModel,
         initial_memory: dict[str, int] | None = None,
         observed_locations: tuple[str, ...] = (),
-        *,
-        atomic: bool = True,
     ) -> None:
         if not programs:
             raise LitmusError("a litmus test needs at least one thread")
+        atomic = model.atomicity != "non_atomic"
         if not atomic and observed_locations:
             raise LitmusError(
-                "final memory is ill-defined under non-atomic stores; "
-                "observe registers only")
+                f"{model.name}: final memory is ill-defined under non-atomic "
+                "stores; observe registers only")
         n = self.n = len(programs)
         memory = dict(initial_memory or {})
         locations: dict[str, int] = {}

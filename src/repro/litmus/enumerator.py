@@ -56,5 +56,10 @@ def enumerate_outcomes(
     initial_memory: dict[str, int] | None = None,
     observed_locations: tuple[str, ...] = (),
 ) -> set[Outcome]:
-    """The exact reachable-outcome set of a litmus test under ``model``."""
+    """The exact reachable-outcome set of a litmus test under ``model``.
+
+    Stores are atomic or not as ``model.atomicity`` says (the zoo's
+    ``SC-NMCA`` and ``WO-NMCA`` are non-atomic); under non-atomic stores
+    a test that observes memory raises :class:`~repro.errors.LitmusError`.
+    """
     return Machine(programs, model, initial_memory, observed_locations).reachable()

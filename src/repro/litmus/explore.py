@@ -23,9 +23,9 @@ workers nor hits its cache entries.
 
 **Pseudorandom mode** (:func:`explore_random`) estimates outcome
 frequencies for programs too large to enumerate: each trial draws one
-model-legal reordering per thread and one uniformly random interleaving
-from the shard's seed-disciplined stream, executes it on atomic shared
-memory, and tallies the final state.  Both modes walk the same step
+model-legal reordering per thread and one random schedule from the
+shard's seed-disciplined stream, executes it with stores as atomic as
+the model says, and tallies the final state.  Both modes walk the same step
 semantics (:mod:`repro.litmus.core`): the exhaustive mode its
 set-valued walk, the pseudorandom mode its sampled walk.  The run rides
 :func:`~repro.stats.parallel.run_sharded` unchanged, so frequency tables
@@ -63,11 +63,10 @@ from ..stats.checkpoint import kernel_fingerprint
 from ..stats.montecarlo import _estimate
 from ..stats.parallel import parallel_map, resolve_workers
 from ..stats.rng import RandomSource
-from .atomicity import enumerate_outcomes_non_atomic
 from .checker import outcome_to_string
 from .core import Machine
 from .core import fingerprint as core_fingerprint
-from .enumerator import Outcome, enumerate_outcomes, legal_reorderings
+from .enumerator import Outcome, enumerate_outcomes
 from .tests import ALL_TESTS, LitmusTest, get_test
 from .zoo import get_zoo_model
 
@@ -117,17 +116,13 @@ def enumerator_fingerprint() -> str:
 
     :func:`~repro.stats.checkpoint.kernel_fingerprint` of
     :func:`~repro.litmus.enumerator.enumerate_outcomes` only covers that
-    function's own code, so the other entry points and the step
-    semantics they walk (:func:`repro.litmus.core.fingerprint`: every
-    function and method of the core) are folded in as extra salt — any
-    change to reordering legality, a step, or a walk (atomic *or*
-    non-atomic: grid points dispatch on the model's atomicity flavor)
-    invalidates every cached outcome set.
+    function's own code, so the step semantics it walks
+    (:func:`repro.litmus.core.fingerprint`: every function and method of
+    the core) is folded in as extra salt — any change to reordering
+    legality, a step, or a walk (atomic *or* non-atomic, as the model
+    says) invalidates every cached outcome set.
     """
-    extra = "|".join([kernel_fingerprint(legal_reorderings),
-                      kernel_fingerprint(enumerate_outcomes_non_atomic),
-                      core_fingerprint()])
-    return kernel_fingerprint(enumerate_outcomes, extra=extra)
+    return kernel_fingerprint(enumerate_outcomes, extra=core_fingerprint())
 
 
 def explore_entry_key(
@@ -272,44 +267,26 @@ def _resolve_models(models) -> list[MemoryModel]:
             for model in models]
 
 
-def _check_observable(test: LitmusTest, model: MemoryModel) -> None:
-    if model.atomicity == "non_atomic" and test.observed_locations:
-        raise LitmusError(
-            f"{test.name}/{model.name}: final memory is ill-defined under "
-            "non-atomic stores; tests explored under a non_atomic model "
-            "must observe registers only")
+def _machine(test: LitmusTest, model: MemoryModel) -> Machine:
+    """One point's compiled machine; raises :class:`LitmusError` for a
+    point the model refuses (observed memory under non-atomic stores)."""
+    return Machine(test.programs, model, test.initial_memory,
+                   test.observed_locations)
 
 
-def _enumerate_for_model(test: LitmusTest, model: MemoryModel) -> frozenset:
-    """Enumerate one (test, model) point, dispatching on atomicity."""
-    _check_observable(test, model)
-    if model.atomicity == "non_atomic":
-        return frozenset(enumerate_outcomes_non_atomic(
-            list(test.programs), model, dict(test.initial_memory),
-        ))
-    return frozenset(enumerate_outcomes(
-        list(test.programs), model, dict(test.initial_memory),
-        test.observed_locations,
-    ))
-
-
-def _exhaustive_point(
-    point: tuple[LitmusTest, MemoryModel],
-) -> tuple[frozenset, float, int]:
+def _exhaustive_point(machine: Machine) -> tuple[frozenset, float, int]:
     """Enumerate one grid point; returns (outcomes, seconds, worker pid).
 
-    The point carries the :class:`LitmusTest` *and* the
-    :class:`~repro.core.memory_models.MemoryModel` themselves (both
-    picklable) rather than registry names — ad-hoc tests and ad-hoc
-    models fan out over the pool just like battery/registry ones, and a
-    model that shadows a registry name keeps its own semantics in the
-    worker (the v1 kernel re-resolved ``get_model(name)`` here, which
-    crashed on unregistered models and silently swapped in the registry
-    model on shadowed names).
+    The point travels as its compiled :class:`~repro.litmus.core.Machine`
+    (a few hundred pickled bytes), built in the calling process from the
+    :class:`LitmusTest` and the
+    :class:`~repro.core.memory_models.MemoryModel` themselves rather than
+    registry names, so ad-hoc tests and models fan out over the pool
+    like registry ones, and a model that shadows a registry name keeps
+    its own semantics in the worker.
     """
-    test, model = point
     started = time.perf_counter()
-    outcomes = _enumerate_for_model(test, model)
+    outcomes = frozenset(machine.reachable())
     return outcomes, time.perf_counter() - started, os.getpid()
 
 
@@ -322,7 +299,9 @@ def explore_exhaustive(
     """Enumerate every ``tests × models`` grid point, cached and sharded.
 
     ``tests``/``models`` accept names or instances (default: the full
-    battery under all four paper models).  With ``config.cache`` set,
+    battery under all four paper models).  Every point's machine is
+    compiled here first, so a point the model refuses raises
+    :class:`LitmusError` before any point runs.  With ``config.cache`` set,
     each point's outcome set is content-addressed under
     :func:`explore_entry_key`; cached points are fetched without
     executing, so a warm re-run executes zero points.  Uncached points
@@ -342,8 +321,8 @@ def explore_exhaustive(
     grid = [(test.name, model.name) for test in tests for model in models]
     if len(set(grid)) != len(grid):
         raise LitmusError("duplicate (test, model) grid points in exploration")
-    points = {(test.name, model.name): (test, model)
-              for test in tests for model in models}
+    machines = {(test.name, model.name): _machine(test, model)
+                for test in tests for model in models}
     digests = {test.name: program_digest(test) for test in tests}
     keys = {(test.name, model.name):
             explore_entry_key(digests[test.name], model, fingerprint)
@@ -383,7 +362,7 @@ def explore_exhaustive(
             # The points report to this run's observer below, so the
             # map itself runs unobserved.
             executed = parallel_map(
-                _exhaustive_point, [points[point] for point in misses],
+                _exhaustive_point, [machines[point] for point in misses],
                 config=replace(cfg, manifest=None, trace=None, progress=False))
         evictions = 0
         outcome_sets = dict(cached)
@@ -454,20 +433,19 @@ def _random_shard(
     """
     del model_identity, core_identity  # fingerprint salt only
     machine = Machine(test.programs, model, test.initial_memory,
-                      test.observed_locations,
-                      atomic=model.atomicity != "non_atomic")
+                      test.observed_locations)
     return machine.sample(source, trials)
 
 
 def _check_random_point(test: LitmusTest, model: MemoryModel) -> None:
     """The checks random exploration of one point runs before any shard
     (the service runs them at submit too)."""
-    _check_observable(test, model)
-    # Count every thread's orders here, before any shard: a thread with
-    # too many raises LitmusError to the caller, and the shards (serial,
-    # or forked from this process after this point) find the counts in
-    # the memo.  A worker forked earlier in a pool scope recounts once.
-    Machine(test.programs, model).orders()
+    # Compile the point and count every thread's orders here, before any
+    # shard: a refused point or a thread with too many orders raises
+    # LitmusError to the caller, and the shards (serial, or forked from
+    # this process after this point) find the counts in the memo.  A
+    # worker forked earlier in a pool scope recounts once.
+    _machine(test, model).orders()
 
 
 def explore_random(
@@ -569,8 +547,7 @@ def check_convergence(
     otherwise it looks both up by the *names* recorded in the table —
     so ad-hoc tests or models outside the registries must pass either
     their enumerated set or the instances themselves (a frequency table
-    records names only, and a name is not an identity).  Enumeration
-    dispatches on the model's atomicity flavor.
+    records names only, and a name is not an identity).
     """
     if enumerated is None:
         if test is None:
@@ -579,7 +556,7 @@ def check_convergence(
             test = _resolve_tests([test])[0]
         model = _resolve_models(
             [frequencies.model if model is None else model])[0]
-        enumerated = _enumerate_for_model(test, model)
+        enumerated = _machine(test, model).reachable()
     elif isinstance(enumerated, ExhaustiveOutcomes):
         enumerated = enumerated.outcomes
     return ConvergenceReport(

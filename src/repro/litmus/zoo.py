@@ -3,7 +3,8 @@
 The paper's algebra (a :class:`~repro.core.memory_models.MemoryModel` is
 a relaxation set over the four ordered LD/ST pairs) covers far more than
 SC/TSO/PSO/WO, and the one step semantics (:mod:`repro.litmus.core`),
-with atomic or non-atomic stores, covers more than the algebra alone.
+with atomic or non-atomic stores as the model's ``atomicity`` says,
+covers more than the algebra alone.
 This module collects the extra inhabitants:
 
 * :data:`PSO_WB` — PSO stated *operationally*, dejafu-style: one FIFO
@@ -14,9 +15,37 @@ This module collects the extra inhabitants:
   in the test suite as an oracle, asserted equal to algebraic PSO.
 * :data:`SC_NMCA` / :data:`WO_NMCA` — non-multicopy-atomic (ARM/POWER
   flavored) models: SC or WO ordering composed with asynchronous
-  per-(writer, reader) store propagation, executed by
-  :func:`~repro.litmus.atomicity.enumerate_outcomes_non_atomic` (the
-  exploration engine dispatches on ``model.atomicity``).
+  per-(writer, reader) store propagation.  Their ``atomicity`` flavor
+  is ``"non_atomic"``, which the one step semantics
+  (:class:`~repro.litmus.core.Machine`) reads, so
+  :func:`~repro.litmus.enumerator.enumerate_outcomes` and both
+  exploration modes run them like any other model.
+
+Non-atomic stores are the axis the paper deliberately scopes out
+(§2.1): it cites Arvind–Maessen's decomposition *"memory model =
+instruction reordering + store atomicity"* and analyses only the
+reordering half, calling atomicity "tangential to our present
+analysis".  The non-atomic flavor builds the other half so that the
+scoping decision can be *checked* rather than assumed:
+
+* stores become visible to other threads **asynchronously** — each
+  (writer, reader) pair has a FIFO propagation channel, and a reader's
+  view applies a writer's stores in issue order but interleaves
+  different writers' stores arbitrarily (the weakest,
+  non-coherent-across-writers form of non-atomicity);
+* the writer sees its own stores immediately (store forwarding);
+* a full fence waits until the thread's outgoing channels are drained,
+  i.e. its earlier stores have propagated everywhere;
+* final *memory* is ill-defined without a global coherence order, so
+  only tests that observe registers run under such a model.
+
+The atomicity bench (E15, ``benchmarks/bench_store_atomicity.py``)
+shows the orthogonality concretely: under **SC ordering with
+non-atomic stores** (:data:`SC_NMCA`), store buffering (SB) and IRIW
+relaxed outcomes become reachable with *zero* instruction reordering,
+while per-writer FIFO keeps CoRR forbidden.  Non-atomicity is thus an
+independent source of the same class of risk — consistent with the
+paper's choice to study reordering in isolation.
 
 :func:`get_zoo_model` resolves zoo names and falls back to the paper
 registry, so every CLI/service surface that accepts ``"TSO"`` accepts

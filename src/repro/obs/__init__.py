@@ -46,12 +46,11 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     ShardEvent,
-    merge_registries,
     trimmed_mean,
 )
 from .observer import RunObserver, observed_run
 from .progress import ProgressPrinter, ProgressSnapshot, estimate_eta, format_progress
-from .trace import Span, Tracer, default_tracer, span
+from .trace import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -69,13 +68,10 @@ __all__ = [
     "Span",
     "Tracer",
     "build_run_record",
-    "default_tracer",
     "estimate_eta",
     "format_progress",
     "load_manifest",
-    "merge_registries",
     "observed_run",
-    "span",
     "summarise_result",
     "trimmed_mean",
     "validate_manifest",

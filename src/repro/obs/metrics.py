@@ -16,11 +16,9 @@ pulse without touching its numbers:
   folds them into :class:`ShardEvent` records: one per shard, carrying
   trials, seconds, attempt count, timeout count, and whether the shard
   was resumed from a checkpoint instead of executed.
-* **Deterministic aggregation** — :func:`merge_registries` and the
-  registry's ``merge`` combine per-process or per-run registries with
-  counter sums and histogram concatenation; aggregation of a fixed event
-  set in shard order yields the same snapshot no matter in which order
-  the shards *completed* (asserted by the tests).
+* **Deterministic aggregation** — the run observer folds a fixed event
+  set into a registry in shard order, so the snapshot is the same no
+  matter in which order the shards *completed* (asserted by the tests).
 
 The canonical metric names the engine emits are listed in
 :data:`METRICS_CATALOGUE` and documented, with units, in
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Counter",
@@ -42,7 +40,6 @@ __all__ = [
     "MetricsRegistry",
     "ShardEvent",
     "METRICS_CATALOGUE",
-    "merge_registries",
     "trimmed_mean",
 ]
 
@@ -210,37 +207,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, dict[str, object]]:
         """Every metric as a plain dict, sorted by name (JSON-ready)."""
         return {name: self._metrics[name].as_dict() for name in self.names()}
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry (in place; returns self).
-
-        Counters add, histograms concatenate observations, gauges take
-        ``other``'s value when it has one (last-write-wins).  Merging is
-        associative, and counter/gauge results are independent of merge
-        order — the property that makes per-process registries safe to
-        combine however the scheduler interleaved the work.
-        """
-        for name in other.names():
-            theirs = other[name]
-            if isinstance(theirs, Counter):
-                self.counter(name, theirs.unit).inc(theirs.value)
-            elif isinstance(theirs, Gauge):
-                mine = self.gauge(name, theirs.unit)
-                if theirs.value is not None:
-                    mine.set(theirs.value)
-            else:
-                mine = self.histogram(name, theirs.unit)
-                mine.observations.extend(theirs.observations)
-        return self
-
-
-def merge_registries(registries: Iterable[MetricsRegistry]) -> MetricsRegistry:
-    """Combine several registries into a fresh one (see ``merge``)."""
-    merged = MetricsRegistry()
-    for registry in registries:
-        merged.merge(registry)
-    return merged
-
 
 @dataclass(frozen=True)
 class ShardEvent:

@@ -23,8 +23,8 @@ The engine emits ``run`` (the whole sharded run), ``shards`` (fan-out
 and harvest) and ``merge`` (result merging) spans when tracing is
 enabled via the ``RunConfig.trace`` knob / ``--trace`` CLI flag (one
 place opens them: :func:`repro.obs.observed_run`); kernels and
-callers are free to add their own (``span("settle")``) either on a
-:class:`Tracer` they own or on the module-level :func:`span` default.
+callers are free to add their own (``tracer.span("settle")``) on a
+:class:`Tracer` they own.
 The reference of engine-emitted spans lives in ``docs/OBSERVABILITY.md``.
 """
 
@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator
 
-__all__ = ["Span", "Tracer", "span", "default_tracer"]
+__all__ = ["Span", "Tracer"]
 
-#: The in-memory span list is bounded so a module-level default tracer
-#: in a long-lived process cannot grow without limit.
+#: The in-memory span list is bounded so a tracer in a long-lived
+#: process cannot grow without limit.
 MAX_RECORDED_SPANS = 100_000
 
 
@@ -145,23 +145,3 @@ class Tracer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-_DEFAULT = Tracer()
-
-
-def default_tracer() -> Tracer:
-    """The module-level tracer behind the bare :func:`span` helper."""
-    return _DEFAULT
-
-
-@contextmanager
-def span(name: str, **attributes: object) -> Iterator[None]:
-    """Time a block on the module-level default tracer.
-
-    The zero-setup form for exploratory use — library runs that need a
-    durable trace should pass ``config=RunConfig(trace=PATH)`` to an
-    estimator (or own a :class:`Tracer`) instead.
-    """
-    with _DEFAULT.span(name, **attributes):
-        yield

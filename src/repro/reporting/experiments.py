@@ -129,7 +129,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         paper_artifact="§2.1 store atomicity (scoping check)",
         summary="Non-atomic store propagation: an orthogonal risk axis, "
         "validating the paper's decision to ignore it.",
-        modules=("repro.litmus.atomicity",),
+        modules=("repro.litmus.core", "repro.litmus.zoo"),
         bench="benchmarks/bench_store_atomicity.py",
     ),
     Experiment(

@@ -15,7 +15,7 @@ what determines the *numbers* a job produces: the estimator name, the
 fully-defaulted params (so an omitted default and an explicitly-passed
 default collide, as they must; ``canonical_bug``'s ``backend`` is one of
 them), and the one config knob that enters the run key (``plan_key``):
-the resolved shard count.  Scheduling knobs (workers, retries,
+the plan's shard field.  Scheduling knobs (workers, retries,
 timeout, transport, observability) are deliberately absent: they can
 never change a merged number, so they must never split a dedup class.
 See ``docs/CACHING.md`` ("Cross-request dedup") for the contract.
@@ -156,7 +156,7 @@ def _run_canonical_bug(params: dict[str, Any], config: RunConfig) -> Any:
 
 def _check_litmus_explore(params: dict[str, Any]) -> None:
     from ..litmus import get_test
-    from ..litmus.explore import _check_observable, _check_random_point
+    from ..litmus.explore import _check_random_point, _machine
     from ..litmus.zoo import get_zoo_model
     from ..stats.montecarlo import _check_trials
 
@@ -169,7 +169,7 @@ def _check_litmus_explore(params: dict[str, Any]) -> None:
         _check_trials(params["trials"])
         _check_random_point(test, model)
     else:
-        _check_observable(test, model)
+        _machine(test, model)
 
 
 def _run_litmus_explore(params: dict[str, Any], config: RunConfig) -> Any:
@@ -252,7 +252,11 @@ ESTIMATORS: dict[str, EstimatorSpec] = {
             ParamSpec("store_probability", (float, int),
                       "per-slot probability that an instruction is a store",
                       default=0.5),
-            _BODY,
+            ParamSpec("body_length", (int,),
+                      "instructions per thread body (the paper's k); the "
+                      "served default is 8, where estimate_non_manifestation "
+                      "and `repro thm62` use 96, so served numbers are not "
+                      "thm62's unless 96 is passed", default=8),
             _CONFIDENCE,
         ),
         check=_check_non_manifestation,
@@ -388,16 +392,22 @@ def validate_params(estimator: str, params: dict[str, Any]) -> dict[str, Any]:
 def job_key(estimator: str, params: dict[str, Any], config: RunConfig) -> str:
     """The dedup identity of a submission (sha256[:16], like ``plan_key``).
 
-    Hashes the estimator name, the fully-defaulted params and the
-    config's :meth:`~repro.runconfig.RunConfig.resolved_shards`.  Each
-    estimator runs one kernel, chosen by its params alone
-    (``canonical_bug``'s ``backend``), so the key never needs a config
-    knob to tell two kernels apart.  Scheduling knobs never enter.
+    Hashes the estimator name, the fully-defaulted params and the plan's
+    shard field by the engine's own rule: ``None`` (the one-shard form
+    of the default serial run) for ``workers=1`` with ``shards`` unset,
+    else :meth:`~repro.runconfig.RunConfig.resolved_shards`.  So ``{}``
+    and ``{"shards": 1}`` never share a job, while ``{"workers": 2}``
+    and ``{"shards": 16}`` do.  Each estimator runs one kernel, chosen
+    by its params alone (``canonical_bug``'s ``backend``), so the key
+    never needs a config knob to tell two kernels apart.  Scheduling
+    knobs never enter.
     """
+    from ..stats.montecarlo import _plan_shards
+
     identity = {
         "estimator": estimator,
         "params": params,
-        "shards": config.resolved_shards(),
+        "shards": _plan_shards(config),
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

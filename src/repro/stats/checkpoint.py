@@ -70,7 +70,7 @@ CHECKPOINT_FORMAT = 2
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 
 
-def plan_key(trials: int, shards: int, seed: int | None, label: str = "",
+def plan_key(trials: int, shards: int | None, seed: int | None, label: str = "",
              fingerprint: str = "") -> str:
     """The identity hash a run's journal, cache entries and manifest share.
 

@@ -23,15 +23,13 @@ strictly read-only with respect to the estimates (see
 
 from __future__ import annotations
 
-import os
-import time
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, TypeVar
 
-from repro.obs import RunObserver, ShardEvent, observed_run
+from repro.obs import observed_run
 
 from ..runconfig import RunConfig
 from .intervals import Proportion, wilson_interval
@@ -172,7 +170,7 @@ def _event_shard(
 
 def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
               seed: int | None, label: str, layout: Any,
-              merge: Callable[[list, ShardPlan | None], T], cfg: RunConfig,
+              merge: Callable[[list, ShardPlan], T], cfg: RunConfig,
               *, legacy: bool = False) -> T:
     """The one engine call behind every Monte-Carlo estimator.
 
@@ -187,42 +185,40 @@ def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
     The budget splits into the seed-disciplined shards of a
     :class:`~repro.stats.parallel.ShardPlan` — ``cfg.shards``, or its
     machine-independent default — run by
-    :func:`~repro.stats.parallel.run_sharded`, so results depend only on
+    :func:`~repro.stats.parallel.run_sharded` under
+    :func:`~repro.obs.observed_run`, so results depend only on
     ``(seed, shards)``, never on the worker count.
 
     ``legacy=True`` (the generic estimators of this module) keeps the
-    historical single-stream derivation for the default serial config
-    (``workers=1``, ``shards=None``): the kernel runs once over the whole
-    budget on ``RandomSource(seed)``, bit-compatible with pre-parallel
-    releases, and ``merge`` gets no plan.  An observer records that run
-    as one synthetic shard (``mode="serial-legacy"``).  Either way the
-    run executes under :func:`~repro.obs.observed_run`.
+    historical single-stream derivation for the default serial config:
+    the plan's shard field is :func:`_plan_shards`, so ``workers=1``
+    with ``shards`` unset runs the one-shard form (``shards=None``) on
+    ``RandomSource(seed)`` itself, bit-compatible with pre-parallel
+    releases.  It journals, caches and retries like any other plan, and
+    its manifest record says ``mode="serial-legacy"``.
     """
-    plan = None
-    if legacy and cfg.shards is None and cfg.workers == 1:
-        def execute(observer: RunObserver | None) -> list:
-            if observer is None:
-                return [kernel(RandomSource(seed), trials)]
-            observer.run_started(trials=trials, shards=1, seed=seed, workers=1,
-                                 label=label, mode="serial-legacy")
-            started = time.perf_counter()
-            parts = [kernel(RandomSource(seed), trials)]
-            observer.shard_finished(ShardEvent(
-                shard=0, trials=trials, seconds=time.perf_counter() - started,
-                attempts=1, worker=os.getpid()))
-            return parts
-    else:
-        plan = ShardPlan(trials, cfg.resolved_shards(), seed)
+    plan = ShardPlan(trials, _plan_shards(cfg) if legacy else cfg.resolved_shards(),
+                     seed)
 
-        def execute(observer: RunObserver | None) -> list:
-            return run_sharded(kernel, plan, checkpoint_label=label,
-                               observer=observer, layout=layout, config=cfg)
+    def execute(observer) -> list:
+        return run_sharded(kernel, plan, checkpoint_label=label,
+                           observer=observer, layout=layout, config=cfg)
 
     return observed_run(cfg, label, execute, lambda parts: merge(parts, plan))
 
 
+def _plan_shards(cfg: RunConfig) -> int | None:
+    """The shard field of a generic estimator's plan under ``cfg``: the
+    one-shard form ``None`` for the default serial config (``workers=1``,
+    ``shards`` unset), else the resolved shard count.  The service's
+    dedup key hashes it too."""
+    if cfg.workers == 1 and cfg.shards is None:
+        return None
+    return cfg.resolved_shards()
+
+
 def _seeded(merge: Callable[[list], Any], seed: int | None
-            ) -> Callable[[list, ShardPlan | None], Any]:
+            ) -> Callable[[list, ShardPlan], Any]:
     """``merge`` for the generic estimators: the pooled result keeps ``seed``."""
     return lambda parts, plan: replace(merge(parts), seed=seed)
 
@@ -251,8 +247,8 @@ def run_bernoulli_trials(
     sharded result.  ``retries``/``timeout``/``checkpoint`` configure the
     fault-tolerance layer and ``cache`` the content-addressed shard
     cache, both keyed by the run key (see
-    :func:`~repro.stats.parallel.run_sharded`; the legacy serial path
-    has no shard plan and therefore never caches).
+    :func:`~repro.stats.parallel.run_sharded`; the default serial run's
+    one-shard plan journals and caches like any other).
 
     ``manifest``/``trace``/``progress`` are the observability knobs
     (run manifest JSON, JSONL span trace, live stderr progress); all are

@@ -139,18 +139,24 @@ class ShardPlan:
     The plan is the *statistical identity* of a sharded run: two runs with
     equal ``(trials, shards, seed)`` draw identical randomness shard by
     shard, no matter how many worker processes execute them.
+
+    ``shards=None`` is the one-shard form of the default serial run of
+    the generic estimators: its one shard draws from ``RandomSource(seed)``
+    itself, not from a spawned child, as before parallel execution
+    existed.  Its run key hashes the ``None``, so it never shares a
+    journal or a cache entry with ``shards=1``.
     """
 
     trials: int
-    shards: int
+    shards: int | None
     seed: int | None
 
     def __post_init__(self) -> None:
-        plan_shards(self.trials, self.shards)  # validate eagerly
+        self.shard_trials()  # validate eagerly
 
     def shard_trials(self) -> tuple[int, ...]:
         """Per-shard trial counts (balanced, summing to ``trials``)."""
-        return plan_shards(self.trials, self.shards)
+        return plan_shards(self.trials, 1 if self.shards is None else self.shards)
 
     def shard_sources(self) -> list[RandomSource]:
         """One independent child stream per shard, in shard order.
@@ -158,7 +164,10 @@ class ShardPlan:
         All shards spawn from the root in a single ``spawn`` call, so the
         stream of shard ``i`` depends only on ``(seed, shards, i)`` —
         never on which shards ran before it or on which process runs it.
+        The one-shard form (``shards=None``) draws from the root itself.
         """
+        if self.shards is None:
+            return [RandomSource(self.seed)]
         return RandomSource(self.seed).spawn(self.shards)
 
 
@@ -397,7 +406,7 @@ def _execute_shards(
     if observer is not None:
         observer.run_started(
             trials=plan.trials,
-            shards=plan.shards,
+            shards=len(counts),
             seed=plan.seed,
             workers=workers,
             active_shards=len(active),
@@ -406,6 +415,7 @@ def _execute_shards(
             retries=retries,
             timeout=timeout,
             checkpoint=str(journal.path) if journal is not None else None,
+            mode="serial-legacy" if plan.shards is None else "sharded",
         )
         if journal_skipped:
             observer.journal_skipped(journal_skipped)

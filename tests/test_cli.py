@@ -60,6 +60,32 @@ class TestBadInputsAreUsageErrors:
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_refused_point_is_one_line_naming_the_model(self, capsys, mode):
+        # 2+2W observes memory, which non-atomic stores leave undefined.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["litmus", "explore", "--tests", "2+2W", "--models",
+                  "WO-NMCA", "--mode", mode])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "WO-NMCA" in errors[0]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--backend", "vectorized", "thm62"], "--backend"),
+        (["--rng-plan", "philox", "thm62"], "--rng-plan"),
+        (["--workers", "1", "--bogus", "thm62"], "--bogus"),
+    ], ids=lambda value: value if isinstance(value, str) else " ".join(value))
+    def test_unknown_leading_option_is_named(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "invalid choice" not in err
+
     def test_unknown_name_lists_the_known_ones(self, capsys):
         with pytest.raises(SystemExit):
             main(["litmus", "explore", "--tests", "NOPE"])

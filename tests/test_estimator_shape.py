@@ -231,6 +231,49 @@ def test_worker_invariant_and_served_from_the_cache(tmp_path, estimate):
     assert warm["execution"]["executed_shards"] == 0
 
 
+#: The four estimators on ``run_event_trials``: their default serial run
+#: is the one-shard form of the plan, on the root stream itself.
+EVENT_ESTIMATORS = [
+    pytest.param(lambda config: estimate_non_manifestation(
+        TSO, 2, 2000, seed=5, config=config), id="estimate_non_manifestation"),
+    pytest.param(lambda config: estimate_disjointness(
+        (2, 3), 2000, seed=5, config=config), id="estimate_disjointness"),
+    pytest.param(lambda config: estimate_heterogeneous_non_manifestation(
+        [SC, TSO], 2000, seed=5, config=config),
+        id="estimate_heterogeneous_non_manifestation"),
+    pytest.param(lambda config: estimate_multi_bug_survival(
+        TSO, 2, 2000, seed=5, config=config),
+        id="estimate_multi_bug_survival"),
+]
+
+
+@pytest.mark.parametrize("estimate", EVENT_ESTIMATORS)
+def test_the_default_serial_run_is_keyed(tmp_path, estimate):
+    """``RunConfig()`` and ``RunConfig(shards=1)``, through one journal and
+    one cache dir, each execute their own shard under their own key and
+    return their own uncached numbers; a warm default run executes none."""
+    shared = dict(checkpoint=str(tmp_path / "run.jsonl"),
+                  cache=str(tmp_path / "cache"))
+    manifests = (tmp_path / f"run{index}.json" for index in itertools.count())
+
+    def run(lookups=shared, **knobs):
+        manifest = next(manifests)
+        result = estimate(RunConfig(manifest=manifest, **lookups, **knobs))
+        (record,) = load_manifest(manifest)["runs"]
+        return result, record["plan"]["key"], record["execution"]["executed_shards"]
+
+    keys = []
+    for knobs in ({}, {"shards": 1}):
+        result, key, executed = run(**knobs)
+        assert executed == 1 and key is not None, knobs
+        assert _numbers(result) == _numbers(run(lookups={}, **knobs)[0]), knobs
+        keys.append(key)
+    assert keys[0] != keys[1]
+    warm, key, executed = run()
+    assert executed == 0 and key == keys[0]
+    assert _numbers(warm) == _numbers(run(lookups={})[0])
+
+
 @pytest.fixture
 def engine_calls(monkeypatch):
     calls = []

@@ -537,6 +537,30 @@ class TestCoreFingerprint:
         assert self._random_run_key(tmp_path / "after.jsonl") != before_random
 
 
+class TestRefusedPoints:
+    """A test that observes memory has no final memory under non-atomic
+    stores: the point's machine refuses it, at the call, before any
+    grid point or shard runs."""
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("a refused point reached the engine")
+
+        monkeypatch.setattr("repro.litmus.explore.parallel_map", engine)
+        monkeypatch.setattr("repro.stats.montecarlo.run_sharded", engine)
+
+    def test_exhaustive_refuses_before_the_grid_runs(self, no_engine):
+        assert get_test("2+2W").observed_locations
+        with pytest.raises(LitmusError, match="WO-NMCA"):
+            explore_exhaustive(["SB", "2+2W"], ["WO", "WO-NMCA"])
+
+    def test_random_refuses_before_any_shard(self, no_engine):
+        with pytest.raises(LitmusError, match="WO-NMCA"):
+            explore_random("2+2W", "WO-NMCA", 100,
+                           config=RunConfig(shards=4))
+
+
 class TestServiceEstimator:
     def test_params_default_and_run(self):
         from repro.service.estimators import run_estimator, validate_params

@@ -27,7 +27,6 @@ from repro.litmus import (
     WO_NMCA,
     ZOO_MODELS,
     enumerate_outcomes,
-    enumerate_outcomes_non_atomic,
     family_digests,
     family_member,
     generate_family,
@@ -246,8 +245,8 @@ class TestNonAtomicFamilies:
         programs = list(test.programs)
         sc = enumerate_outcomes(programs, get_zoo_model("SC"))
         wo = enumerate_outcomes(programs, get_zoo_model("WO"))
-        assert sc <= enumerate_outcomes_non_atomic(programs, SC_NMCA)
-        assert wo <= enumerate_outcomes_non_atomic(programs, WO_NMCA)
+        assert sc <= enumerate_outcomes(programs, SC_NMCA)
+        assert wo <= enumerate_outcomes(programs, WO_NMCA)
 
 
 class TestServiceEstimator:

@@ -50,8 +50,7 @@ def _freeze(rows) -> tuple:
 def _compiled(test, model) -> Machine:
     """``test`` compiled for ``model`` the way random mode compiles it."""
     return Machine(test.programs, model, test.initial_memory,
-                   test.observed_locations,
-                   atomic=model.atomicity != "non_atomic")
+                   test.observed_locations)
 
 
 def outcome_law(test, model) -> dict[Outcome, Fraction]:

@@ -35,7 +35,6 @@ from repro.litmus import (
     get_zoo_model,
 )
 from repro.litmus.core import _pair_may_reorder
-from repro.litmus.explore import _enumerate_for_model
 from repro.sim import Fence, Load, Operation, Store, ThreadProgram
 
 # ----------------------------------------------------------------------
@@ -303,7 +302,10 @@ class TestReferenceDefinition:
                 non_atomic = model.atomicity == "non_atomic"
                 if non_atomic and test.observed_locations:
                     continue
-                assert _enumerate_for_model(test, model) == reference_outcomes(
+                assert enumerate_outcomes(
+                    list(test.programs), model, dict(test.initial_memory),
+                    test.observed_locations,
+                ) == reference_outcomes(
                     list(test.programs), model, dict(test.initial_memory),
                     test.observed_locations, atomic=not non_atomic,
                 ), (test.name, model.name)
@@ -315,8 +317,8 @@ class TestReferenceDefinition:
         definition's outcomes, and the buffered executor exactly PSO's."""
         programs = list(test.programs)
         for model in ZOO_MODELS:
-            assert _enumerate_for_model(test, model) == reference_outcomes(
+            assert enumerate_outcomes(programs, model) == reference_outcomes(
                 programs, model, atomic=model.atomicity != "non_atomic",
             ), (test.name, model.name)
         assert enumerate_outcomes_buffered(programs) \
-            == _enumerate_for_model(test, get_zoo_model("PSO"))
+            == enumerate_outcomes(programs, get_zoo_model("PSO"))

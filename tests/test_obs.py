@@ -26,7 +26,6 @@ from repro.obs import (
     estimate_eta,
     format_progress,
     load_manifest,
-    merge_registries,
     trimmed_mean,
     validate_manifest,
     write_manifest,
@@ -59,23 +58,6 @@ class TestMetricsRegistry:
         assert snapshot["run.trials_total"]["value"] == 1000
         assert snapshot["run.shard_seconds"]["count"] == 2
         assert snapshot["run.shard_seconds"]["sum"] == pytest.approx(2.0)
-
-    def test_merge_is_deterministic_and_additive(self):
-        # Two registries built in different orders — the merge of per-process
-        # registries must not depend on which process reported first.
-        left = MetricsRegistry()
-        left.counter("run.shard_retries", "attempts").inc(2)
-        left.histogram("run.shard_seconds", "seconds").observe(1.0)
-        right = MetricsRegistry()
-        right.histogram("run.shard_seconds", "seconds").observe(2.0)
-        right.counter("run.shard_retries", "attempts").inc(1)
-
-        ab = merge_registries([left, right]).snapshot()
-        ba = merge_registries([right, left]).snapshot()
-        assert ab["run.shard_retries"]["value"] == 3
-        assert ba["run.shard_retries"]["value"] == 3
-        assert ab["run.shard_seconds"]["count"] == ba["run.shard_seconds"]["count"] == 2
-        assert list(ab) == list(ba)  # sorted snapshot order
 
     def test_catalogue_covers_observer_metrics(self):
         observer = RunObserver(progress=lambda s: None)

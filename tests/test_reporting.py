@@ -118,6 +118,13 @@ class TestExperimentRegistry:
         for experiment in EXPERIMENTS:
             assert (root / experiment.bench).exists(), experiment.bench
 
+    def test_every_named_module_imports(self):
+        import importlib
+
+        for experiment in EXPERIMENTS:
+            for module in experiment.modules:
+                importlib.import_module(module)
+
 
 class TestSettlingTrace:
     def _traced_result(self):

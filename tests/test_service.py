@@ -153,7 +153,9 @@ class TestJobKey:
     def test_shards_enter_resolved(self):
         # workers=2 with shards unset runs the fixed 16-shard default.
         assert self.key(RunConfig(workers=2)) == self.key(RunConfig(shards=16))
-        assert self.key(RunConfig()) == self.key(RunConfig(shards=1))
+        # The default serial run draws from the root stream itself and
+        # shards=1 from its one spawned child: different numbers.
+        assert self.key(RunConfig()) != self.key(RunConfig(shards=1))
 
     def test_omitted_default_equals_explicit_default(self):
         sparse = self.key(params={"model": "TSO", "trials": 1000})
@@ -319,6 +321,37 @@ class TestEstimationService:
             assert service.registry.get(job_id).state == "done"
             assert (json.dumps(service.result(job_id)["result"], sort_keys=True)
                     == json.dumps(serial, sort_keys=True))
+        service.shutdown(drain_seconds=1.0)
+
+    def test_default_and_one_shard_configs_are_two_jobs(self, tmp_path):
+        """``{}`` runs the default serial plan and ``{"shards": 1}`` a
+        spawned one-shard plan: two jobs, each with its library number,
+        and the default one journals and caches like any job."""
+        from repro.core import TSO, estimate_non_manifestation
+
+        service = EstimationService(tmp_path, job_workers=1)
+        params = {"model": "TSO", "trials": 20_000, "seed": 3}
+        ids = []
+        for config in ({}, {"shards": 1}):
+            response, status = service.submit({
+                "estimator": "non_manifestation", "params": params,
+                "config": config})
+            assert status == 201 and not response["deduped"]
+            ids.append(response["job"]["id"])
+        successes = []
+        for job_id, config in zip(ids, (RunConfig(), RunConfig(shards=1))):
+            wait_for(lambda: service.registry.get(job_id).finished,
+                     timeout=120)
+            result = service.result(job_id)
+            successes.append(result["result"]["successes"])
+            assert successes[-1] == estimate_non_manifestation(
+                TSO, 2, 20_000, seed=3, body_length=8,
+                config=config).successes
+            (run,) = result["manifest"]["runs"]
+            assert run["plan"]["key"] is not None
+            assert run["checkpoint"] is not None
+            assert run["metrics"]["run.cache_stored"]["value"] == 1
+        assert successes == [2651, 2713]
         service.shutdown(drain_seconds=1.0)
 
     def test_warm_resubmission_hits_the_shard_cache(self, tmp_path):
@@ -622,6 +655,9 @@ class TestHTTP:
          "unknown litmus test 'NOPE'"),
         ("litmus_explore", {"test": "SB", "model": "TSO", "mode": "random",
                             "trials": 0}, "trials must be positive"),
+        ("litmus_explore", {"test": "2+2W", "model": "WO-NMCA"}, "WO-NMCA"),
+        ("litmus_explore", {"test": "2+2W", "model": "WO-NMCA",
+                            "mode": "random", "trials": 100}, "WO-NMCA"),
         ("litmus_family", {"model": "TSO", "threads": 1},
          "at least 2 threads"),
         ("litmus_family", {"model": "TSO", "count": 0}, ">= 1 member"),
@@ -631,7 +667,8 @@ class TestHTTP:
                            "backend": "vectorized"}, "'WO' needs"),
     ], ids=["store_probability", "body_length", "n", "model", "confidence",
             "trials", "machine-model", "fenced-atomic", "mode", "test",
-            "random-trials", "threads", "count", "backend", "WO-vectorized"])
+            "random-trials", "observed-memory", "observed-memory-random",
+            "threads", "count", "backend", "WO-vectorized"])
     def test_bad_param_values_are_refused_at_submit(self, http_service,
                                                     estimator, params,
                                                     message):
