@@ -68,7 +68,7 @@ from .errors import (
 from .runconfig import RunConfig
 from .stats import RandomSource
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "ALL_PAIRS",

@@ -24,7 +24,11 @@ Layout and guarantees:
   ``os.replace``d into place; readers never observe a partial entry.
 * **Size-capped LRU eviction** — reads bump an entry's mtime; writes
   that push the store past ``max_bytes`` evict oldest-mtime entries
-  first.
+  first, never the entry just written.  The store keeps a running byte
+  total: it scans its directory at its first ``put`` and again only
+  when the total passes ``max_bytes``, so a write under the cap costs
+  no directory scan.  Entries another process (or another store on the
+  same root) writes are counted at this store's next scan.
 * **In-process memo tier** — a small ``OrderedDict`` LRU in front of the
   disk tier makes repeated probes within one process (tight sweep
   loops) free.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,6 +127,11 @@ class ShardStore:
         self.max_bytes = max_bytes
         self.memo_entries = memo_entries
         self._memo: OrderedDict[str, Any] = OrderedDict()
+        # Bytes on disk as of the last scan plus this store's writes since
+        # (None: not counted yet).  It may over-count, which only brings
+        # the next scan forward; the lock keeps concurrent puts exact.
+        self._total: int | None = None
+        self._total_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.stored = 0
@@ -172,14 +182,19 @@ class ShardStore:
         payload = pickle.dumps(value)
         digest = hashlib.sha256(payload).hexdigest()
         header = _HEADER_PREFIX + f"{key}:{digest}".encode("ascii") + b"\n"
+        entry = header + payload
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            replaced = path.stat().st_size  # an overwrite is not counted twice
+        except OSError:
+            replaced = 0
         scratch = path.with_name(path.name + f".tmp{os.getpid()}")
-        scratch.write_bytes(header + payload)
+        scratch.write_bytes(entry)
         os.replace(scratch, path)
         self._memoise(key, value)
         self.stored += 1
-        evicted = self._evict(keep=key)
+        evicted = self._evict(keep=key, added=len(entry) - replaced)
         self.evictions += evicted
         return evicted
 
@@ -196,33 +211,40 @@ class ShardStore:
             return []
         return sorted(self.root.glob("??/*.pkl"))
 
-    def _evict(self, keep: str | None = None) -> int:
-        """Drop oldest-mtime entries until the store fits ``max_bytes``."""
+    def _evict(self, keep: str, added: int) -> int:
+        """Count ``added`` bytes; past ``max_bytes``, rescan the directory
+        and drop oldest-mtime entries until the store fits."""
         if self.max_bytes is None:
             return 0
-        entries = []
-        total = 0
-        for path in self._iter_entries():
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - racing eviction
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        evicted = 0
-        for _, size, path in sorted(entries):
-            if total <= self.max_bytes:
-                break
-            if keep is not None and path.stem == keep:
-                continue  # never evict the entry just written
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing eviction
-                continue
-            self._memo.pop(path.stem, None)
-            total -= size
-            evicted += 1
-        return evicted
+        with self._total_lock:
+            if self._total is not None:
+                self._total += added
+                if self._total <= self.max_bytes:
+                    return 0
+            entries = []
+            total = 0
+            for path in self._iter_entries():
+                try:
+                    stat = path.stat()
+                except OSError:  # pragma: no cover - racing eviction
+                    continue
+                entries.append((stat.st_mtime, stat.st_size, path))
+                total += stat.st_size
+            evicted = 0
+            for _, size, path in sorted(entries):
+                if total <= self.max_bytes:
+                    break
+                if path.stem == keep:
+                    continue  # never evict the entry just written
+                try:
+                    path.unlink()
+                except OSError:  # pragma: no cover - racing eviction
+                    continue
+                self._memo.pop(path.stem, None)
+                total -= size
+                evicted += 1
+            self._total = total
+            return evicted
 
     # ------------------------------------------------------------------
     # Maintenance surface (the ``repro cache`` CLI)
@@ -238,6 +260,8 @@ class ShardStore:
             except OSError:  # pragma: no cover - racing cleanup
                 pass
         self._memo.clear()
+        with self._total_lock:
+            self._total = None  # the next put counts from a fresh scan
         return removed
 
     def verify(self) -> tuple[int, list[Path]]:

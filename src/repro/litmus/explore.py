@@ -210,7 +210,7 @@ class OutcomeFrequencies:
     model: str
     trials: int
     seed: int | None
-    shards: int
+    shards: int | None
     counts: tuple[tuple[Outcome, int], ...]
     # Derived lookup table, rebuilt by __post_init__ — and therefore by
     # dataclasses.replace too, so a replaced table can never alias a

@@ -7,7 +7,10 @@ live progress, and — once finished — the result summary or error.  The
 :class:`JobRegistry` owns every job, hands out sequential ids, and
 persists itself as one JSON snapshot (written atomically: tmp file +
 ``os.replace``) so a restarted server can re-enqueue whatever had not
-finished.
+finished.  The registry keeps each job's encoded record and a save
+re-encodes only the jobs its caller names, so the service's save at one
+job's transition encodes that one job, and the file shows every job as
+of its last transition.
 
 Lifecycle is deliberately small::
 
@@ -27,10 +30,12 @@ only state transitions take it).
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -80,12 +85,17 @@ class Job:
     error: str | None = None
 
     def to_wire(self) -> dict[str, Any]:
-        """The job as a JSON-ready dict (also the persistence format)."""
-        wire = asdict(self)
+        """The job as a JSON-ready dict (also the persistence format).
+
+        The nested dicts are copies, so the caller cannot change the job
+        through them.
+        """
+        wire = dict(vars(self))
         wire["params"] = dict(self.params)
         wire["config_wire"] = dict(self.config_wire)
         if self.progress is not None:
             wire["progress"] = dict(self.progress)
+        wire["result"] = copy.deepcopy(self.result)
         return wire
 
     @classmethod
@@ -145,6 +155,8 @@ class JobRegistry:
         self._jobs: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
         self._seq = 0
+        # Each job's JSON record as of the save that last encoded it.
+        self._records: dict[str, str] = {}
 
     # -- lookup --------------------------------------------------------
 
@@ -194,20 +206,35 @@ class JobRegistry:
 
     # -- persistence ---------------------------------------------------
 
-    def save(self) -> None:
-        """Atomically snapshot every job to ``path`` (no-op when in-memory)."""
+    def save(self, jobs: Iterable[Job] | None = None) -> None:
+        """Atomically snapshot every job to ``path`` (no-op when in-memory).
+
+        The registry keeps each job's encoded record from the save that
+        last encoded it, and re-encodes only ``jobs`` (every job when
+        ``None``) plus any job never encoded yet.  So a caller names the
+        jobs it changed since its last save: one transition costs one
+        job's encoding at any registry size, and a job changed but not
+        named is written as of its last save.  The file is one JSON
+        object with one job record per line.
+        """
         if self.path is None:
             return
-        snapshot = {
-            "kind": _SNAPSHOT_KIND,
-            "format": _SNAPSHOT_FORMAT,
-            "seq": self._seq,
-            "jobs": [job.to_wire() for job in self.jobs()],
-        }
+        if jobs is None:
+            self._records.clear()
+        else:
+            for job in jobs:
+                self._records[job.id] = _encode(job)
+        lines = []
+        for job in self.jobs():
+            record = self._records.get(job.id)
+            if record is None:
+                record = self._records[job.id] = _encode(job)
+            lines.append(record)
+        text = (f'{{"kind": "{_SNAPSHOT_KIND}", "format": {_SNAPSHOT_FORMAT}, '
+                f'"seq": {self._seq}, "jobs": [\n' + ",\n".join(lines) + "\n]}\n")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(snapshot, sort_keys=True, indent=1),
-                       encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, self.path)
 
     @classmethod
@@ -237,3 +264,8 @@ class JobRegistry:
             # Later jobs win the key slot, matching create() order.
             registry._by_key[job.key] = job.id
         return registry
+
+
+def _encode(job: Job) -> str:
+    """One job's record in the snapshot."""
+    return json.dumps(job.to_wire(), sort_keys=True)

@@ -135,7 +135,7 @@ class EstimationService:
                 if target is not None:
                     target.dedup_hits += 1
                     self.metrics.counter("service.jobs_deduped", "jobs").inc()
-                    self.registry.save()
+                    self.registry.save([target])
                     return {"job": target.to_wire(), "deduped": True}, 200
             if self.queue.is_full():
                 self.metrics.counter("service.jobs_rejected", "jobs").inc()
@@ -149,7 +149,7 @@ class EstimationService:
             self.queue.submit(job.id, request.priority)
             self.metrics.counter("service.jobs_submitted", "jobs").inc()
             self._update_depth()
-            self.registry.save()
+            self.registry.save([job])
             return {"job": job.to_wire(), "deduped": False}, 201
 
     # -- execution (worker threads) ------------------------------------
@@ -195,7 +195,7 @@ class EstimationService:
                 return
             job.mark_running()
             self._update_depth()
-            self.registry.save()
+            self.registry.save([job])
         try:
             config = RunConfig.from_json_dict(job.config_wire)
             result = run_estimator(job.estimator, job.params,
@@ -204,12 +204,12 @@ class EstimationService:
             with self._lock:
                 job.mark_done(summary if summary is not None else {})
                 self.metrics.counter("service.jobs_completed", "jobs").inc()
-                self.registry.save()
+                self.registry.save([job])
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             with self._lock:
                 job.mark_failed(f"{type(error).__name__}: {error}")
                 self.metrics.counter("service.jobs_failed", "jobs").inc()
-                self.registry.save()
+                self.registry.save([job])
 
     # -- queries -------------------------------------------------------
 

@@ -320,8 +320,9 @@ def run_canonical_bug(
           bit-reproducible at any worker count.  ``shards=None``
           defaults to the fixed
           :data:`~repro.stats.parallel.DEFAULT_SHARDS` whenever
-          parallelism is requested (never the worker count), and to a
-          single shard for the serial ``workers=1`` case.
+          parallelism is requested (never the worker count), and to the
+          one-shard form on ``RandomSource(seed)`` itself for the serial
+          ``workers=1`` case.
         * ``retries``/``timeout``/``checkpoint`` are the fault-tolerance
           options (see :func:`repro.stats.parallel.run_sharded`).  The
           checkpoint key is salted with the model/threads/variant, so

@@ -170,8 +170,7 @@ def _event_shard(
 
 def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
               seed: int | None, label: str, layout: Any,
-              merge: Callable[[list, ShardPlan], T], cfg: RunConfig,
-              *, legacy: bool = False) -> T:
+              merge: Callable[[list, ShardPlan], T], cfg: RunConfig) -> T:
     """The one engine call behind every Monte-Carlo estimator.
 
     ``kernel(source, shard_trials)`` is a module-level shard kernel (a
@@ -183,22 +182,17 @@ def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
     run; ``cfg`` is the calling estimator's resolved :class:`RunConfig`.
 
     The budget splits into the seed-disciplined shards of a
-    :class:`~repro.stats.parallel.ShardPlan` — ``cfg.shards``, or its
-    machine-independent default — run by
+    :class:`~repro.stats.parallel.ShardPlan` whose shard field is
+    :func:`_plan_shards`, run by
     :func:`~repro.stats.parallel.run_sharded` under
     :func:`~repro.obs.observed_run`, so results depend only on
-    ``(seed, shards)``, never on the worker count.
-
-    ``legacy=True`` (the generic estimators of this module) keeps the
-    historical single-stream derivation for the default serial config:
-    the plan's shard field is :func:`_plan_shards`, so ``workers=1``
-    with ``shards`` unset runs the one-shard form (``shards=None``) on
-    ``RandomSource(seed)`` itself, bit-compatible with pre-parallel
-    releases.  It journals, caches and retries like any other plan, and
-    its manifest record says ``mode="serial-legacy"``.
+    ``(seed, shards)``, never on the worker count.  The default serial
+    config (``workers=1``, ``shards`` unset) runs the one-shard form
+    (``shards=None``) on ``RandomSource(seed)`` itself, bit-compatible
+    with pre-parallel releases; it journals, caches and retries like any
+    other plan, and its manifest record says ``mode="serial-legacy"``.
     """
-    plan = ShardPlan(trials, _plan_shards(cfg) if legacy else cfg.resolved_shards(),
-                     seed)
+    plan = ShardPlan(trials, _plan_shards(cfg), seed)
 
     def execute(observer) -> list:
         return run_sharded(kernel, plan, checkpoint_label=label,
@@ -208,7 +202,7 @@ def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
 
 
 def _plan_shards(cfg: RunConfig) -> int | None:
-    """The shard field of a generic estimator's plan under ``cfg``: the
+    """The shard field of every estimator's plan under ``cfg``: the
     one-shard form ``None`` for the default serial config (``workers=1``,
     ``shards`` unset), else the resolved shard count.  The service's
     dedup key hashes it too."""
@@ -260,8 +254,7 @@ def run_bernoulli_trials(
     return _estimate(
         partial(_bernoulli_shard, trial=trial, confidence=confidence),
         trials, seed, "bernoulli", BernoulliLayout(confidence),
-        _seeded(merge_bernoulli, seed), (config or RunConfig()).resolve(),
-        legacy=True)
+        _seeded(merge_bernoulli, seed), (config or RunConfig()).resolve())
 
 
 def run_categorical_trials(
@@ -283,8 +276,7 @@ def run_categorical_trials(
     return _estimate(
         partial(_categorical_shard, trial=trial, confidence=confidence),
         trials, seed, "categorical", CategoricalLayout(confidence),
-        _seeded(merge_categorical, seed), (config or RunConfig()).resolve(),
-        legacy=True)
+        _seeded(merge_categorical, seed), (config or RunConfig()).resolve())
 
 
 def run_event_trials(
@@ -323,8 +315,7 @@ def run_event_trials(
         partial(_event_shard, batch_trial=batch_trial, batch_size=batch_size,
                 confidence=confidence),
         trials, seed, checkpoint_label, BernoulliLayout(confidence),
-        _seeded(merge_bernoulli, seed), (config or RunConfig()).resolve(),
-        legacy=True)
+        _seeded(merge_bernoulli, seed), (config or RunConfig()).resolve())
 
 
 def merge_bernoulli(results: Iterable[BernoulliResult]) -> BernoulliResult:

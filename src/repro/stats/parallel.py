@@ -140,8 +140,8 @@ class ShardPlan:
     equal ``(trials, shards, seed)`` draw identical randomness shard by
     shard, no matter how many worker processes execute them.
 
-    ``shards=None`` is the one-shard form of the default serial run of
-    the generic estimators: its one shard draws from ``RandomSource(seed)``
+    ``shards=None`` is the one-shard form of every estimator's default
+    serial run: its one shard draws from ``RandomSource(seed)``
     itself, not from a spawned child, as before parallel execution
     existed.  Its run key hashes the ``None``, so it never shares a
     journal or a cache entry with ``shards=1``.

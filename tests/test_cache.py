@@ -20,6 +20,10 @@ Three layers of contract:
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +154,147 @@ class TestShardStore:
         for i in range(4):
             store.put(f"{i:032d}", i)
         assert len(store._memo) == 2
+
+
+PAYLOAD = b"x" * 256
+
+
+def _entry_size(tmp_path) -> int:
+    probe = ShardStore(tmp_path / "probe", max_bytes=None)
+    probe.put("p" * 32, PAYLOAD)
+    return (tmp_path / "probe" / "pp" / ("p" * 32 + ".pkl")).stat().st_size
+
+
+def _disk_bytes(root) -> int:
+    return sum(path.stat().st_size for path in root.glob("??/*.pkl"))
+
+
+def _age(root, key, mtime) -> None:
+    os.utime(root / key[:2] / f"{key}.pkl", (mtime, mtime))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The directory scans every store makes (``_iter_entries`` calls)."""
+    calls = []
+    real = ShardStore._iter_entries
+
+    def counting(store):
+        calls.append(store.root)
+        return real(store)
+
+    monkeypatch.setattr(ShardStore, "_iter_entries", counting)
+    return calls
+
+
+class TestRunningTotal:
+    """A store counts the bytes it writes and scans its directory only at
+    its first put and whenever that count passes ``max_bytes``."""
+
+    def test_puts_under_the_cap_never_scan_after_the_first(self, tmp_path,
+                                                           scans):
+        root = tmp_path / "c"
+        store = ShardStore(root, max_bytes=1 << 20)
+        for index in range(20):
+            store.put(f"{index:032d}", PAYLOAD)
+        store.put(f"{3:032d}", PAYLOAD)  # an overwrite adds no bytes
+        assert scans == [root]
+        assert store._total == _disk_bytes(root) == 20 * _entry_size(tmp_path)
+
+    def test_over_the_cap_evicts_oldest_mtime_first(self, tmp_path, scans):
+        size = _entry_size(tmp_path)
+        root = tmp_path / "c"
+        store = ShardStore(root, max_bytes=4 * size + size // 2,
+                           memo_entries=0)
+        keys = [f"{index:032d}" for index in range(6)]
+        for key, mtime in zip(keys, (30, 10, 40, 20)):
+            store.put(key, PAYLOAD)
+            _age(root, key, 1_000_000 + mtime)
+        assert len(scans) == 1
+        assert store.put(keys[4], PAYLOAD) == 1
+        assert store.get(keys[1]) is None
+        assert store.put(keys[5], PAYLOAD) == 1
+        assert store.get(keys[3]) is None
+        assert len(scans) == 3
+        assert store._total == _disk_bytes(root) <= store.max_bytes
+        assert all(store.get(key) == PAYLOAD for key in (keys[0], keys[2],
+                                                          keys[4], keys[5]))
+
+    def test_never_evicts_the_entry_just_written(self, tmp_path):
+        size = _entry_size(tmp_path)
+        store = ShardStore(tmp_path / "c", max_bytes=size // 2,
+                           memo_entries=0)
+        assert store.put("a" * 32, PAYLOAD) == 0
+        assert store.put("b" * 32, PAYLOAD) == 1
+        assert store.get("a" * 32) is None
+        assert store.get("b" * 32) == PAYLOAD
+
+    def test_a_second_store_is_counted_at_the_next_scan(self, tmp_path,
+                                                        scans):
+        size = _entry_size(tmp_path)
+        root = tmp_path / "c"
+        first = ShardStore(root, max_bytes=6 * size, memo_entries=0)
+        second = ShardStore(root, max_bytes=None, memo_entries=0)
+        first.put("a" * 32, PAYLOAD)
+        _age(root, "a" * 32, 2_000_000)
+        theirs = [f"{index:032d}" for index in range(4)]
+        for index, key in enumerate(theirs):
+            second.put(key, PAYLOAD)
+            _age(root, key, 1_000_000 + index)
+        ours = [letter * 32 for letter in "bcdef"]
+        for key in ours:
+            first.put(key, PAYLOAD)
+        # Ten entries on disk, six counted: no scan since the first put.
+        assert len(scans) == 1 and first._total == 6 * size
+        assert first.put("9" * 32, PAYLOAD) == 5
+        assert len(scans) == 2
+        assert first._total == _disk_bytes(root) == 6 * size
+        assert all(first.get(key) is None for key in theirs + ["a" * 32])
+
+    def test_clear_resets_the_total(self, tmp_path):
+        root = tmp_path / "c"
+        store = ShardStore(root, max_bytes=1 << 20)
+        for index in range(3):
+            store.put(f"{index:032d}", PAYLOAD)
+        store.clear()
+        store.put("z" * 32, PAYLOAD)
+        assert store._total == _disk_bytes(root) == _entry_size(tmp_path)
+
+    def test_concurrent_puts_never_under_count(self, tmp_path, monkeypatch):
+        # The service's --job-workers share one store.  Writers that race
+        # a slow scan must not lose their bytes: an under-count would let
+        # the directory pass the cap unscanned (an over-count is safe).
+        real = ShardStore._iter_entries
+
+        def slow_scan(store):
+            entries = real(store)
+            time.sleep(0.02)  # a large directory
+            return entries
+
+        monkeypatch.setattr(ShardStore, "_iter_entries", slow_scan)
+        root = tmp_path / "c"
+        store = ShardStore(root, max_bytes=1 << 20, memo_entries=0)
+        start = threading.Barrier(8)
+
+        def writer(offset):
+            start.wait(timeout=30)
+            for index in range(25):
+                store.put(f"{offset + index:032d}", PAYLOAD)
+
+        threads = [threading.Thread(target=writer, args=(100 * worker,))
+                   for worker in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert _disk_bytes(root) == 200 * _entry_size(tmp_path)
+        assert store._total >= _disk_bytes(root)
 
 
 class TestResolveCache:

@@ -231,6 +231,28 @@ def test_worker_invariant_and_served_from_the_cache(tmp_path, estimate):
     assert warm["execution"]["executed_shards"] == 0
 
 
+@pytest.mark.parametrize("estimator, base, changes", IDENTITY_CASES)
+def test_every_estimator_plans_by_one_rule(monkeypatch, estimator, base,
+                                           changes):
+    """The plan's shard field is ``_plan_shards(config)``, the rule the
+    service's ``job_key`` hashes: the default serial config runs the
+    one-shard root-stream form, ``shards=1`` one spawned shard, and a
+    pool the fixed default."""
+    planned = []
+
+    def engine(kernel, plan, **kwargs):
+        planned.append(plan.shards)
+        raise _Stop
+
+    monkeypatch.setattr(montecarlo_module, "run_sharded", engine)
+    configs = (RunConfig(), RunConfig(shards=1), RunConfig(workers=2))
+    for config in configs:
+        with pytest.raises(_Stop):
+            estimator(**base, config=config)
+    assert planned == [montecarlo_module._plan_shards(config.resolve())
+                       for config in configs] == [None, 1, 16]
+
+
 #: The four estimators on ``run_event_trials``: their default serial run
 #: is the one-shard form of the plan, on the root stream itself.
 EVENT_ESTIMATORS = [

@@ -234,6 +234,88 @@ class TestJobRegistry:
         assert twin.to_wire() == job.to_wire()
         assert reloaded.unfinished() == []
 
+    @staticmethod
+    def mint(registry, count):
+        return [registry.create(key=f"k{index}", estimator="non_manifestation",
+                                params={"model": "TSO", "trials": 100 + index},
+                                config_wire={"shards": 2})
+                for index in range(count)]
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The ids of the jobs ``Job.to_wire`` is called on."""
+        ids = []
+        real = Job.to_wire
+        monkeypatch.setattr(Job, "to_wire",
+                            lambda job: ids.append(job.id) or real(job))
+        return ids
+
+    def test_a_save_naming_one_job_encodes_one_job(self, tmp_path, encoded):
+        path = tmp_path / "jobs.json"
+        registry = JobRegistry(path)
+        jobs = self.mint(registry, 50)
+        registry.save()
+        encoded.clear()
+        jobs[7].mark_running()
+        registry.save([jobs[7]])
+        assert encoded == [jobs[7].id]
+        saved = JobRegistry.load(path)
+        assert ([job.to_wire() for job in saved.jobs()]
+                == [job.to_wire() for job in registry.jobs()])
+
+    def test_the_file_follows_every_kind_of_transition(self, tmp_path):
+        path = tmp_path / "jobs.json"
+        registry = JobRegistry(path)
+        done, deduped, failed = self.mint(registry, 3)
+        registry.save([done])
+        registry.save([deduped])
+        done.mark_running()
+        registry.save([done])
+        deduped.dedup_hits += 1
+        registry.save([deduped])
+        done.mark_done({"estimate": 0.25, "counts": {"1": 3, "2": 1}})
+        registry.save([done])
+        failed.mark_failed("boom")
+        registry.save([failed])
+        saved = JobRegistry.load(path)
+        assert ([job.to_wire() for job in saved.jobs()]
+                == [job.to_wire() for job in registry.jobs()])
+        assert saved.create(key="k9", estimator="e", params={},
+                            config_wire={}).id == "job-00004"
+
+    def test_to_wire_copies_nested_dicts(self):
+        job = Job(id="j", key="k", estimator="e", params={"model": "TSO"},
+                  config_wire={"shards": 2}, progress={"done_shards": 1},
+                  result={"counts": {"1": 3}})
+        before = json.dumps(job.to_wire(), sort_keys=True)
+        wire = job.to_wire()
+        wire["params"]["model"] = "WO"
+        wire["config_wire"]["shards"] = 4
+        wire["progress"]["done_shards"] = 2
+        wire["result"]["counts"]["1"] = 99
+        assert json.dumps(job.to_wire(), sort_keys=True) == before
+
+    def test_a_loaded_snapshot_is_written_whole_at_its_first_save(
+            self, tmp_path, encoded):
+        # The indented layout 7.x wrote; the registry has encoded none of
+        # its jobs, so saving after one transition writes every job.
+        path = tmp_path / "jobs.json"
+        old = JobRegistry()
+        jobs = [job.to_wire() for job in self.mint(old, 3)]
+        path.write_text(json.dumps(
+            {"kind": "repro/service-jobs", "format": 1, "seq": 3,
+             "jobs": jobs}, sort_keys=True, indent=1))
+        registry = JobRegistry.load(path)
+        encoded.clear()
+        job = registry.get("job-00002")
+        job.mark_running()
+        registry.save([job])
+        assert sorted(encoded) == ["job-00001", "job-00002", "job-00003"]
+        saved = JobRegistry.load(path)
+        assert ([job.to_wire() for job in saved.jobs()]
+                == [job.to_wire() for job in registry.jobs()])
+        assert saved.get("job-00002").state == "running"
+
     def test_failed_jobs_do_not_absorb_dedup(self, tmp_path):
         registry = JobRegistry()
         job = registry.create(key="k1", estimator="e", params={},
@@ -353,6 +435,81 @@ class TestEstimationService:
             assert run["metrics"]["run.cache_stored"]["value"] == 1
         assert successes == [2651, 2713]
         service.shutdown(drain_seconds=1.0)
+
+    def test_canonical_bug_default_and_one_shard_are_two_computations(
+            self, tmp_path):
+        """Every estimator plans ``{}`` as the root-stream run, so the two
+        jobs ``{}`` and ``{"shards": 1}`` of ``canonical_bug`` are two
+        computations, each returning its own library number."""
+        from repro.sim import run_canonical_bug
+
+        service = EstimationService(tmp_path, job_workers=1)
+        params = {"model": "TSO", "trials": 400}
+        values = []
+        for config, engine in (({}, RunConfig()),
+                               ({"shards": 1}, RunConfig(shards=1))):
+            response, status = service.submit({
+                "estimator": "canonical_bug", "params": params,
+                "config": config})
+            assert status == 201
+            job_id = response["job"]["id"]
+            wait_for(lambda: service.registry.get(job_id).finished)
+            values.append(service.result(job_id)["result"]["final_values"])
+            library = run_canonical_bug("TSO", 2, 400, config=engine)
+            assert values[-1] == {str(value): count for value, count
+                                  in sorted(library.final_values.items())}
+        assert values[0] != values[1]
+        service.shutdown(drain_seconds=1.0)
+
+    def test_the_snapshot_equals_the_live_registry(self, tmp_path,
+                                                   monkeypatch):
+        """Each save encodes only the job it names, yet after a submit, a
+        dedup hit, a job run to done, a failed job and a shutdown with a
+        job still queued, the file holds every job as the server does."""
+        from repro.service import server as server_module
+
+        gate = threading.Event()
+        real = server_module.run_estimator
+
+        def scripted(estimator, params, config):
+            if params["trials"] == 900:
+                raise RuntimeError("scripted failure")
+            if params["trials"] == 700:
+                assert gate.wait(timeout=30)
+            return real(estimator, params, config)
+
+        monkeypatch.setattr(server_module, "run_estimator", scripted)
+        service = EstimationService(tmp_path, job_workers=1)
+
+        def submit(trials):
+            payload = dict(SMALL, params={"model": "TSO", "trials": trials})
+            return service.submit(payload)[0]["job"]["id"]
+
+        done = submit(800)
+        wait_for(lambda: service.registry.get(done).finished)
+        assert submit(800) == done
+        failed = submit(900)
+        wait_for(lambda: service.registry.get(failed).finished)
+        drained = submit(700)
+        wait_for(lambda: service.registry.get(drained).state == "running")
+        queued = submit(600)
+        stopper = threading.Thread(target=service.shutdown,
+                                   kwargs={"drain_seconds": 30.0})
+        stopper.start()
+        # The queue is closed once its heap is empty: the worker is still
+        # held by the gate, so the queued job never starts.
+        wait_for(lambda: service.queue.depth() == 0)
+        gate.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+
+        live = {job.id: job.to_wire() for job in service.registry.jobs()}
+        assert {job_id: wire["state"] for job_id, wire in live.items()} == {
+            done: "done", failed: "failed", drained: "done",
+            queued: "queued"}
+        assert live[done]["dedup_hits"] == 1
+        saved = JobRegistry.load(tmp_path / "jobs.json")
+        assert {job.id: job.to_wire() for job in saved.jobs()} == live
 
     def test_warm_resubmission_hits_the_shard_cache(self, tmp_path):
         service = EstimationService(tmp_path, job_workers=1)
