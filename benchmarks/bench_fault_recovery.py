@@ -10,9 +10,10 @@ estimator:
 * **baseline** — a clean sharded run;
 * **retry** — the same run with deterministically injected shard faults
   (:class:`~repro.stats.faults.ScriptedFaults`) healed by the retry layer;
-* **checkpoint-write** — a clean run journaling every shard;
-* **resume** — the same run restarted from a journal holding half the
-  shards, executing only the remainder.
+* **checkpoint-write** — a clean run storing every shard in a checkpoint
+  directory;
+* **resume** — the same run restarted from a copy of that checkpoint
+  holding half the shards, executing only the remainder.
 
 Every variant must reproduce the baseline's exact success count; timings
 land in ``BENCH_fault_recovery.json`` at the repo root.
@@ -20,6 +21,7 @@ land in ``BENCH_fault_recovery.json`` at the repo root.
 
 from __future__ import annotations
 
+import shutil
 import time
 
 from conftest import results_path, scaled, show, smoke_mode
@@ -35,7 +37,7 @@ SHARDS = 8
 SEED = 1887
 WORKERS = 2
 
-#: Happy-path overhead ceiling: journaling every shard of a realistic
+#: Happy-path overhead ceiling: checkpointing every shard of a realistic
 #: budget must cost well under this factor over the clean run.
 CHECKPOINT_OVERHEAD_CEILING = 1.5
 
@@ -66,18 +68,21 @@ def test_fault_recovery(run_once, tmp_path):
         retried = timed("retry-injected-faults", lambda: _retried(faults))
         assert retried.successes == baseline.successes
 
-        journal = tmp_path / "full.jsonl"
-        journaled = timed("checkpoint-write",
-                          lambda: _estimate(checkpoint=journal))
-        assert journaled.successes == baseline.successes
+        checkpoint = tmp_path / "full.ckpt"
+        checkpointed = timed("checkpoint-write",
+                             lambda: _estimate(checkpoint=checkpoint))
+        assert checkpointed.successes == baseline.successes
 
-        # Interrupted run: keep only half the journal's shard records,
-        # then resume — only the missing shards execute.
-        partial_journal = tmp_path / "partial.jsonl"
-        lines = journal.read_text().splitlines()
-        partial_journal.write_text("\n".join(lines[: SHARDS // 2]) + "\n")
+        # Interrupted run: a copy of the checkpoint with half its shard
+        # entries deleted, then resume — only the missing shards execute.
+        partial = tmp_path / "partial.ckpt"
+        shutil.copytree(checkpoint, partial)
+        entries = sorted(partial.glob("??/*.pkl"))
+        assert len(entries) == SHARDS
+        for entry in entries[: SHARDS // 2]:
+            entry.unlink()
         resumed = timed("checkpoint-resume",
-                        lambda: _estimate(checkpoint=partial_journal))
+                        lambda: _estimate(checkpoint=partial))
         assert resumed.successes == baseline.successes
 
         return rows
@@ -119,7 +124,7 @@ def test_fault_recovery(run_once, tmp_path):
     show(f"[fault-recovery] checkpoint-write overhead: {overhead:.3f}x "
          f"(ceiling {CHECKPOINT_OVERHEAD_CEILING}x)")
     assert overhead <= CHECKPOINT_OVERHEAD_CEILING, (
-        f"checkpoint journaling cost {overhead:.2f}x over the clean run"
+        f"checkpointing cost {overhead:.2f}x over the clean run"
     )
 
 

@@ -266,9 +266,9 @@ def monte_carlo_check(
     the observability options (``manifest``/``trace``/``progress``), and
     the ``transport`` engine knob —
     to :func:`repro.core.manifestation.estimate_non_manifestation`; the
-    per-model checkpoint keys keep one journal file safe across the whole
-    model loop, and each model's run appends its own labelled record to
-    the shared manifest file.  ``seed`` and the knob types follow the
+    per-model checkpoint keys keep one checkpoint directory safe across
+    the whole model loop, and each model's run appends its own labelled
+    record to the shared manifest file.  ``seed`` and the knob types follow the
     estimators exactly (``seed=None`` draws fresh entropy).  The models
     share one process pool (:func:`~repro.stats.faults.pool_scope`).
     """

@@ -20,8 +20,10 @@ Layout and guarantees:
   payload; :meth:`ShardStore.get` re-verifies the digest on read and
   treats any mismatch as a miss (deleting the corrupt entry), so a torn
   or tampered file can never produce a wrong number.
-* **Atomic writes** — entries are written to a temp file and
-  ``os.replace``d into place; readers never observe a partial entry.
+* **Atomic writes** — entries are written to a temp file whose name is
+  unique per write (``tempfile.mkstemp``) and ``os.replace``d into
+  place; readers never observe a partial entry, and concurrent writers
+  of one entry never collide.
 * **Size-capped LRU eviction** — reads bump an entry's mtime; writes
   that push the store past ``max_bytes`` evict oldest-mtime entries
   first, never the entry just written.  The store keeps a running byte
@@ -35,8 +37,9 @@ Layout and guarantees:
 
 This package imports nothing from the rest of the library — the engine
 (:func:`repro.stats.parallel.run_sharded`) imports *it*, lazily, so the
-cache sits below the stats layer and can never perturb seeding.  Like
-the checkpoint journal, entries are pickles: only point the store at
+cache sits below the stats layer and can never perturb seeding.  A
+``checkpoint=`` directory is a store of the same format with
+``max_bytes=None``.  Entries are pickles: only point the store at
 directories you trust.
 """
 
@@ -45,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -189,9 +193,20 @@ class ShardStore:
             replaced = path.stat().st_size  # an overwrite is not counted twice
         except OSError:
             replaced = 0
-        scratch = path.with_name(path.name + f".tmp{os.getpid()}")
-        scratch.write_bytes(entry)
-        os.replace(scratch, path)
+        # A temp name unique per call: two threads putting one key must
+        # not replace each other's file.
+        handle, scratch = tempfile.mkstemp(prefix=path.name + ".",
+                                           suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(handle, "wb") as file:
+                file.write(entry)
+            os.replace(scratch, path)
+        except BaseException:
+            try:
+                os.unlink(scratch)
+            except OSError:
+                pass
+            raise
         self._memoise(key, value)
         self.stored += 1
         evicted = self._evict(keep=key, added=len(entry) - replaced)

@@ -24,9 +24,9 @@ wall-clock time, never numbers, and ``--shards`` left unset defaults to
 the fixed :data:`~repro.stats.parallel.DEFAULT_SHARDS` whenever
 ``--workers`` is above 1 (never the worker count).  ``--retries`` /
 ``--shard-timeout`` / ``--checkpoint`` harden long runs: failed shards
-retry with backoff, stuck shards time out, and completed shards journal
-to a resumable checkpoint file — an interrupted run re-executes only the
-missing shards and merges to the identical result.
+retry with backoff, stuck shards time out, and completed shards are
+stored in a checkpoint directory — an interrupted run re-executes only
+the missing shards and merges to the identical result.
 
 ``--manifest FILE`` / ``--trace FILE`` / ``--progress`` observe a run:
 a validated JSON run manifest (per-shard durations, retry ledger, merged
@@ -58,7 +58,7 @@ before or after the subcommand:
 .. code-block:: console
 
    $ python -m repro --workers 4 machine --model TSO --trials 20000
-   $ python -m repro --workers 4 --retries 2 --checkpoint run.jsonl \\
+   $ python -m repro --workers 4 --retries 2 --checkpoint run.ckpt \\
          thm62 --trials 1000000
    $ python -m repro thm62 --trials 20000 --workers 2 --manifest m.json
    $ python -m repro machine --model TSO --progress --trace spans.jsonl
@@ -508,7 +508,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     if managed:
         raise SystemExit(
             f"repro serve: {', '.join(managed)} are managed by the service "
-            "per job (journals, manifests, and the shard cache live under "
+            "per job (manifests and the shard cache live under "
             "--state-dir) and cannot be set server-wide")
     state_dir = args.state_dir or os.environ.get(
         "REPRO_SERVICE_DIR", str(Path.home() / ".cache" / "repro" / "service"))
@@ -755,8 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bind port; 0 picks an ephemeral port and "
                            "prints it (default: 8642)")
     serve_cmd.add_argument("--state-dir", default=None, metavar="DIR",
-                           help="service state: job registry, per-job shard "
-                           "journals and manifests, shared shard cache "
+                           help="service state: job registry, per-job "
+                           "manifests, shared shard cache "
                            "(default: $REPRO_SERVICE_DIR or "
                            "~/.cache/repro/service)")
     serve_cmd.add_argument("--job-workers", type=positive_int, default=1,

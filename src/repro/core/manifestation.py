@@ -285,8 +285,8 @@ def estimate_non_manifestation(
     fixed ``(seed, shards)`` gives bit-identical results at any worker
     count.  ``retries``/``timeout``/``checkpoint`` configure the
     fault-tolerance layer; the checkpoint key is salted with the model
-    name and the experiment parameters, so one journal file can hold
-    several models' runs without cross-contamination.  The key also
+    name and the experiment parameters, so one checkpoint directory can
+    hold several models' runs without cross-contamination.  The key also
     folds in the kernel *fingerprint*, derived from the fully-bound
     trial kernel.
     ``cache`` enables the content-addressed shard result cache

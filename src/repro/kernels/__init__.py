@@ -25,8 +25,9 @@ takes ``backend="scalar"|"vectorized"`` as its own argument:
   ``(seed, shards)`` gives identical results at any worker count,
   because kernels consume per-shard child streams exactly like every
   other engine kernel (see ``docs/KERNELS.md``).
-* A run's key folds in the kernel fingerprint, so one journal or
-  manifest file can hold both machines' runs without cross-talk.
+* A run's key folds in the kernel fingerprint, so one checkpoint
+  directory or manifest file can hold both machines' runs without
+  cross-talk.
 
 The catalogue below maps each kernel to the paper artifact it simulates;
 ``docs/KERNELS.md`` documents the same table with the seed-discipline

@@ -487,7 +487,7 @@ def fingerprint() -> str:
 
     Folded into the enumerator fingerprint and bound into the random-mode
     kernel, so a change to any step, the enabling rule, legality or
-    either walk re-keys cached outcome sets, shards and journals.
+    either walk re-keys cached outcome sets and stored shards.
     """
     module = sys.modules[__name__]
     parts = []

@@ -4,8 +4,7 @@ A finished estimate is one number; an *auditable* estimate needs the
 story behind it — which plan drew the randomness, how long each shard
 took, what failed and was retried, what was resumed from a checkpoint,
 and what the merged result was.  The manifest is that story as JSON,
-written next to the checkpoint journal by the ``RunConfig.manifest``
-knob / ``--manifest`` CLI flag.
+written by the ``RunConfig.manifest`` knob / ``--manifest`` CLI flag.
 
 One manifest **file** holds one document with a ``runs`` list; each
 sharded run appends one **run record**, so a multi-model command (the

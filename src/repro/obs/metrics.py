@@ -53,7 +53,7 @@ METRICS_CATALOGUE: dict[str, tuple[str, str, str]] = {
     "run.trials_total": ("gauge", "trials", "trial budget of the run (merged total)"),
     "run.shards_total": ("gauge", "shards", "non-empty shards in the plan"),
     "run.shards_completed": ("counter", "shards", "shards executed in this process"),
-    "run.shards_resumed": ("counter", "shards", "shards loaded from a checkpoint journal"),
+    "run.shards_resumed": ("counter", "shards", "shards loaded from the checkpoint or the cache, not executed"),
     "run.shard_retries": ("counter", "attempts", "failed shard attempts that were retried"),
     "run.shard_timeouts": ("counter", "events", "pooled shard attempts that timed out"),
     "run.pool_recycles": ("counter", "events", "process-pool rebuilds (timeout or broken pool)"),
@@ -64,7 +64,6 @@ METRICS_CATALOGUE: dict[str, tuple[str, str, str]] = {
     "run.cache_misses": ("counter", "shards", "cache probes that found no entry"),
     "run.cache_stored": ("counter", "shards", "executed shards written to the result cache"),
     "run.cache_evictions": ("counter", "entries", "cache entries evicted by this run's writes"),
-    "run.journal_skipped": ("counter", "lines", "torn/undecodable checkpoint journal lines skipped on load"),
     "explore.grid_points": ("gauge", "points", "litmus test x model grid points in an exhaustive exploration"),
     "explore.outcomes_total": ("gauge", "outcomes", "enumerated outcomes summed over the explored grid"),
     "service.jobs_submitted": ("counter", "jobs", "jobs accepted and enqueued by the job server"),
@@ -216,10 +215,10 @@ class ShardEvent:
     (it travels back with the shard result, so queueing and transport
     are excluded); ``attempts`` counts every attempt including the
     successful one; ``resumed`` shards were loaded from a checkpoint
-    journal or the result cache and never executed (their ``seconds``
-    is 0.0, ``attempts`` 0, ``worker`` ``None``); ``cached`` marks the
-    resumed shards that came from the content-addressed result cache
-    rather than a checkpoint journal.
+    or the result cache and never executed (their ``seconds`` is 0.0,
+    ``attempts`` 0, ``worker`` ``None``); ``cached`` marks the resumed
+    shards that came from the content-addressed result cache rather
+    than the checkpoint.
     """
 
     shard: int

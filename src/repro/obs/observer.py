@@ -92,7 +92,6 @@ class RunObserver:
         self._recycles = 0
         self._cache = {"hits": 0, "misses": 0, "stored": 0, "evictions": 0}
         self._annotations: dict[str, tuple[float, str]] = {}
-        self._journal_skipped = 0
         self._run: dict[str, object] | None = None
         self._started = time.perf_counter()
         self._active_shards = 0
@@ -152,7 +151,7 @@ class RunObserver:
         self._started = time.perf_counter()
 
     def shard_resumed(self, shard: int, trials: int) -> None:
-        """A shard satisfied from the checkpoint journal (not executed)."""
+        """A shard satisfied from the checkpoint (not executed)."""
         self._record(ShardEvent(shard=shard, trials=trials, seconds=0.0,
                                 attempts=0, resumed=True))
 
@@ -179,10 +178,6 @@ class RunObserver:
         ``docs/OBSERVABILITY.md`` like any engine metric.
         """
         self._annotations[name] = (float(value), unit)
-
-    def journal_skipped(self, lines: int) -> None:
-        """Torn/undecodable journal lines dropped while loading a checkpoint."""
-        self._journal_skipped += lines
 
     def shard_finished(self, event: ShardEvent) -> None:
         """A shard executed to completion (reported with worker telemetry)."""
@@ -265,7 +260,6 @@ class RunObserver:
         registry.counter("run.cache_evictions", "entries").inc(
             self._cache["evictions"]
         )
-        registry.counter("run.journal_skipped", "lines").inc(self._journal_skipped)
         seconds = registry.histogram("run.shard_seconds", "seconds")
         for event in executed:
             seconds.observe(event.seconds)

@@ -10,8 +10,8 @@ across processes:
 
 The engine lives in :mod:`repro.stats.parallel`; the fault-tolerance
 layer (bounded retry, per-shard timeouts, ``BrokenProcessPool``
-recovery) in :mod:`repro.stats.faults`; the run-manifest/checkpoint
-journal in :mod:`repro.stats.checkpoint`; the mergers in
+recovery) in :mod:`repro.stats.faults`; the run key and checkpoint
+resume in :mod:`repro.stats.checkpoint`; the mergers in
 :mod:`repro.stats.montecarlo`.  Every high-level estimator
 (:func:`repro.stats.run_bernoulli_trials`,
 :func:`repro.estimate_non_manifestation`,
@@ -43,7 +43,7 @@ and a validated run manifest, without touching any number
 
 from .obs import RunObserver
 from .runconfig import RunConfig
-from .stats.checkpoint import ShardCheckpoint, kernel_fingerprint, plan_key
+from .stats.checkpoint import kernel_fingerprint, plan_key
 from .stats.faults import (
     InjectedFault,
     RetryPolicy,
@@ -83,7 +83,6 @@ __all__ = [
     "RunConfig",
     "RunObserver",
     "ScriptedFaults",
-    "ShardCheckpoint",
     "ShardExecutionError",
     "ShardPlan",
     "ShardTable",

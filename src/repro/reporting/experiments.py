@@ -189,8 +189,8 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         id="E21",
         paper_artifact="infrastructure: run identity + result cache",
         summary="v2 checkpoint keys fingerprint the trial kernel (the v1 "
-        "format let different kernels silently share a journal); on top, "
-        "a content-addressed, integrity-checked shard result cache "
+        "format let different kernels silently share stored shards); on "
+        "top, a content-addressed, integrity-checked shard result cache "
         "(cache='auto' / --cache) makes warm re-runs and overlapping "
         "sweep points fetch finished shards bit-identically — warm >=5x "
         "cold committed in BENCH_cache_reuse.json.",
@@ -204,8 +204,9 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "job API (submit / poll progress / fetch validated manifests): "
         "concurrent identical submissions dedup onto one job via the v2 "
         "identity, a priority queue with a max-queued cap rate-limits, "
-        "and graceful shutdown demotes in-flight jobs for journal-backed "
-        "resume on restart — warm submit-to-result latency tracked in "
+        "and graceful shutdown demotes in-flight jobs, which resume on "
+        "restart from the shared shard cache — warm submit-to-result "
+        "latency tracked in "
         "BENCH_service_latency.json.",
         modules=("repro.service",),
         bench="benchmarks/bench_service_latency.py",

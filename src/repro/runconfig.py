@@ -110,7 +110,8 @@ class RunConfig:
         Fault tolerance: extra attempts per failed shard, and the
         per-shard pooled timeout in seconds.
     ``checkpoint``
-        Resumable shard journal path, keyed by the run key.
+        Directory of a shard store that never evicts: each finished
+        shard is stored under the run key, and a re-run resumes.
     ``cache``
         Content-addressed shard result cache (``"auto"``, a directory,
         or a :class:`~repro.cache.ShardStore`).
@@ -136,9 +137,9 @@ class RunConfig:
         None, "--shard-timeout", type=float, metavar="SEC",
         doc="per-shard timeout in seconds for pooled execution")
     checkpoint: str | Path | None = _knob(
-        None, "--checkpoint", metavar="FILE",
-        doc="append-only JSONL journal of completed shards; re-runs resume "
-            "the missing shards only")
+        None, "--checkpoint", metavar="DIR",
+        doc="directory that stores every completed shard and never evicts; "
+            "re-runs resume the missing shards only")
     cache: "str | Path | ShardStore | None" = _knob(
         None, "--cache", metavar="DIR",
         doc="content-addressed shard result cache (`\"auto\"` or a directory)")
@@ -299,7 +300,8 @@ class RunConfig:
         non-finite ``timeout`` (``nan``/``inf`` would fail every pooled
         shard), and negative ``retries`` raise ``ValueError``; a
         ``checkpoint`` that is not a path raises ``TypeError`` (the
-        engine keys the journal itself).
+        engine keys the store itself), and one that names an existing
+        file — a pre-9.0 JSONL journal — raises ``ValueError``.
         """
         from .stats.transport import resolve_transport
 
@@ -313,8 +315,12 @@ class RunConfig:
             raise ValueError(f"timeout must be positive and finite, got "
                              f"{self.timeout}")
         if not isinstance(self.checkpoint, (str, Path, type(None))):
-            raise TypeError(f"checkpoint must be a journal path, got "
+            raise TypeError(f"checkpoint must be a directory path, got "
                             f"{type(self.checkpoint).__name__}")
+        if self.checkpoint is not None and Path(self.checkpoint).is_file():
+            raise ValueError(f"checkpoint {str(self.checkpoint)!r} is a file: "
+                             "since 9.0 a checkpoint is a directory, and a "
+                             "pre-9.0 journal cannot be resumed (delete it)")
         resolve_transport(self.transport)
         return self
 

@@ -1,10 +1,10 @@
 """``repro.service`` — estimation-as-a-service on the cache/checkpoint substrate.
 
 Every estimator in this library is deterministic (seed-disciplined
-shards), resumable (append-only shard journals), cached
-(content-addressed shard store), observed (metrics + validated run
-manifests), and configured through one validated
-:class:`~repro.runconfig.RunConfig`.  That is exactly the substrate a
+shards), resumable and cached (a content-addressed store of finished
+shards), observed (metrics + validated run manifests), and configured
+through one validated :class:`~repro.runconfig.RunConfig`.  That is
+exactly the substrate a
 multi-tenant service needs — the ~7700x warm-cache speedup committed in
 ``BENCH_cache_reuse.json`` is the economics of serving repeated
 Theorem 6.2/6.3 sweep queries from many users — so this package builds

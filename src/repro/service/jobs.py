@@ -19,8 +19,8 @@ Lifecycle is deliberately small::
 
 There is no separate "interrupted" state: graceful shutdown demotes
 ``running``/``queued`` jobs back to ``queued`` before persisting, and
-the shard journal each job runs with means a resumed job re-executes
-only the shards its previous life never finished.
+the shared shard cache every job writes to means a resumed job
+re-executes only the shards its previous life never finished.
 
 The registry itself does no locking — the owning
 :class:`~repro.service.server.EstimationService` serialises all
@@ -179,7 +179,7 @@ class JobRegistry:
         The newest job with this ``key`` that did not fail — a failed
         job must not absorb new submissions (the retry would never
         happen), so after a failure the next identical submission starts
-        fresh (and still finds the dead job's shards in cache/journal).
+        fresh (and still finds the dead job's shards in the cache).
         """
         job_id = self._by_key.get(key)
         if job_id is None:
@@ -242,8 +242,8 @@ class JobRegistry:
         """Rebuild a registry from a snapshot (fresh registry if absent).
 
         A malformed snapshot raises rather than silently starting empty:
-        losing the job history would also orphan every journal and
-        manifest under the state directory.
+        losing the job history would also orphan every manifest under
+        the state directory.
         """
         registry = cls(path)
         snapshot_path = Path(path)

@@ -17,8 +17,8 @@ Two control surfaces:
   (workers take no new jobs), waits up to ``drain_seconds`` for running
   jobs to finish, and returns the job ids still waiting so the service
   can demote them to ``queued`` and persist them for resume.  Because
-  every job runs with a shard journal, even a job whose drain window
-  expires loses at most its in-flight shard.
+  every job writes each finished shard to the shared shard cache, even
+  a job whose drain window expires loses at most its in-flight shard.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class JobQueue:
         returns the ids still waiting in the heap (priority order) —
         the service demotes them to ``queued`` in the registry so a
         restart re-enqueues them.  Workers are daemon threads, so a job
-        that outlives the drain window cannot block process exit; its
-        journal bounds the loss to one shard.
+        that outlives the drain window cannot block process exit; the
+        shard cache bounds the loss to one shard.
         """
         with self._wake:
             self._closed = True

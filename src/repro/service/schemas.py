@@ -28,8 +28,9 @@ __all__ = ["SCHEMA_VERSION", "MANAGED_KNOBS", "ServiceError",
 SCHEMA_VERSION = 1
 
 #: RunConfig knobs the service owns per job and therefore refuses from
-#: clients: the shard journal, shard cache, and run manifest live under
-#: the service state directory (keyed by job identity), and progress is
+#: clients: the shard cache and run manifest live under the service
+#: state directory (keyed by job identity), jobs take no checkpoint
+#: directory of their own (the shared cache resumes them), and progress is
 #: an in-process callback feeding ``GET /v1/jobs/{id}`` — a client-
 #: supplied path would let a request write arbitrary files on the
 #: server, and a client-supplied callable is not expressible in JSON.
@@ -123,7 +124,7 @@ def parse_submit(payload: Any) -> SubmitRequest:
     managed = sorted(set(config) & set(MANAGED_KNOBS))
     _require(not managed, "managed-knob",
              f"config field(s) {managed} are managed by the service "
-             "(journals, cache, manifests and progress live under the "
+             "(the cache, manifests and progress live under the "
              "server state directory) and cannot be set per request")
     try:
         # Validate field names and types against the defaults; the

@@ -11,13 +11,14 @@ The state directory layout (everything the service persists)::
 
     <state-dir>/
       jobs.json            the job registry snapshot (atomic replace)
-      journals/<job>.jsonl per-job shard checkpoint journals
       manifests/<job>.json per-job validated run manifests
       cache/               the shared content-addressed shard cache
 
-The shared ``cache/`` is what makes cross-request dedup cheap even when
-it misses: a ``dedup=false`` resubmission of a finished job creates a
-fresh job whose every shard is a cache hit.  :data:`ROUTES` is the
+The shared ``cache/`` holds every finished shard of every job.  It is
+what makes cross-request dedup cheap even when it misses (a
+``dedup=false`` resubmission of a finished job creates a fresh job whose
+every shard is a cache hit), and what a job resumed after a restart
+fetches its finished shards from.  :data:`ROUTES` is the
 canonical route table — ``docs/SERVICE.md`` documents exactly these
 routes and the docs-consistency suite fails on drift in either
 direction.
@@ -69,7 +70,7 @@ class EstimationService:
     worker threads.  Construction loads the registry snapshot from the
     state directory and re-enqueues every unfinished job before the
     worker pool starts, which is the whole resume-on-restart contract —
-    the per-job shard journals do the actual work of not recomputing.
+    the shared shard cache does the actual work of not recomputing.
     """
 
     def __init__(self, state_dir: str | Path, *,
@@ -78,7 +79,7 @@ class EstimationService:
                  max_queued: int = DEFAULT_MAX_QUEUED,
                  start: bool = True) -> None:
         self.state_dir = Path(state_dir)
-        for sub in ("journals", "manifests", "cache"):
+        for sub in ("manifests", "cache"):
             (self.state_dir / sub).mkdir(parents=True, exist_ok=True)
         config = default_config if default_config is not None else RunConfig()
         for knob in MANAGED_KNOBS:
@@ -158,13 +159,13 @@ class EstimationService:
                     job_id: str) -> RunConfig:
         """Fold the service-managed knobs into a job's config.
 
-        Journals and manifests are per job id (a ``dedup=false`` twin
-        must not append to its sibling's manifest); the shard cache is
-        shared service-wide — it is the cross-request warm path.
+        Manifests are per job id (a ``dedup=false`` twin must not append
+        to its sibling's manifest); the shard cache is shared
+        service-wide — it is the cross-request warm path and what a
+        resumed job fetches its finished shards from.
         """
         return replace(
             job_estimator_config,
-            checkpoint=str(self.state_dir / "journals" / f"{job_id}.jsonl"),
             cache=str(self.state_dir / "cache"),
             manifest=str(self.state_dir / "manifests" / f"{job_id}.json"),
             trace=None,
@@ -273,7 +274,7 @@ class EstimationService:
         Submissions get 503 immediately; running jobs get up to
         ``drain_seconds`` to finish; whatever is still queued or running
         afterwards is demoted to ``queued`` and persisted, so the next
-        start re-enqueues it and its shard journal resumes the work.
+        start re-enqueues it and the shared shard cache resumes the work.
         Idempotent.
         """
         with self._lock:
@@ -416,8 +417,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     """A ``ThreadingHTTPServer`` bound to one :class:`EstimationService`.
 
     ``daemon_threads`` so a hung client connection can never block
-    process exit; the service's own durability (journals + registry
-    snapshots) is what guarantees nothing is lost.
+    process exit; the service's own durability (the shard cache +
+    registry snapshots) is what guarantees nothing is lost.
     """
 
     daemon_threads = True

@@ -326,7 +326,7 @@ def run_canonical_bug(
         * ``retries``/``timeout``/``checkpoint`` are the fault-tolerance
           options (see :func:`repro.stats.parallel.run_sharded`).  The
           checkpoint key is salted with the model/threads/variant, so
-          one journal file can hold several machine experiments.
+          one checkpoint directory can hold several machine experiments.
         * ``cache`` enables the content-addressed shard result cache
           (see ``docs/CACHING.md``).
         * ``manifest``/``trace``/``progress`` are the observability

@@ -7,7 +7,7 @@ splittable.
 """
 
 from .bootstrap import BootstrapInterval, bootstrap_mean_interval
-from .checkpoint import ShardCheckpoint, kernel_fingerprint, plan_key
+from .checkpoint import kernel_fingerprint, plan_key
 from .convergence import BatchSummary, required_trials, standard_error, summarise_batches
 from .faults import (
     InjectedFault,
@@ -62,7 +62,6 @@ __all__ = [
     "RandomSource",
     "RetryPolicy",
     "ScriptedFaults",
-    "ShardCheckpoint",
     "ShardExecutionError",
     "clopper_pearson_interval",
     "estimate_to_precision",

@@ -1,66 +1,61 @@
-"""Run manifests: journal completed shards, resume interrupted runs.
+"""Run keys, and resuming interrupted runs from stored shards.
 
 A production-scale trial budget can run for hours; an interruption (crash,
 preemption, ctrl-C) must not discard the shards that already finished.
 Because each shard of a :class:`~repro.stats.parallel.ShardPlan` is a pure
 function of ``(seed, shards, i)`` *and the shard kernel*, a completed
-shard's result is valid forever — so the engine can journal results as
-they arrive and a resumed run can load the finished shards and execute
-only the remainder, merging to **exactly** the result of an uninterrupted
-run.
+shard's result is valid forever — so the engine stores results as they
+arrive and a resumed run loads the finished shards and executes only the
+remainder, merging to **exactly** the result of an uninterrupted run.
 
-The journal is an append-only JSONL file.  Each line carries:
+A finished shard has one on-disk form, the entry of a
+:class:`repro.cache.ShardStore` (one file per shard, a SHA-256 header,
+atomic replace), under ``shard_entry_key(run_key, shard, trials)``.  A
+``checkpoint=DIR`` is such a store that never evicts; the ``cache=``
+store is the same format under a size cap.  :class:`ShardCheckpoint` is
+one run's view of its stores.  A torn or corrupt entry is a miss (the
+store deletes it) and its shard re-executes, which is always safe.
 
-* ``key`` — the hex identity hash of the run (:func:`plan_key`), derived
-  from ``(trials, shards, seed)``, a caller label, and — since format 2 —
-  the **kernel fingerprint** (:func:`kernel_fingerprint`): a stable
-  digest of the shard kernel's qualified name, compiled code, and bound
-  closure parameters.  ``load`` ignores records whose key differs, so one
-  file can safely accumulate several runs (e.g. one per memory model)
-  without cross-contamination.
-* ``shard`` — the shard index within the plan.
-* ``data`` — the shard result, pickled and base64-encoded (shard results
-  are library value objects — ``BernoulliResult``, numpy aggregates —
-  not JSON-native).
-
-Torn trailing lines (a crash mid-append) and undecodable payloads are
-skipped on load — the affected shard simply re-executes, which is always
-safe — and counted in :attr:`ShardCheckpoint.skipped_lines` so the engine
-can surface recovery-vs-corruption to operators.
+The run key (:func:`plan_key`) is derived from ``(trials, shards,
+seed)``, a caller label, and — since format 2 — the **kernel
+fingerprint** (:func:`kernel_fingerprint`): a stable digest of the shard
+kernel's qualified name, compiled code, and bound closure parameters.
+Entries of different runs have different keys, so one store can safely
+hold several runs (e.g. one per memory model) without
+cross-contamination.
 
 **Why the fingerprint exists.**  Format 1 deliberately omitted the trial
 function from the key, so any two experiments colliding on
-``(trials, shards, seed, label)`` silently reused each other's journaled
+``(trials, shards, seed, label)`` silently reused each other's stored
 shards and merged wrong numbers.  Format 2 closes that hole: the
 fingerprint digests the *computation* (function identity, code, bound
 parameters — distinct kernel functions have distinct qualified names),
 so a different kernel can never satisfy a shard from another
-kernel's journal.  Mismatches are conservative by construction — a false
+kernel's run.  Mismatches are conservative by construction — a false
 mismatch merely re-executes a shard; only a collision could merge wrong
 numbers, and the fingerprint is a SHA-256 digest of the full closure.
-Like any pickle-based format, only load checkpoint files you wrote
-yourself.
+Like any pickle-based format, only load stores you wrote yourself.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import functools
 import hashlib
-import json
-import pickle
 import re
 import types
-from pathlib import Path
-from typing import Any
+from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # the engine imports repro.cache lazily
+    from repro.cache import ShardStore
 
 __all__ = ["CHECKPOINT_FORMAT", "plan_key", "kernel_fingerprint",
            "ShardCheckpoint"]
 
-#: Journal format version, folded into every key: bumping it orphans old
-#: records rather than misreading them.  Format 2 added the kernel
-#: fingerprint; format-1 journals are orphaned by design (their shards
+#: Key format version, folded into every run key: bumping it orphans old
+#: entries rather than misreading them.  Format 2 added the kernel
+#: fingerprint; format-1 records are orphaned by design (their shards
 #: re-execute — always safe).
 CHECKPOINT_FORMAT = 2
 
@@ -72,7 +67,7 @@ _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 
 def plan_key(trials: int, shards: int | None, seed: int | None, label: str = "",
              fingerprint: str = "") -> str:
-    """The identity hash a run's journal, cache entries and manifest share.
+    """The identity hash a run's stored shards and manifest share.
 
     Two runs share a key exactly when they share the statistical identity
     ``(trials, shards, seed)``, the caller's ``label`` (free-text
@@ -242,65 +237,43 @@ def kernel_fingerprint(kernel: Any, extra: Any = None) -> str:
 
 
 class ShardCheckpoint:
-    """An append-only JSONL journal of completed shard results for one run.
+    """One run's view of the stores that hold its finished shards.
 
-    ``key`` is the run's :func:`plan_key`; the engine opens the journal
-    of a ``checkpoint=`` path as ``ShardCheckpoint(path, run_key)``.
-
-    :attr:`skipped_lines` holds, after each :meth:`load`, the number of
-    torn or undecodable journal lines that were dropped — zero for a
-    healthy journal, positive when a crash tore the tail or the file was
-    corrupted (the affected shards re-execute either way).
+    ``key`` is the run's :func:`plan_key`, ``shard_trials`` maps each
+    active shard to its trial count, and ``stores`` lists the
+    :class:`~repro.cache.ShardStore` objects in probe order: the engine
+    passes the ``checkpoint=`` store first and the ``cache=`` store
+    second.  Every store holds a shard under the same
+    ``shard_entry_key(key, shard, trials)``.
     """
 
-    def __init__(self, path: str | Path, key: str):
-        self.path = Path(path)
-        self.key = key
-        self.skipped_lines = 0
+    def __init__(self, key: str, shard_trials: Mapping[int, int],
+                 stores: Sequence[ShardStore]):
+        from repro.cache import shard_entry_key
 
-    def load(self) -> dict[int, Any]:
-        """Completed shard results recorded under this run's key.
+        self.stores = tuple(stores)
+        self._entries = {shard: shard_entry_key(key, shard, trials)
+                         for shard, trials in shard_trials.items()}
 
-        Later records win on duplicate shard indices (an interrupted
-        retry may journal a shard twice; both payloads are bit-identical
-        by the purity argument, so either is correct).  Torn or
-        undecodable lines are skipped and counted in
-        :attr:`skipped_lines`; records keyed to other runs are invisible
-        (and not counted — sharing one file across runs is normal).
+    def load(self) -> dict[int, tuple[Any, ShardStore]]:
+        """Each stored shard, as ``{shard: (result, store that held it)}``.
+
+        A shard found in a later store is copied into the earlier ones,
+        so a cache hit becomes part of the checkpoint.
         """
-        results: dict[int, Any] = {}
-        self.skipped_lines = 0
-        if not self.path.exists():
-            return results
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:  # torn tail from a crash mid-append
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(record, dict) or record.get("key") != self.key:
-                    continue
-                try:
-                    value = pickle.loads(base64.b64decode(record["data"]))
-                    index = int(record["shard"])
-                except Exception:  # undecodable payload: re-execute that shard
-                    self.skipped_lines += 1
-                    continue
-                results[index] = value
-        return results
+        found: dict[int, tuple[Any, ShardStore]] = {}
+        miss = object()
+        for shard, entry in self._entries.items():
+            for depth, store in enumerate(self.stores):
+                value = store.get(entry, miss)
+                if value is not miss:
+                    for earlier in self.stores[:depth]:
+                        earlier.put(entry, value)
+                    found[shard] = (value, store)
+                    break
+        return found
 
-    def record(self, shard: int, result: Any) -> None:
-        """Append one completed shard's result (flushed immediately)."""
-        payload = base64.b64encode(pickle.dumps(result)).decode("ascii")
-        line = json.dumps({"key": self.key, "shard": int(shard), "data": payload})
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ShardCheckpoint(path={str(self.path)!r}, key={self.key!r})"
+    def record(self, shard: int, result: Any) -> int:
+        """Write one finished shard to every store; returns evictions made."""
+        entry = self._entries[shard]
+        return sum(store.put(entry, result) for store in self.stores)

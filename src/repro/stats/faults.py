@@ -305,8 +305,8 @@ def execute_tasks(
     Returns results **in task order** regardless of completion order.
     ``completed`` pre-loads already-known results by index (checkpoint
     resume); those tasks are never executed.  ``on_result(index, result)``
-    fires in the parent process as each task finishes — the checkpoint
-    journaling hook.  ``serial`` forces the in-process path (``None``
+    fires in the parent process as each task finishes — the hook that
+    stores finished shards.  ``serial`` forces the in-process path (``None``
     auto-selects: serial when one worker or at most one outstanding task).
 
     ``on_event(name, payload)`` is the observability hook, fired in the

@@ -189,8 +189,8 @@ def _estimate(kernel: Callable[[RandomSource, int], Any], trials: int,
     ``(seed, shards)``, never on the worker count.  The default serial
     config (``workers=1``, ``shards`` unset) runs the one-shard form
     (``shards=None``) on ``RandomSource(seed)`` itself, bit-compatible
-    with pre-parallel releases; it journals, caches and retries like any
-    other plan, and its manifest record says ``mode="serial-legacy"``.
+    with pre-parallel releases; it checkpoints, caches and retries like
+    any other plan, and its manifest record says ``mode="serial-legacy"``.
     """
     plan = ShardPlan(trials, _plan_shards(cfg), seed)
 
@@ -242,7 +242,7 @@ def run_bernoulli_trials(
     fault-tolerance layer and ``cache`` the content-addressed shard
     cache, both keyed by the run key (see
     :func:`~repro.stats.parallel.run_sharded`; the default serial run's
-    one-shard plan journals and caches like any other).
+    one-shard plan checkpoints and caches like any other).
 
     ``manifest``/``trace``/``progress`` are the observability knobs
     (run manifest JSON, JSONL span trace, live stderr progress); all are
@@ -302,10 +302,10 @@ def run_event_trials(
     it carries follow :func:`run_bernoulli_trials`; ``checkpoint_label``
     lets callers key
     the checkpoint by their experiment parameters (different events with
-    the same ``(trials, shards, seed)`` must not share journal records)
+    the same ``(trials, shards, seed)`` must not share stored shards)
     and doubles as the manifest run label.  The kernel itself is
     fingerprinted into the run key as well, so two *different*
-    ``batch_trial`` callables never share a journal even under an
+    ``batch_trial`` callables never share a stored shard even under an
     identical label.
     """
     _check_trials(trials)

@@ -25,9 +25,10 @@ process fan-out, under one discipline:
   machines (:func:`resolve_shards`).
 * **Fault tolerance and resumability** — shard execution routes through
   :mod:`repro.stats.faults` (bounded retry, per-shard timeouts,
-  ``BrokenProcessPool`` recovery) and can journal completed shards to a
-  :class:`repro.stats.checkpoint.ShardCheckpoint`; both are sound
-  because each shard is a pure function of ``(seed, shards, i)``.
+  ``BrokenProcessPool`` recovery) and can store completed shards in a
+  checkpoint directory (:class:`repro.stats.checkpoint.ShardCheckpoint`);
+  both are sound because each shard is a pure function of
+  ``(seed, shards, i)``.
 * **Read-only observability** — an optional
   :class:`repro.obs.RunObserver` receives per-shard wall times, retry
   and timeout events, and pool recycles over the existing result
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -144,7 +144,7 @@ class ShardPlan:
     serial run: its one shard draws from ``RandomSource(seed)``
     itself, not from a spawned child, as before parallel execution
     existed.  Its run key hashes the ``None``, so it never shares a
-    journal or a cache entry with ``shards=1``.
+    stored shard with ``shards=1``.
     """
 
     trials: int
@@ -223,9 +223,9 @@ def run_sharded(
     A run has one key, ``plan_key(trials, shards, seed,
     checkpoint_label, kernel_fingerprint(kernel))``
     (:func:`~repro.stats.checkpoint.plan_key`), derived here and nowhere
-    else: the checkpoint journal, the cache entries and the manifest all
-    use it, so two different kernels or labels can never reuse each
-    other's journaled or cached shards.
+    else: the checkpoint and cache entries and the manifest all use it,
+    so two different kernels or labels can never reuse each other's
+    stored shards.
 
     ``workers=1`` (the default), at most one outstanding shard, and
     kernels that cannot be pickled all take the serial path — same
@@ -234,10 +234,11 @@ def run_sharded(
     Fault tolerance (:mod:`repro.stats.faults`): ``retries`` extra
     attempts per shard with exponential backoff, ``timeout`` seconds per
     pooled shard attempt, and automatic ``BrokenProcessPool`` recovery
-    re-executing only the lost shards.  ``checkpoint`` (a journal path)
-    records each completed shard under the run key; a resumed run loads
-    the finished shards and executes only the remainder — bit-identical
-    to an uninterrupted run.  The ``checkpoint_label`` argument salts the
+    re-executing only the lost shards.  ``checkpoint`` (a directory)
+    opens a :class:`repro.cache.ShardStore` that never evicts and stores
+    each completed shard under the run key; a resumed run loads the
+    finished shards and executes only the remainder — bit-identical to
+    an uninterrupted run.  The ``checkpoint_label`` argument salts the
     run key (callers encode their experiment parameters) and doubles as
     the manifest run label.
     ``fault_injector`` is the deterministic kill hook used by tests
@@ -250,7 +251,9 @@ def run_sharded(
     is already stored are fetched instead of recomputed, and newly
     executed shards are stored for future runs.  Because the entry key
     encodes the full computational identity, cached merges are
-    bit-identical to uncached ones.
+    bit-identical to uncached ones.  With both set, the checkpoint is
+    probed first, a cache hit is copied into the checkpoint, and each
+    executed shard is written to both.
 
     ``observer`` (a :class:`repro.obs.RunObserver`) receives the run's
     telemetry: a ``run_started`` description of the plan, one
@@ -300,71 +303,45 @@ def _execute_shards(
     sources = plan.shard_sources()
     active = [index for index, count in enumerate(counts) if count > 0]
 
-    store = None
-    if cache is not None and cache is not False:
-        from repro.cache import resolve_cache
+    checkpoint_store = store = None
+    stores = []
+    if checkpoint is not None or (cache is not None and cache is not False):
+        from repro.cache import ShardStore, resolve_cache
+        if checkpoint is not None:
+            checkpoint_store = ShardStore(checkpoint, max_bytes=None,
+                                          memo_entries=0)
+            stores.append(checkpoint_store)
         store = resolve_cache(cache)
+        if store is not None:
+            stores.append(store)
 
-    # The run key: the one identity of the journal, the cache entries
-    # and the manifest.  The fingerprint also keys the picklability memo,
-    # so both are derived whenever a pool is plausible too (workers and
+    # The run key: the one identity of every stored shard and of the
+    # manifest.  The fingerprint also keys the picklability memo, so
+    # both are derived whenever a pool is plausible too (workers and
     # more than one shard requested); the plain serial path skips them.
     fingerprint = run_key = None
-    if (checkpoint is not None or store is not None or observer is not None
-            or (workers > 1 and len(active) > 1)):
+    if stores or observer is not None or (workers > 1 and len(active) > 1):
         fingerprint = kernel_fingerprint(kernel)
         run_key = plan_key(plan.trials, plan.shards, plan.seed,
                            checkpoint_label, fingerprint)
 
-    journal: ShardCheckpoint | None = None
-    journal_skipped = 0
     completed: dict[int, T] = {}
-    if checkpoint is not None:
-        journal = ShardCheckpoint(checkpoint, run_key)
-        stored = journal.load()
-        journal_skipped = journal.skipped_lines
-        if journal_skipped:
-            print(f"[repro] warning: skipped {journal_skipped} torn/undecodable "
-                  f"line(s) in checkpoint journal {journal.path}; the affected "
-                  "shards will re-execute", file=sys.stderr)
-        completed = {local: stored[shard]
-                     for local, shard in enumerate(active) if shard in stored}
-    resumed_locals = set(completed)
-
     cached_locals: set[int] = set()
-    cache_misses: dict[int, str] = {}  # local index -> store entry key
-    cache_stored = 0
-    cache_evicted = 0
-    if store is not None:
-        from repro.cache import shard_entry_key
-        miss = object()
-        for local, shard in enumerate(active):
-            if local in completed:
-                continue
-            entry_key = shard_entry_key(run_key, shard, counts[shard])
-            value = store.get(entry_key, miss)
-            if value is miss:
-                cache_misses[local] = entry_key
-            else:
-                completed[local] = value
-                cached_locals.add(local)
-        if journal is not None:
-            # Keep the journal complete: cache-fetched shards are as
-            # final as executed ones, and a later journal-only resume
-            # should not have to recompute them.
-            for local in sorted(cached_locals):
-                journal.record(active[local], completed[local])
-
     on_result = None
-    if journal is not None or cache_misses:
+    evicted = 0
+    if stores:
+        view = ShardCheckpoint(run_key, {shard: counts[shard] for shard in active},
+                               stores)
+        found = view.load()
+        for local, shard in enumerate(active):
+            if shard in found:
+                completed[local], holder = found[shard]
+                if holder is store:
+                    cached_locals.add(local)
+
         def on_result(local: int, result: T) -> None:
-            nonlocal cache_stored, cache_evicted
-            if journal is not None:
-                journal.record(active[local], result)
-            entry_key = cache_misses.get(local)
-            if entry_key is not None:
-                cache_evicted += store.put(entry_key, result)
-                cache_stored += 1
+            nonlocal evicted
+            evicted += view.record(active[local], result)
 
     outstanding = len(active) - len(completed)
     serial = (
@@ -391,13 +368,12 @@ def _execute_shards(
         tasks = [(sources[index], counts[index], local)
                  for local, index in enumerate(active)]
         if on_result is not None:
-            journal_or_cache = on_result
+            record = on_result
 
-            def on_result(local: int, result: Any,
-                          _inner=journal_or_cache) -> None:
-                # Journals and caches must see real result objects, not
-                # transport markers; rows are fully written before the
-                # marker exists, so unpacking here is race-free.
+            def on_result(local: int, result: Any, _inner=record) -> None:
+                # Stores must see real result objects, not transport
+                # markers; rows are fully written before the marker
+                # exists, so unpacking here is race-free.
                 if isinstance(result, Packed):
                     result = layout.unpack(table.row(result.row))
                 _inner(local, result)
@@ -414,16 +390,15 @@ def _execute_shards(
             key=run_key,
             retries=retries,
             timeout=timeout,
-            checkpoint=str(journal.path) if journal is not None else None,
+            checkpoint=None if checkpoint_store is None
+            else str(checkpoint_store.root),
             mode="serial-legacy" if plan.shards is None else "sharded",
         )
-        if journal_skipped:
-            observer.journal_skipped(journal_skipped)
-        for local, shard in enumerate(active):
+        for local in completed:
             if local in cached_locals:
-                observer.shard_cached(shard, counts[shard])
-            elif local in resumed_locals:
-                observer.shard_resumed(shard, counts[shard])
+                observer.shard_cached(active[local], counts[active[local]])
+            else:
+                observer.shard_resumed(active[local], counts[active[local]])
 
         def on_event(name: str, payload: dict,
                      _observer: RunObserver = observer) -> None:
@@ -464,10 +439,9 @@ def _execute_shards(
         if table is not None:
             table.close()
     if observer is not None and store is not None:
-        observer.cache_summary(hits=len(cached_locals),
-                               misses=len(cache_misses),
-                               stored=cache_stored,
-                               evictions=cache_evicted)
+        executed = len(active) - len(completed)
+        observer.cache_summary(hits=len(cached_locals), misses=executed,
+                               stored=executed, evictions=evicted)
     return results
 
 

@@ -12,9 +12,9 @@ Three layers of contract:
   seed, label, shard index.  Property-tested with hypothesis.
 * **Engine integration** — ``cache=`` makes warm re-runs fetch their
   shards (hit counters prove it) while staying **bit-identical** to
-  both the cold run and an uncached run, at 1 and 4 workers; torn
-  checkpoint journals surface as ``run.journal_skipped`` plus a stderr
-  warning instead of disappearing silently.
+  both the cold run and an uncached run, at 1 and 4 workers; a
+  ``checkpoint=`` directory is a store of the same format, so a corrupt
+  checkpoint entry is a miss whose shard re-executes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.cache import (
     shard_entry_key,
 )
 from repro.stats import run_bernoulli_trials
-from repro.stats.checkpoint import ShardCheckpoint, kernel_fingerprint, plan_key
+from repro.stats.checkpoint import kernel_fingerprint, plan_key
 from repro.stats.parallel import ShardPlan, run_sharded
 
 
@@ -154,6 +154,40 @@ class TestShardStore:
         for i in range(4):
             store.put(f"{i:032d}", i)
         assert len(store._memo) == 2
+
+    def test_two_threads_putting_one_entry_both_succeed(self, tmp_path,
+                                                        monkeypatch):
+        # Two service jobs running one computation put the same entries.
+        # Both threads write their temp file before either replaces: a
+        # temp name shared by the process lets one thread's replace move
+        # the other's file, and the other then raises FileNotFoundError.
+        store = ShardStore(tmp_path, memo_entries=0)
+        both_written = threading.Barrier(2)
+        real_replace = os.replace
+
+        def replace(source, target):
+            both_written.wait(timeout=30)
+            return real_replace(source, target)
+
+        monkeypatch.setattr("repro.cache.store.os.replace", replace)
+        errors = []
+
+        def writer():
+            try:
+                store.put("a" * 32, PAYLOAD)
+            except Exception as error:  # the race under test
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.verify() == (1, [])
+        assert sorted(path.name for path in tmp_path.rglob("*")
+                      if path.is_file()) == ["a" * 32 + ".pkl"]
 
 
 PAYLOAD = b"x" * 256
@@ -418,14 +452,21 @@ class TestEngineIntegration:
         store = ShardStore(tmp_path / "cache")
         plan = ShardPlan(trials=4_000, shards=8, seed=5)
         first = run_sharded(_sum_kernel, plan, config=RunConfig(cache=store))
-        journal_path = tmp_path / "run.jsonl"
+        root = tmp_path / "run.ckpt"
         second = run_sharded(_sum_kernel, plan,
-                             config=RunConfig(cache=store, checkpoint=journal_path))
+                             config=RunConfig(cache=store, checkpoint=root))
         assert second == first
-        journal = ShardCheckpoint(journal_path, plan_key(
-            plan.trials, plan.shards, plan.seed, "",
-            kernel_fingerprint(_sum_kernel)))
-        assert len(journal.load()) == plan.shards   # hits written through
+        run_key = plan_key(plan.trials, plan.shards, plan.seed, "",
+                           kernel_fingerprint(_sum_kernel))
+        checkpoint = ShardStore(root, max_bytes=None)
+        assert [checkpoint.get(shard_entry_key(run_key, shard, trials))
+                for shard, trials in enumerate(plan.shard_trials())] == first
+        # The checkpoint alone now resumes the run: hits were written through.
+        store.clear()
+        assert run_sharded(_sum_kernel, plan, config=RunConfig(
+            checkpoint=root, manifest=tmp_path / "m.json")) == first
+        record = json.loads((tmp_path / "m.json").read_text())["runs"][0]
+        assert record["execution"]["executed_shards"] == 0
 
     def test_manifest_and_metrics_record_cache_traffic(self, tmp_path):
         store = ShardStore(tmp_path / "cache")
@@ -441,18 +482,21 @@ class TestEngineIntegration:
         assert all(not s["cached"] for s in cold["shards"])
         assert warm["result"] == cold["result"]
 
-    def test_torn_journal_lines_are_surfaced(self, tmp_path, capsys):
-        path = tmp_path / "run.jsonl"
+    def test_corrupt_checkpoint_entry_is_a_miss_and_re_executes(self, tmp_path):
+        path = tmp_path / "run.ckpt"
         baseline = run_bernoulli_trials(
             _coin, 4_000, seed=11, config=RunConfig(shards=8, checkpoint=path))
-        lines = path.read_text().splitlines()
-        torn = lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
-        path.write_text("\n".join(torn) + "\n")
-        capsys.readouterr()
+        entries = sorted(path.glob("??/*.pkl"))
+        assert len(entries) == 8
+        raw = bytearray(entries[3].read_bytes())
+        raw[-1] ^= 0xFF     # flip a payload byte
+        entries[3].write_bytes(bytes(raw))
+        assert ShardStore(path).verify() == (7, [entries[3]])
         resumed = run_bernoulli_trials(
             _coin, 4_000, seed=11, config=RunConfig(
                 shards=8, checkpoint=path, manifest=tmp_path / "m.json"))
-        assert resumed == baseline      # torn shard re-executed
-        assert "skipp" in capsys.readouterr().err
+        assert resumed == baseline      # the corrupt shard re-executed
         record = json.loads((tmp_path / "m.json").read_text())["runs"][0]
-        assert record["metrics"]["run.journal_skipped"]["value"] == 1
+        assert record["execution"]["executed_shards"] == 1
+        assert record["execution"]["resumed_shards"] == 7
+        assert ShardStore(path).verify() == (8, [])

@@ -1,23 +1,24 @@
-"""Tests for run manifests / checkpoint resume (repro.stats.checkpoint).
+"""Tests for run keys and checkpoint resume (repro.stats.checkpoint).
 
 Acceptance property: a run interrupted after k of n shards and resumed
 from its checkpoint merges to the **exact** result of an uninterrupted
 run — at any worker count, through the high-level estimators as well as
-the engine.
+the engine.  A checkpoint is a directory of shard-store entries, so an
+interruption is simulated by deleting entries.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 from functools import partial
 
 import pytest
 
 from repro import RunConfig
+from repro.cache import ShardStore, shard_entry_key
 from repro.core import SC, WO, estimate_non_manifestation
 from repro.parallel import (
     ScriptedFaults,
-    ShardCheckpoint,
     ShardPlan,
     kernel_fingerprint,
     plan_key,
@@ -28,6 +29,7 @@ from repro.stats import (
     run_categorical_trials,
     run_event_trials,
 )
+from repro.stats.checkpoint import ShardCheckpoint
 
 
 def _sum_kernel(source, shard_trials) -> int:
@@ -49,7 +51,7 @@ def _heads_kernel(source, shard_trials) -> int:
 
 
 def _tails_kernel(source, shard_trials) -> int:
-    """Counts a rare event (p = 0.1): reusing heads' journal is blatant."""
+    """Counts a rare event (p = 0.1): reusing heads' shards is blatant."""
     return int(source.bernoulli_array(0.1, shard_trials).sum())
 
 
@@ -57,11 +59,23 @@ def _event(source, batch, probability) -> int:
     return int((source.generator.random(batch) < probability).sum())
 
 
-def _journal(path, plan: ShardPlan) -> ShardCheckpoint:
-    """The journal the engine keeps at ``path`` for ``_sum_kernel`` runs
-    of ``plan`` (empty label)."""
-    return ShardCheckpoint(path, plan_key(plan.trials, plan.shards, plan.seed,
-                                          "", kernel_fingerprint(_sum_kernel)))
+def _checkpoint(path, plan: ShardPlan) -> ShardCheckpoint:
+    """The view the engine opens on the checkpoint at ``path`` for
+    ``_sum_kernel`` runs of ``plan`` (empty label)."""
+    key = plan_key(plan.trials, plan.shards, plan.seed, "",
+                   kernel_fingerprint(_sum_kernel))
+    return ShardCheckpoint(key, dict(enumerate(plan.shard_trials())),
+                           [ShardStore(path, max_bytes=None)])
+
+
+def _stored(path, plan: ShardPlan) -> dict[int, int]:
+    """The shards of ``plan`` stored in the checkpoint at ``path``."""
+    return {shard: value
+            for shard, (value, _) in _checkpoint(path, plan).load().items()}
+
+
+def _entries(path) -> list:
+    return sorted(path.glob("??/*.pkl"))
 
 
 class TestPlanKey:
@@ -103,18 +117,18 @@ class TestPlanKey:
 class TestCrossKernelRegression:
     """The v1 key omitted the kernel: two *different* trial functions with
     equal ``(trials, shards, seed)`` and an empty label silently shared one
-    journal, so the second run merged the first run's shards.  The v2 key
+    checkpoint, so the second run merged the first run's shards.  The v2 key
     folds in the kernel fingerprint; this test fails on the old format.
     Since 4.0 nothing can override that key: the engine derives it from
     the kernel it runs (``tests/test_estimator_shape.py`` checks every
-    estimator through one journal and one cache)."""
+    estimator through one checkpoint and one cache)."""
 
     def test_different_kernels_never_share_a_journal(self, tmp_path):
         plan = ShardPlan(trials=4000, shards=8, seed=77)
-        path = tmp_path / "shared.jsonl"
+        path = tmp_path / "shared.ckpt"
         heads = run_sharded(_heads_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
         tails = run_sharded(_tails_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
-        # Under key reuse, tails would *be* heads' journaled shards.
+        # Under key reuse, tails would *be* heads' stored shards.
         assert tails != heads
         assert sum(tails) < plan.trials // 2 < sum(heads)
         # And each kernel's own resume is still exact.
@@ -128,7 +142,7 @@ class TestCrossKernelRegression:
         # Before 4.0 a pre-keyed journal object keyed the cache too, so a
         # 0.75-event kernel sharing a cache dir with a 0.25 one (each with
         # its own journal, both pre-keyed "k" * 16) returned 0.25125.
-        shared = RunConfig(shards=4, checkpoint=str(tmp_path / "run.jsonl"),
+        shared = RunConfig(shards=4, checkpoint=str(tmp_path / "run.ckpt"),
                            cache=str(tmp_path / "cache"))
         for probability in (0.25, 0.75, 0.25, 0.75):
             kernel = partial(_event, probability=probability)
@@ -140,65 +154,115 @@ class TestCrossKernelRegression:
 
 class TestShardCheckpoint:
     def test_roundtrip(self, tmp_path):
-        journal = ShardCheckpoint(tmp_path / "run.jsonl", key="abc")
-        journal.record(0, {"successes": 3})
-        journal.record(2, (1, 2, 3))
-        loaded = journal.load()
-        assert loaded == {0: {"successes": 3}, 2: (1, 2, 3)}
+        store = ShardStore(tmp_path / "run.ckpt", max_bytes=None)
+        view = ShardCheckpoint("abc", {0: 10, 1: 10, 2: 10}, [store])
+        view.record(0, {"successes": 3})
+        view.record(2, (1, 2, 3))
+        assert view.load() == {0: ({"successes": 3}, store),
+                               2: ((1, 2, 3), store)}
 
     def test_missing_file_loads_empty(self, tmp_path):
-        journal = ShardCheckpoint(tmp_path / "absent.jsonl", key="abc")
-        assert journal.load() == {}
+        root = tmp_path / "absent.ckpt"
+        view = ShardCheckpoint("abc", {0: 10},
+                               [ShardStore(root, max_bytes=None)])
+        assert view.load() == {}
+        assert not root.exists()  # probing creates nothing
 
     def test_mismatched_keys_are_invisible(self, tmp_path):
-        path = tmp_path / "shared.jsonl"
-        ShardCheckpoint(path, key="run-a").record(0, "a0")
-        ShardCheckpoint(path, key="run-b").record(0, "b0")
-        assert ShardCheckpoint(path, key="run-a").load() == {0: "a0"}
-        assert ShardCheckpoint(path, key="run-b").load() == {0: "b0"}
+        store = ShardStore(tmp_path / "shared.ckpt", max_bytes=None)
+        ShardCheckpoint("run-a", {0: 10}, [store]).record(0, "a0")
+        ShardCheckpoint("run-b", {0: 10}, [store]).record(0, "b0")
+        assert ShardCheckpoint("run-a", {0: 10}, [store]).load() == {0: ("a0", store)}
+        assert ShardCheckpoint("run-b", {0: 10}, [store]).load() == {0: ("b0", store)}
 
     def test_torn_tail_line_is_skipped(self, tmp_path):
-        path = tmp_path / "crashy.jsonl"
-        journal = ShardCheckpoint(path, key="k")
-        journal.record(0, 11)
-        with path.open("a") as handle:
-            handle.write('{"key": "k", "shard": 1, "da')  # crash mid-append
-        assert journal.load() == {0: 11}
+        # A truncated entry (a disk fault: writes are atomic) is a miss.
+        root = tmp_path / "run.ckpt"
+        store = ShardStore(root, max_bytes=None, memo_entries=0)
+        view = ShardCheckpoint("k", {0: 10, 1: 10}, [store])
+        view.record(0, 11)
+        view.record(1, 22)
+        entry = shard_entry_key("k", 1, 10)
+        torn = root / entry[:2] / f"{entry}.pkl"
+        torn.write_bytes(torn.read_bytes()[:-2])
+        assert view.load() == {0: (11, store)}
+        assert not torn.exists()  # the store deleted the corrupt entry
 
     def test_undecodable_payload_is_skipped(self, tmp_path):
-        path = tmp_path / "garbled.jsonl"
-        journal = ShardCheckpoint(path, key="k")
-        with path.open("a") as handle:
-            handle.write(json.dumps({"key": "k", "shard": 0,
-                                     "data": "not-base64-pickle"}) + "\n")
-        journal.record(1, 22)
-        assert journal.load() == {1: 22}
+        # A payload whose digest matches but which is no pickle is a miss.
+        root = tmp_path / "run.ckpt"
+        store = ShardStore(root, max_bytes=None)
+        view = ShardCheckpoint("k", {0: 10, 1: 10}, [store])
+        entry = shard_entry_key("k", 0, 10)
+        payload = b"not a pickle"
+        path = root / entry[:2] / f"{entry}.pkl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"repro-cache:1:" + entry.encode("ascii") + b":"
+                         + hashlib.sha256(payload).hexdigest().encode("ascii")
+                         + b"\n" + payload)
+        view.record(1, 22)
+        assert view.load() == {1: (22, store)}
 
     def test_duplicate_shard_latest_wins(self, tmp_path):
-        journal = ShardCheckpoint(tmp_path / "dup.jsonl", key="k")
-        journal.record(0, "first")
-        journal.record(0, "second")
-        assert journal.load() == {0: "second"}
+        store = ShardStore(tmp_path / "dup.ckpt", max_bytes=None)
+        view = ShardCheckpoint("k", {0: 10}, [store])
+        view.record(0, "first")
+        view.record(0, "second")
+        assert view.load() == {0: ("second", store)}
+        assert len(_entries(tmp_path / "dup.ckpt")) == 1
+
+    def test_corrupt_checkpoint_entry_falls_through_to_the_cache(
+            self, tmp_path):
+        checkpoint = ShardStore(tmp_path / "run.ckpt", max_bytes=None,
+                                memo_entries=0)
+        cache = ShardStore(tmp_path / "cache", memo_entries=0)
+        view = ShardCheckpoint("k", {0: 10}, [checkpoint, cache])
+        view.record(0, 42)
+        (entry,) = _entries(tmp_path / "run.ckpt")
+        entry.write_bytes(entry.read_bytes()[:-1])
+        assert view.load() == {0: (42, cache)}
+        assert checkpoint.verify() == (1, [])  # the copy replaced it
+
+    def test_trial_count_is_part_of_the_entry(self, tmp_path):
+        store = ShardStore(tmp_path / "run.ckpt", max_bytes=None)
+        ShardCheckpoint("k", {0: 10}, [store]).record(0, 7)
+        assert ShardCheckpoint("k", {0: 11}, [store]).load() == {}
+
+    def test_later_store_hit_is_copied_into_earlier_stores(self, tmp_path):
+        checkpoint = ShardStore(tmp_path / "run.ckpt", max_bytes=None)
+        cache = ShardStore(tmp_path / "cache")
+        ShardCheckpoint("k", {0: 10, 1: 10}, [cache]).record(1, "cached")
+        view = ShardCheckpoint("k", {0: 10, 1: 10}, [checkpoint, cache])
+        assert view.load() == {1: ("cached", cache)}
+        assert view.load() == {1: ("cached", checkpoint)}
+        assert len(_entries(tmp_path / "run.ckpt")) == 1
+
+    def test_record_writes_every_store(self, tmp_path):
+        stores = [ShardStore(tmp_path / name, max_bytes=None)
+                  for name in ("run.ckpt", "cache")]
+        assert ShardCheckpoint("k", {0: 10}, stores).record(0, 42) == 0
+        for store in stores:
+            assert ShardCheckpoint("k", {0: 10}, [store]).load() == {0: (42, store)}
 
 
 class TestResumeEqualsUninterrupted:
     def test_engine_resume_after_k_of_n_shards(self, tmp_path):
         plan = ShardPlan(trials=2000, shards=8, seed=31)
         uninterrupted = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
-        # Simulate an interruption after 3 of 8 shards by journaling only
+        # Simulate an interruption after 3 of 8 shards by storing only
         # that prefix, then resume at a *different* worker count.
-        path = tmp_path / "run.jsonl"
-        journal = _journal(path, plan)
+        path = tmp_path / "run.ckpt"
+        checkpoint = _checkpoint(path, plan)
         for shard in range(3):
-            journal.record(shard, uninterrupted[shard])
+            checkpoint.record(shard, uninterrupted[shard])
         resumed = run_sharded(_sum_kernel, plan, config=RunConfig(workers=2, checkpoint=path))
         assert resumed == uninterrupted
 
     def test_resume_with_complete_journal_executes_nothing(self, tmp_path):
         plan = ShardPlan(trials=1000, shards=4, seed=33)
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.ckpt"
         first = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
-        # Every shard is journaled, so the resume may execute none: the
+        # Every shard is stored, so the resume may execute none: the
         # injector fails any shard that runs (and retries=0 re-raises).
         fail_all = ScriptedFaults(failures=dict.fromkeys(range(plan.shards), 1))
         resumed = run_sharded(_sum_kernel, plan, fault_injector=fail_all,
@@ -207,27 +271,29 @@ class TestResumeEqualsUninterrupted:
 
     def test_checkpoint_run_journals_every_shard(self, tmp_path):
         plan = ShardPlan(trials=1000, shards=4, seed=35)
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.ckpt"
         results = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1, checkpoint=path))
-        assert _journal(path, plan).load() == dict(enumerate(results))
+        assert _stored(path, plan) == dict(enumerate(results))
+        assert len(_entries(path)) == plan.shards
 
     def test_bernoulli_interrupted_resume_bit_identical(self, tmp_path):
-        path = tmp_path / "bernoulli.jsonl"
+        path = tmp_path / "bernoulli.ckpt"
         full = run_bernoulli_trials(_coin, 4000, seed=41, config=RunConfig(shards=8, workers=1))
-        # A journaling run writes all 8 shard records; keep the first 5 to
+        # A checkpointed run stores all 8 shard entries; delete 3 to
         # simulate an interruption, then resume at a different worker count.
         run_bernoulli_trials(_coin, 4000, seed=41,
                              config=RunConfig(shards=8, workers=1, checkpoint=path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 8
-        path.write_text("\n".join(lines[:5]) + "\n")
+        entries = _entries(path)
+        assert len(entries) == 8
+        for entry in entries[5:]:
+            entry.unlink()
         resumed = run_bernoulli_trials(_coin, 4000, seed=41,
                                        config=RunConfig(shards=8, workers=2, checkpoint=path))
         assert (resumed.successes, resumed.trials, resumed.seed) \
             == (full.successes, full.trials, full.seed)
 
     def test_categorical_resume_bit_identical(self, tmp_path):
-        path = tmp_path / "categorical.jsonl"
+        path = tmp_path / "categorical.ckpt"
         full = run_categorical_trials(_geom, 3000, seed=43, config=RunConfig(shards=8, workers=1))
         first = run_categorical_trials(_geom, 3000, seed=43,
                                        config=RunConfig(shards=8, workers=1, checkpoint=path))
@@ -238,7 +304,7 @@ class TestResumeEqualsUninterrupted:
         assert resumed.trials == 3000
 
     def test_models_do_not_cross_contaminate_one_journal(self, tmp_path):
-        path = tmp_path / "models.jsonl"
+        path = tmp_path / "models.ckpt"
         sc_clean = estimate_non_manifestation(SC, 2, 8000, seed=47, config=RunConfig(shards=4))
         wo_clean = estimate_non_manifestation(WO, 2, 8000, seed=47, config=RunConfig(shards=4))
         sc = estimate_non_manifestation(SC, 2, 8000, seed=47,
@@ -248,7 +314,7 @@ class TestResumeEqualsUninterrupted:
         # Same (trials, shards, seed): only the label separates the runs.
         assert sc.successes == sc_clean.successes
         assert wo.successes == wo_clean.successes
-        # Resuming each from the shared journal stays bit-identical.
+        # Resuming each from the shared checkpoint stays bit-identical.
         assert estimate_non_manifestation(
             SC, 2, 8000, seed=47, config=RunConfig(shards=4, checkpoint=path)
         ).successes == sc_clean.successes
@@ -263,15 +329,14 @@ class TestRetryWithCheckpoint:
 
         plan = ShardPlan(trials=2000, shards=6, seed=51)
         clean = run_sharded(_sum_kernel, plan, config=RunConfig(workers=1))
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.ckpt"
         # First run dies on shard 4 (no retries): completed shards are
-        # journaled, the failure propagates.
+        # stored, the failure propagates.
         with pytest.raises(ShardExecutionError):
             run_sharded(_sum_kernel, plan,
                         config=RunConfig(workers=1, checkpoint=path),
                                          fault_injector=ScriptedFaults(failures={4: 99}))
-        journaled = _journal(path, plan).load()
-        assert set(journaled) == {0, 1, 2, 3}  # serial order up to the crash
+        assert set(_stored(path, plan)) == {0, 1, 2, 3}  # serial order up to the crash
         # Second run (fault gone) resumes the remainder only.
         resumed = run_sharded(_sum_kernel, plan, config=RunConfig(workers=2, checkpoint=path))
         assert resumed == clean

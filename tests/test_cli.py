@@ -184,18 +184,30 @@ class TestFaultToleranceFlags:
         assert "bug manifests" in out
 
     def test_checkpoint_resume_reproduces_output(self, capsys, tmp_path):
-        journal = tmp_path / "run.jsonl"
+        checkpoint = tmp_path / "run.ckpt"
         base = ["--shards", "6", "thm62", "--trials", "6000", "--seed", "13"]
         clean = run_cli(capsys, *base)
-        first = run_cli(capsys, "--checkpoint", str(journal), *base)
+        first = run_cli(capsys, "--checkpoint", str(checkpoint), *base)
         assert first == clean
-        lines = journal.read_text().splitlines()
-        # One record per shard per model estimate sharing the journal.
-        assert len(lines) >= 6 and len(lines) % 6 == 0
-        # Simulate an interrupted run: drop half the journal, resume.
-        journal.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-        resumed = run_cli(capsys, "--checkpoint", str(journal), *base)
+        entries = sorted(checkpoint.glob("??/*.pkl"))
+        # One entry per shard per model estimate sharing the checkpoint.
+        assert len(entries) == 24
+        # Simulate an interrupted run: delete half the entries, resume.
+        for entry in entries[: len(entries) // 2]:
+            entry.unlink()
+        resumed = run_cli(capsys, "--checkpoint", str(checkpoint), *base)
         assert resumed == clean
+        assert len(list(checkpoint.glob("??/*.pkl"))) == 24
+
+    def test_checkpoint_file_is_refused(self, capsys, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        journal.write_text('{"key": "0123456789abcdef", "shard": 0}\n')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--checkpoint", str(journal), "thm62", "--trials", "10"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("repro: error: checkpoint")
+        assert "9.0" in error
 
 
 class TestObservabilityFlags:

@@ -150,7 +150,7 @@ def test_one_journal_and_one_cache_serve_each_variant_its_own_numbers(
     uncached result; a scheduling knob must execute none and return the
     reference result.
     """
-    shared = dict(checkpoint=str(tmp_path / "run.jsonl"),
+    shared = dict(checkpoint=str(tmp_path / "run.ckpt"),
                   cache=str(tmp_path / "cache"))
     manifests = (tmp_path / f"run{index}.json" for index in itertools.count())
 
@@ -274,7 +274,7 @@ def test_the_default_serial_run_is_keyed(tmp_path, estimate):
     """``RunConfig()`` and ``RunConfig(shards=1)``, through one journal and
     one cache dir, each execute their own shard under their own key and
     return their own uncached numbers; a warm default run executes none."""
-    shared = dict(checkpoint=str(tmp_path / "run.jsonl"),
+    shared = dict(checkpoint=str(tmp_path / "run.ckpt"),
                   cache=str(tmp_path / "cache"))
     manifests = (tmp_path / f"run{index}.json" for index in itertools.count())
 

@@ -504,15 +504,15 @@ class TestZooNames:
 class TestCoreFingerprint:
     """Every function and method of the step semantics keys both modes:
     the exhaustive cache (through :func:`enumerator_fingerprint`) and
-    the random-mode run key that names checkpoint journals and cached
+    the random-mode run key that names checkpointed and cached
     shards."""
 
     @staticmethod
     def _random_run_key(path) -> str:
         explore_random("SB", "TSO", 8, seed=1,
-                       config=RunConfig(shards=2, checkpoint=str(path)))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        return json.loads(lines[0])["key"]
+                       config=RunConfig(shards=2, manifest=str(path)))
+        (run,) = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        return run["plan"]["key"]
 
     def test_qualnames_cover_the_walks(self):
         names = _core_qualnames()
@@ -524,7 +524,7 @@ class TestCoreFingerprint:
     def test_changing_any_core_code_rekeys_both_modes(
             self, qualname, monkeypatch, tmp_path):
         before_exhaustive = enumerator_fingerprint()
-        before_random = self._random_run_key(tmp_path / "before.jsonl")
+        before_random = self._random_run_key(tmp_path / "before.json")
         owner = core
         *path, name = qualname.split(".")
         for part in path:
@@ -534,7 +534,7 @@ class TestCoreFingerprint:
         monkeypatch.setattr(function, "__code__", function.__code__.replace(
             co_consts=function.__code__.co_consts + ("changed",)))
         assert enumerator_fingerprint() != before_exhaustive
-        assert self._random_run_key(tmp_path / "after.jsonl") != before_random
+        assert self._random_run_key(tmp_path / "after.json") != before_random
 
 
 class TestRefusedPoints:

@@ -218,16 +218,16 @@ class TestManifest:
             assert metrics["run.shard_timeouts"]["value"] == 1
 
     def test_checkpoint_resume_recorded_as_lineage(self, tmp_path):
-        journal = tmp_path / "ckpt.jsonl"
+        checkpoint = tmp_path / "run.ckpt"
         run_sharded(_sum_kernel, ShardPlan(1000, 8, 11),
-                    config=RunConfig(workers=1, checkpoint=journal))
-        # Keep half the journal, resume under observation.
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:4]) + "\n")
-        record = self._observed_record(tmp_path, checkpoint=journal)
+                    config=RunConfig(workers=1, checkpoint=checkpoint))
+        # Keep half the entries, resume under observation.
+        for entry in sorted(checkpoint.glob("??/*.pkl"))[4:]:
+            entry.unlink()
+        record = self._observed_record(tmp_path, checkpoint=checkpoint)
         assert record["execution"]["resumed_shards"] == 4
         assert record["execution"]["executed_shards"] == 4
-        assert record["checkpoint"]["path"] == str(journal)
+        assert record["checkpoint"]["path"] == str(checkpoint)
         resumed = [shard["shard"] for shard in record["shards"] if shard["resumed"]]
         assert len(resumed) == 4
         assert record["metrics"]["run.shards_resumed"]["value"] == 4

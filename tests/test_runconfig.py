@@ -75,15 +75,27 @@ class TestResolve:
             RunConfig(**{field: value}).resolve()
 
     def test_checkpoint_must_be_a_path(self, tmp_path):
-        # The engine keys the journal itself; a pre-keyed journal object
+        # The engine opens and keys the store itself; a live object
         # would key the cache and the manifest too (removed in 4.0).
-        from repro.stats.checkpoint import ShardCheckpoint
+        from repro.cache import ShardStore
 
-        journal = ShardCheckpoint(tmp_path / "run.jsonl", "k" * 16)
-        with pytest.raises(TypeError, match="journal path"):
-            RunConfig(checkpoint=journal).resolve()
-        for path in (str(tmp_path / "run.jsonl"), tmp_path / "run.jsonl"):
+        store = ShardStore(tmp_path / "run.ckpt", max_bytes=None)
+        with pytest.raises(TypeError, match="directory path"):
+            RunConfig(checkpoint=store).resolve()
+        for path in (str(tmp_path / "run.ckpt"), tmp_path / "run.ckpt"):
             assert RunConfig(checkpoint=path).resolve().checkpoint == path
+        (tmp_path / "run.ckpt").mkdir()
+        assert RunConfig(checkpoint=tmp_path / "run.ckpt").resolve()
+
+    def test_checkpoint_file_is_a_pre_9_journal(self, tmp_path):
+        # 9.0 stores a checkpoint as a directory of shard entries; a file
+        # at that path is an 8.x JSONL journal, which the store would
+        # treat as empty and then fail to write beneath.
+        journal = tmp_path / "run.jsonl"
+        journal.write_text("")
+        for path in (journal, str(journal)):
+            with pytest.raises(ValueError, match="9.0"):
+                RunConfig(checkpoint=path).resolve()
 
     def test_the_fused_backend_removed_in_5_0_is_unknown(self):
         # 6.0 removed the backend knob itself (see below).

@@ -19,14 +19,13 @@ import pytest
 
 from repro import RunConfig
 from repro.cache import ShardStore
-from repro.stats.checkpoint import ShardCheckpoint
 
 DISTINCT = RunConfig(
     workers=3,
     shards=7,
     retries=2,
     timeout=12.5,
-    checkpoint="run.jsonl",
+    checkpoint="run.ckpt",
     cache="cache-dir",
     manifest="manifest.json",
     trace="trace.jsonl",
@@ -61,10 +60,10 @@ class TestRoundTrip:
         json.dumps(wire)  # every value JSON-serialisable
 
     def test_paths_become_strings(self):
-        config = RunConfig(checkpoint=Path("a/run.jsonl"),
+        config = RunConfig(checkpoint=Path("a/run.ckpt"),
                            manifest=Path("m.json"), trace=Path("t.jsonl"))
         wire = config.to_json_dict()
-        assert wire["checkpoint"] == str(Path("a/run.jsonl"))
+        assert wire["checkpoint"] == str(Path("a/run.ckpt"))
         assert isinstance(wire["manifest"], str)
         assert isinstance(wire["trace"], str)
 
@@ -102,7 +101,7 @@ class TestRejection:
 
 class TestUnsetAndLiveObjects:
     def test_live_checkpoint_not_wire_representable(self, tmp_path):
-        checkpoint = ShardCheckpoint(tmp_path / "run.jsonl", key="k" * 16)
+        checkpoint = ShardStore(tmp_path / "run.ckpt", max_bytes=None)
         with pytest.raises(TypeError, match="checkpoint"):
             RunConfig(checkpoint=checkpoint).to_json_dict()
 

@@ -408,7 +408,7 @@ class TestEstimationService:
     def test_default_and_one_shard_configs_are_two_jobs(self, tmp_path):
         """``{}`` runs the default serial plan and ``{"shards": 1}`` a
         spawned one-shard plan: two jobs, each with its library number,
-        and the default one journals and caches like any job."""
+        and the default one caches like any job."""
         from repro.core import TSO, estimate_non_manifestation
 
         service = EstimationService(tmp_path, job_workers=1)
@@ -431,7 +431,7 @@ class TestEstimationService:
                 config=config).successes
             (run,) = result["manifest"]["runs"]
             assert run["plan"]["key"] is not None
-            assert run["checkpoint"] is not None
+            assert run["checkpoint"] is None
             assert run["metrics"]["run.cache_stored"]["value"] == 1
         assert successes == [2651, 2713]
         service.shutdown(drain_seconds=1.0)
@@ -595,6 +595,69 @@ class TestEstimationService:
         result = second.result(job_id)
         assert result["result"]["trials"] == SMALL["params"]["trials"]
         second.shutdown(drain_seconds=1.0)
+
+    def test_a_served_job_leaves_no_journals(self, tmp_path):
+        service = EstimationService(tmp_path, job_workers=1)
+        response, _ = service.submit(dict(SMALL))
+        job_id = response["job"]["id"]
+        wait_for(lambda: service.registry.get(job_id).finished)
+        assert service.registry.get(job_id).state == "done"
+        service.shutdown(drain_seconds=1.0)
+        assert not (tmp_path / "journals").exists()
+        assert len(list((tmp_path / "cache").glob("??/*.pkl"))) == 2
+
+    def test_a_demoted_job_resumes_from_the_shared_cache(self, tmp_path):
+        # A job keeps no journal of its own: the shards it finished
+        # before a shutdown are in the shared cache.  The journals/ an
+        # 8.x server left in the state directory is ignored.
+        from repro.cache import ShardStore
+        from repro.service.estimators import run_estimator
+
+        first = EstimationService(tmp_path, start=False)
+        response, _ = first.submit(dict(SMALL))
+        job_id = response["job"]["id"]
+        first.shutdown(drain_seconds=0.1)
+        params = validate_params("non_manifestation", SMALL["params"])
+        run_estimator("non_manifestation", params, RunConfig(
+            shards=2, cache=ShardStore(tmp_path / "cache", memo_entries=0)))
+        entries = sorted((tmp_path / "cache").glob("??/*.pkl"))
+        assert len(entries) == 2
+        entries[0].unlink()     # the shard still running at shutdown
+        journal = tmp_path / "journals" / f"{job_id}.jsonl"
+        journal.parent.mkdir()
+        journal.write_text('{"key": "torn')
+
+        second = EstimationService(tmp_path, job_workers=1)
+        wait_for(lambda: second.registry.get(job_id).finished)
+        assert second.registry.get(job_id).state == "done"
+        run = second.result(job_id)["manifest"]["runs"][0]
+        assert run["execution"]["executed_shards"] == 1
+        assert run["metrics"]["run.cache_hits"]["value"] == 1
+        assert journal.read_text() == '{"key": "torn'
+        second.shutdown(drain_seconds=1.0)
+
+    def test_identical_undeduped_jobs_run_at_once(self, tmp_path):
+        # Two job threads running one computation put the same cache
+        # entries at the same time; neither job may fail for it.  Each
+        # pair has its own seed, so every pair starts from a cold cache.
+        service = EstimationService(tmp_path, job_workers=2)
+        pairs = []
+        for seed in range(6):
+            payload = {"estimator": "non_manifestation",
+                       "params": {"model": "TSO", "trials": 64_000,
+                                  "seed": seed},
+                       "config": {"shards": 64}, "dedup": False}
+            pairs.append([service.submit(dict(payload))[0]["job"]["id"]
+                          for _ in range(2)])
+        for pair in pairs:
+            for job_id in pair:
+                wait_for(lambda: service.registry.get(job_id).finished,
+                         timeout=120)
+                assert service.registry.get(job_id).state == "done", \
+                    service.registry.get(job_id).error
+            one, two = (service.result(job_id)["result"] for job_id in pair)
+            assert one == two
+        service.shutdown(drain_seconds=1.0)
 
     def test_jobs_queued_under_3x_resume_after_the_upgrade(self, tmp_path):
         # Every 3.x config_wire held the two knobs 4.0 removed.  At their
