@@ -15,27 +15,31 @@ estimator:
 * **resume** — the same run restarted from a copy of that checkpoint
   holding half the shards, executing only the remainder.
 
-Every variant must reproduce the baseline's exact success count; timings
-land in ``BENCH_fault_recovery.json`` at the repo root.
+Every variant must reproduce the baseline's exact success count.  All
+variants share one process pool, warmed by an untimed run; each one's
+time is its best of ``ROUNDS`` rounds, the four timed in turn within a
+round (:func:`conftest.interleaved_best`), every round writing a fresh
+checkpoint and resuming a fresh half copy.  Timings land in
+``BENCH_fault_recovery.json`` at the repo root.
 """
 
 from __future__ import annotations
 
 import shutil
-import time
 
-from conftest import results_path, scaled, show, smoke_mode
+from conftest import interleaved_best, results_path, scaled, show, smoke_mode
 
 from repro import RunConfig
 from repro.core import TSO, estimate_non_manifestation
-from repro.parallel import ScriptedFaults, ShardPlan, run_sharded
+from repro.parallel import ScriptedFaults, ShardPlan, pool_scope, run_sharded
 from repro.reporting import render_table
 from repro.reporting.io import write_rows
 
-TRIALS = scaled(200_000, 40_000)
+TRIALS = scaled(1_600_000, 400_000)
 SHARDS = 8
 SEED = 1887
 WORKERS = 2
+ROUNDS = scaled(15, 25)
 
 #: Happy-path overhead ceiling: checkpointing every shard of a realistic
 #: budget must cost well under this factor over the clean run.
@@ -50,42 +54,35 @@ def _estimate(**knobs):
 
 
 def test_fault_recovery(run_once, tmp_path):
-    def compute():
-        rows: list[dict[str, object]] = []
+    faults = ScriptedFaults(failures={1: 1, 5: 2})
 
-        def timed(name: str, runner) -> object:
-            start = time.perf_counter()
-            result = runner()
-            elapsed = time.perf_counter() - start
-            rows.append({"variant": name, "trials": TRIALS,
-                         "seconds": round(elapsed, 4),
-                         "successes": result.successes})
-            return result
-
-        baseline = timed("baseline", _estimate)
-
-        faults = ScriptedFaults(failures={1: 1, 5: 2})
-        retried = timed("retry-injected-faults", lambda: _retried(faults))
-        assert retried.successes == baseline.successes
-
-        checkpoint = tmp_path / "full.ckpt"
-        checkpointed = timed("checkpoint-write",
-                             lambda: _estimate(checkpoint=checkpoint))
-        assert checkpointed.successes == baseline.successes
-
-        # Interrupted run: a copy of the checkpoint with half its shard
-        # entries deleted, then resume — only the missing shards execute.
-        partial = tmp_path / "partial.ckpt"
-        shutil.copytree(checkpoint, partial)
+    def half_copy(index: int):
+        # Interrupted run: a copy of a full checkpoint with half its shard
+        # entries deleted, made untimed; resuming executes only the rest.
+        partial = tmp_path / f"partial{index}.ckpt"
+        shutil.copytree(tmp_path / "source.ckpt", partial)
         entries = sorted(partial.glob("??/*.pkl"))
         assert len(entries) == SHARDS
         for entry in entries[: SHARDS // 2]:
             entry.unlink()
-        resumed = timed("checkpoint-resume",
-                        lambda: _estimate(checkpoint=partial))
-        assert resumed.successes == baseline.successes
+        return partial
 
-        return rows
+    def compute():
+        legs = {
+            "baseline": lambda _: _estimate(),
+            "retry-injected-faults": lambda _: _retried(faults),
+            "checkpoint-write": lambda index: _estimate(
+                checkpoint=tmp_path / f"full{index}.ckpt"),
+            "checkpoint-resume": lambda index: _estimate(
+                checkpoint=partials[index]),
+        }
+        with pool_scope():
+            _estimate(checkpoint=tmp_path / "source.ckpt")
+            partials = [half_copy(index) for index in range(ROUNDS)]
+            timed = interleaved_best(legs, ROUNDS)
+        return [{"variant": name, "trials": TRIALS,
+                 "seconds": round(seconds, 4), "successes": result.successes}
+                for name, (seconds, result) in timed.items()]
 
     rows = run_once(compute)
     show(render_table(rows, precision=4,
@@ -102,6 +99,7 @@ def test_fault_recovery(run_once, tmp_path):
             "shards": SHARDS,
             "workers": WORKERS,
             "smoke": smoke_mode(),
+            "rounds": ROUNDS,
             "checkpoint_overhead_ceiling": CHECKPOINT_OVERHEAD_CEILING,
             # Only the checkpoint ratio is tracked for the CI
             # regression gate: retry recovery pays a constant

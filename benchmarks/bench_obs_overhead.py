@@ -13,27 +13,28 @@ disjointness estimator and asserts the documented budgets:
 * **fully-observed** — manifest + trace + progress together must stay
   within ``OBSERVED_OVERHEAD_CEILING`` (5%) of the baseline.
 
-Every leg must reproduce the baseline's exact success count.  Timings
-(best of ``REPEATS`` runs per leg) land in ``BENCH_obs_overhead.json``
-at the repo root.
+Every leg must reproduce the baseline's exact success count.  All legs
+share one process pool, warmed by an untimed run; each leg's time is
+its best of ``ROUNDS`` rounds, the three legs timed in turn within a
+round (:func:`conftest.interleaved_best`).  Timings land in
+``BENCH_obs_overhead.json`` at the repo root.
 """
 
 from __future__ import annotations
 
-import time
-
-from conftest import results_path, scaled, show, smoke_mode
+from conftest import interleaved_best, results_path, scaled, show, smoke_mode
 
 from repro import RunConfig
 from repro.core import TSO, estimate_non_manifestation
+from repro.parallel import pool_scope
 from repro.reporting import render_table
 from repro.reporting.io import write_rows
 
-TRIALS = scaled(200_000, 40_000)
+TRIALS = scaled(1_600_000, 400_000)
 SHARDS = 8
 SEED = 1887
 WORKERS = 2
-REPEATS = 3
+ROUNDS = scaled(15, 25)
 
 #: Enabled-path budget: manifest + trace + progress together must cost at
 #: most this factor over the unobserved run (the documented "≤5%").
@@ -50,42 +51,23 @@ def _estimate(**knobs):
     )
 
 
-def _best_leg(name: str, runner, rows: list[dict[str, object]]):
-    """Best-of-``REPEATS`` timing: the minimum is the standard noise-robust
-    estimator for overhead *ratios* (scheduling hiccups only ever add)."""
-    seconds = []
-    result = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = runner()
-        seconds.append(time.perf_counter() - start)
-    rows.append({"variant": name, "trials": TRIALS,
-                 "seconds": round(min(seconds), 4),
-                 "successes": result.successes})
-    return result
-
-
 def test_obs_overhead(run_once, tmp_path):
+    sink = tmp_path / "obs"
+
     def compute():
-        rows: list[dict[str, object]] = []
-        baseline = _best_leg("baseline", _estimate, rows)
-
-        disabled = _best_leg(
-            "knobs-off",
-            lambda: _estimate(manifest=None, trace=None, progress=False),
-            rows,
-        )
-        assert disabled.successes == baseline.successes
-
-        sink = tmp_path / "obs"
-        observed = _best_leg(
-            "fully-observed",
-            lambda: _estimate(manifest=sink / "m.json",
-                              trace=sink / "spans.jsonl", progress=True),
-            rows,
-        )
-        assert observed.successes == baseline.successes
-        return rows
+        legs = {
+            "baseline": lambda _: _estimate(),
+            "knobs-off": lambda _: _estimate(manifest=None, trace=None,
+                                             progress=False),
+            "fully-observed": lambda index: _estimate(
+                manifest=sink / f"m{index}.json",
+                trace=sink / f"spans{index}.jsonl", progress=True),
+        }
+        with pool_scope():
+            timed = interleaved_best(legs, ROUNDS)
+        return [{"variant": name, "trials": TRIALS,
+                 "seconds": round(seconds, 4), "successes": result.successes}
+                for name, (seconds, result) in timed.items()]
 
     rows = run_once(compute)
     show(render_table(rows, precision=4,
@@ -107,7 +89,7 @@ def test_obs_overhead(run_once, tmp_path):
             "seed": SEED,
             "shards": SHARDS,
             "workers": WORKERS,
-            "repeats": REPEATS,
+            "rounds": ROUNDS,
             "smoke": smoke_mode(),
             "disabled_ratio": round(disabled_ratio, 4),
             "observed_ratio": round(observed_ratio, 4),

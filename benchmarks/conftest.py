@@ -16,6 +16,7 @@ them live instead).
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,29 @@ def show(text: str) -> None:
             handle.write("\n" + text + "\n")
     except OSError:  # pragma: no cover
         pass
+
+
+def interleaved_best(legs: dict, rounds: int) -> dict:
+    """Time every leg ``rounds`` times, in turn, and keep each one's best.
+
+    ``legs`` maps a name to ``runner(round_index) -> result``.  One
+    untimed call of the first leg warms the process first (lazy imports,
+    a ``pool_scope`` pool), so no leg pays for it.  Timing the legs in
+    turn, round by round, spreads host drift over all of them instead of
+    the one that happened to run during it; each round starts one leg
+    later than the one before, so no leg always follows the same one.
+    The minimum is the noise-robust estimator for overhead ratios
+    (scheduling hiccups only ever add).  Returns
+    ``{name: (best_seconds, last_result)}``.
+    """
+    names = list(legs)
+    legs[names[0]](-1)
+    best = {name: float("inf") for name in names}
+    results = {}
+    for index in range(rounds):
+        shift = index % len(names)
+        for name in names[shift:] + names[:shift]:
+            start = time.perf_counter()
+            results[name] = legs[name](index)
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {name: (best[name], results[name]) for name in names}

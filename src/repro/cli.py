@@ -469,17 +469,23 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> None:
-    """Inspect or manage the content-addressed shard result cache."""
-    from .cache import ShardStore, default_cache_root
+    """Inspect or manage the content-addressed shard result cache.
+
+    The directory may also be a checkpoint.  A size cap belongs to how a
+    run opens the directory, not to the directory, so the store is opened
+    without one and ``stats`` names the cap each kind of run applies.
+    """
+    from .cache import DEFAULT_MAX_BYTES, ShardStore, default_cache_root
 
     root = args.dir if args.dir is not None else default_cache_root()
-    store = ShardStore(root)
+    store = ShardStore(root, max_bytes=None)
     if args.action == "stats":
         stats = store.stats()
         print(f"cache root    {stats.root}")
         print(f"entries       {stats.entries}")
         print(f"total bytes   {stats.total_bytes}")
-        print(f"size cap      {stats.max_bytes}")
+        print(f"size cap      {DEFAULT_MAX_BYTES} under --cache; "
+              "none under --checkpoint, which never evicts")
     elif args.action == "clear":
         removed = store.clear()
         print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "

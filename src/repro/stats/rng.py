@@ -115,10 +115,8 @@ class RandomSource:
 
     def bernoulli_array(self, probability: float, size: int | tuple[int, ...]) -> np.ndarray:
         """Vectorised :meth:`bernoulli`; returns a boolean array."""
-        if probability <= 0.0:
-            return np.zeros(size, dtype=bool)
-        if probability >= 1.0:
-            return np.ones(size, dtype=bool)
+        if not bernoulli_doubles(probability):
+            return np.full(size, probability >= 1.0)
         return self._generator.random(size) < probability
 
     def geometric_array(self, beta: float, size: int | tuple[int, ...]) -> np.ndarray:
@@ -128,26 +126,23 @@ class RandomSource:
         stream.  For a success probability ``p = 1 - beta >= 1/3``
         numpy draws by search, one uniform double ``u`` per variate, and
         the search returns what ``floor(log1p(-u) / log(beta))``
-        computes from that same double, so that inversion runs here in
-        place on one uniform block: the same numbers in under half the
-        time.  The two computations round differently only next to the
-        CDF's steps; a scan around every step finds 53 such uniforms at
+        computes from that same double, so that inversion
+        (:func:`geometric_from_uniforms`) runs here in place on one
+        uniform block: the same numbers in under half the time.  The two
+        computations round differently only next to the CDF's steps; a
+        scan around every step finds 53 such uniforms at
         ``beta = 1/2`` and 12 to 184 at ``beta`` in {0.1, 0.3, 0.6, 0.66,
         2/3}, out of the 2^53 that numpy draws from (below 3e-14 per
         variate).  Below ``p = 1/3`` numpy draws by another method, which
         is called as is.
         """
         _check_beta(beta)
-        if beta == 0.0:
+        doubles = geometric_doubles(beta)
+        if doubles == 0:
             return np.zeros(size, dtype=np.int64)
-        if 1.0 - beta < 1.0 / 3.0:  # numpy's own test on p
+        if doubles is None:
             return self._generator.geometric(1.0 - beta, size=size).astype(np.int64) - 1
-        u = self._generator.random(size)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        u /= np.log(beta)
-        np.floor(u, out=u)
-        return u.astype(np.int64)
+        return geometric_from_uniforms(self._generator.random(size), beta)
 
     def type_array(self, store_probability: float, size: int) -> np.ndarray:
         """Sample an instruction-type vector: ``True`` marks a store.
@@ -157,6 +152,53 @@ class RandomSource:
         independently.
         """
         return self.bernoulli_array(store_probability, size)
+
+    # ------------------------------------------------------------------
+    # Stream positions
+    # ------------------------------------------------------------------
+
+    @property
+    def seekable(self) -> bool:
+        """Whether :meth:`uniforms_ahead` and :meth:`skip` work here.
+
+        True on a PCG64 stream, where every uniform double is one 64-bit
+        output and ``PCG64.advance`` moves past outputs without computing
+        them.  Other bit generators advance by other units (Philox counts
+        4-word blocks), so a :class:`PhiloxSource` is not seekable.
+        """
+        return type(self._generator.bit_generator) is np.random.PCG64
+
+    def uniforms_ahead(self, offset: int, count: int) -> np.ndarray:
+        """The ``count`` uniform doubles that start ``offset`` doubles ahead.
+
+        Equal to drawing and discarding ``offset`` doubles, then drawing
+        ``count``, but the stream does not move.  Seekable sources only.
+        """
+        bits = self._seekable_bits()
+        state = bits.state
+        bits.advance(offset)
+        block = self._generator.random(count)
+        bits.state = state
+        return block
+
+    def skip(self, count: int) -> None:
+        """Move the stream past ``count`` uniform doubles, as drawing them would.
+
+        ``advance`` also drops a buffered 32-bit half-word, which drawing
+        doubles keeps for a later bounded integer draw, so it is put back.
+        Seekable sources only.
+        """
+        bits = self._seekable_bits()
+        state = bits.state
+        bits.advance(count)
+        moved = bits.state
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        bits.state = moved
+
+    def _seekable_bits(self) -> np.random.PCG64:
+        if not self.seekable:
+            raise TypeError(f"{self!r} cannot seek: its bit generator is not PCG64")
+        return self._generator.bit_generator
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomSource(entropy={self._sequence.entropy!r})"
@@ -203,6 +245,44 @@ class PhiloxSource(RandomSource):
 
 
 __all__.append("PhiloxSource")
+
+
+def bernoulli_doubles(probability: float) -> int:
+    """Uniform doubles one entry of :meth:`RandomSource.bernoulli_array` draws.
+
+    Zero at ``probability <= 0`` or ``>= 1``, which short-circuit; one
+    otherwise.
+    """
+    return 0 if probability <= 0.0 or probability >= 1.0 else 1
+
+
+def geometric_doubles(beta: float) -> int | None:
+    """Uniform doubles one entry of :meth:`RandomSource.geometric_array` draws.
+
+    Zero at ``beta = 0`` (the point mass); one where the success
+    probability ``p = 1 - beta`` is at least 1/3, numpy's own test for
+    drawing by search, which :func:`geometric_from_uniforms` inverts;
+    ``None`` below it, where numpy's other method draws a variable count.
+    """
+    if beta == 0.0:
+        return 0
+    return 1 if 1.0 - beta >= 1.0 / 3.0 else None
+
+
+def geometric_from_uniforms(u: np.ndarray, beta: float) -> np.ndarray:
+    """``floor(log1p(-u) / log(beta))`` as int64, computed in place on ``u``.
+
+    The geometric shift each uniform double ``u`` gives wherever
+    :func:`geometric_doubles` is one.  ``u`` is overwritten.
+    """
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= np.log(beta)
+    np.floor(u, out=u)
+    return u.astype(np.int64)
+
+
+__all__ += ["bernoulli_doubles", "geometric_doubles", "geometric_from_uniforms"]
 
 
 def _check_beta(beta: float) -> None:

@@ -210,6 +210,20 @@ class TestFaultToleranceFlags:
         assert "9.0" in error
 
 
+    def test_cache_stats_on_a_checkpoint_names_no_cap_for_it(self, capsys, tmp_path):
+        from repro.cache import DEFAULT_MAX_BYTES
+
+        root = tmp_path / "run.ckpt"
+        run_cli(capsys, "--checkpoint", str(root), "--shards", "4",
+                "thm62", "--trials", "4000", "--seed", "3")
+        lines = run_cli(capsys, "cache", "stats", "--dir", str(root)).splitlines()
+        assert "entries       16" in lines
+        cap = next(line for line in lines if line.startswith("size cap"))
+        assert cap == (f"size cap      {DEFAULT_MAX_BYTES} under --cache; "
+                       "none under --checkpoint, which never evicts")
+        assert len(list(root.glob("??/*.pkl"))) == 16  # stats evicted nothing
+
+
 class TestObservabilityFlags:
     def test_manifest_after_subcommand(self, capsys, tmp_path):
         from repro.obs import load_manifest

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.stats import PhiloxSource, RandomSource, iter_batches, spawn_sources
+from repro.stats.rng import bernoulli_doubles, geometric_doubles, geometric_from_uniforms
 
 
 class TestSeeding:
@@ -128,6 +129,76 @@ class TestGeometric:
             # the point mass at beta = 0 draws nothing.
             after = RandomSource(seed) if beta == 0.0 else reference
             assert drawn.generator.random() == after.generator.random()
+
+
+    @pytest.mark.parametrize("beta", RATIOS)
+    def test_doubles_per_variate_is_what_the_array_draws(self, beta):
+        doubles = geometric_doubles(beta)
+        if doubles is None:  # numpy's own method: a variable count
+            assert 1.0 - beta < 1.0 / 3.0
+            return
+        drawn, reference = RandomSource(4), RandomSource(4)
+        drawn.geometric_array(beta, (300, 2))
+        reference.generator.random(600 * doubles)
+        assert drawn.generator.random() == reference.generator.random()
+
+    @pytest.mark.parametrize("probability", [0.0, 0.3, 1.0, -0.5, 1.5])
+    def test_doubles_per_coin_is_what_the_array_draws(self, probability):
+        drawn, reference = RandomSource(4), RandomSource(4)
+        drawn.bernoulli_array(probability, 500)
+        reference.generator.random(500 * bernoulli_doubles(probability))
+        assert drawn.generator.random() == reference.generator.random()
+
+    @pytest.mark.parametrize("beta", [b for b in RATIOS if geometric_doubles(b) == 1])
+    def test_the_shared_inversion_is_the_array(self, beta):
+        uniforms = RandomSource(9).generator.random((700, 3))
+        np.testing.assert_array_equal(geometric_from_uniforms(uniforms, beta),
+                                      RandomSource(9).geometric_array(beta, (700, 3)))
+
+
+class TestSeeking:
+    """Read-ahead and skip equal drawing and discarding on PCG64.
+
+    A canary for numpy: both rest on ``PCG64.advance`` counting one
+    64-bit output per uniform double.
+    """
+
+    @pytest.mark.parametrize("offset,count", [(0, 5), (1, 1), (12_288, 24_576),
+                                              (10**6 + 3, 7)])
+    def test_uniforms_ahead_is_drawing_and_discarding(self, offset, count):
+        source, reference = RandomSource(11), RandomSource(11)
+        block = source.uniforms_ahead(offset, count)
+        reference.generator.random(offset)
+        np.testing.assert_array_equal(block, reference.generator.random(count))
+        # The stream has not moved.
+        assert source.generator.random() == RandomSource(11).generator.random()
+
+    @pytest.mark.parametrize("count", [0, 1, 12_288, 10**6 + 3])
+    def test_skip_is_drawing_and_discarding(self, count):
+        source, reference = RandomSource(12), RandomSource(12)
+        source.skip(count)
+        reference.generator.random(count)
+        assert source.generator.random() == reference.generator.random()
+
+    def test_skip_keeps_a_buffered_half_word(self):
+        # A bounded integer draw over a small range uses 32 bits and keeps
+        # the other half of its 64-bit output for the next such draw.
+        source, reference = RandomSource(13), RandomSource(13)
+        assert source.uniform_int(0, 9) == reference.uniform_int(0, 9)
+        assert source.generator.bit_generator.state["has_uint32"] == 1
+        source.skip(1000)
+        reference.generator.random(1000)
+        assert source.generator.bit_generator.state == \
+            reference.generator.bit_generator.state
+        assert source.uniform_int(0, 9) == reference.uniform_int(0, 9)
+
+    def test_philox_does_not_seek(self):
+        source = PhiloxSource(3, (0,))
+        assert RandomSource(3).seekable and not source.seekable
+        with pytest.raises(TypeError):
+            source.uniforms_ahead(0, 4)
+        with pytest.raises(TypeError):
+            source.skip(4)
 
 
 class TestUniformInt:
