@@ -21,7 +21,11 @@ second claim on the four kernel families:
 
 Each side is timed on its own budget (the scalar reference would take
 minutes at the vectorized trial counts) and compared by *throughput*
-(trials/second), so the speedup ratio is host-scale free.  The committed
+(trials/second), so the speedup ratio is host-scale free.  The two sides
+of a ratio are timed in turn, round by round, on one warmed process
+(:func:`conftest.interleaved_best`), and each keeps its best of
+``ROUNDS`` rounds, so host load that drifts during a pair lands on both
+sides of the ratio instead of on whichever ran during it.  The committed
 floor: ``>= 10x`` on the settling and shift paths at 10^6 vectorized
 trials.  Results land in ``BENCH_vectorized_kernels.json`` with the
 speedups tracked for ``check_regression.py`` (the CI 25% gate).
@@ -36,10 +40,9 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from pathlib import Path
 
-from conftest import results_path, scaled, show, smoke_mode
+from conftest import interleaved_best, results_path, scaled, show, smoke_mode
 
 from repro import RunConfig
 from repro.core import TSO, WINDOW_LENGTH_OFFSET
@@ -59,7 +62,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.reference import non_manifestation_scalar_batch  # noqa: E402
 
 SEED = 20_011
-REPEATS = 3
+ROUNDS = scaled(15, 25)
 BODY_LENGTH = 8
 SHIFT_LENGTHS = (2, 2)
 
@@ -68,20 +71,24 @@ SHIFT_LENGTHS = (2, 2)
 SPEEDUP_FLOOR = 10.0
 
 
-def _throughput(name: str, trials: int, runner, rows: list[dict[str, object]]):
-    """Best-of-``REPEATS`` throughput: minimum time is the noise-robust
-    estimator (scheduling hiccups only ever add to a leg's wall time)."""
-    seconds = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        runner()
-        seconds.append(time.perf_counter() - start)
-    best = max(min(seconds), 1e-9)
-    rate = trials / best
-    rows.append({"path": name, "trials": trials,
-                 "seconds": round(best, 4),
-                 "trials_per_second": round(rate, 1)})
-    return rate
+def _speedup(family: str, scalar_trials: int, scalar, vector_trials: int,
+             vectorized, rows: list[dict[str, object]]) -> float:
+    """Vectorized over scalar throughput, each side its best of ``ROUNDS``.
+
+    The minimum time is the noise-robust estimator (scheduling hiccups
+    only ever add to a leg's wall time), and timing the two legs in turn
+    spreads host drift over both.
+    """
+    timed = interleaved_best({"scalar": lambda _: scalar(),
+                              "vectorized": lambda _: vectorized()}, ROUNDS)
+    rates = {}
+    for leg, trials in (("scalar", scalar_trials), ("vectorized", vector_trials)):
+        best = max(timed[leg][0], 1e-9)
+        rates[leg] = trials / best
+        rows.append({"path": f"{family}/{leg}", "trials": trials,
+                     "seconds": round(best, 4),
+                     "trials_per_second": round(rates[leg], 1)})
+    return rates["vectorized"] / rates["scalar"]
 
 
 def _bench_settling(rows) -> float:
@@ -97,10 +104,8 @@ def _bench_settling(rows) -> float:
         window_growth_batch(TSO, RandomSource(SEED), vector_trials,
                             body_length=BODY_LENGTH)
 
-    scalar_rate = _throughput("settling/scalar", scalar_trials, scalar, rows)
-    vector_rate = _throughput("settling/vectorized", vector_trials,
-                              vectorized, rows)
-    return vector_rate / scalar_rate
+    return _speedup("settling", scalar_trials, scalar, vector_trials,
+                    vectorized, rows)
 
 
 def _bench_shift(rows) -> float:
@@ -117,10 +122,8 @@ def _bench_shift(rows) -> float:
         shift_disjoint_batch(RandomSource(SEED), vector_trials, SHIFT_LENGTHS,
                              DEFAULT_SHIFT_RATIO)
 
-    scalar_rate = _throughput("shift/scalar", scalar_trials, scalar, rows)
-    vector_rate = _throughput("shift/vectorized", vector_trials,
-                              vectorized, rows)
-    return vector_rate / scalar_rate
+    return _speedup("shift", scalar_trials, scalar, vector_trials,
+                    vectorized, rows)
 
 
 def _bench_joined(rows) -> float:
@@ -130,17 +133,13 @@ def _bench_joined(rows) -> float:
                    beta=DEFAULT_SHIFT_RATIO, body_length=BODY_LENGTH,
                    critical_section_length=WINDOW_LENGTH_OFFSET)
 
-    scalar_rate = _throughput(
-        "joined/scalar", scalar_trials,
-        lambda: non_manifestation_scalar_batch(
+    return _speedup(
+        "joined",
+        scalar_trials, lambda: non_manifestation_scalar_batch(
             RandomSource(SEED), scalar_trials, **options),
-        rows)
-    vector_rate = _throughput(
-        "joined/vectorized", vector_trials,
-        lambda: non_manifestation_batch(
+        vector_trials, lambda: non_manifestation_batch(
             RandomSource(SEED), vector_trials, **options),
         rows)
-    return vector_rate / scalar_rate
 
 
 def _bench_machine(rows) -> float:
@@ -158,13 +157,8 @@ def _bench_machine(rows) -> float:
                                  config=RunConfig(workers=1, shards=1),
                                  body_length=BODY_LENGTH)
 
-    scalar_rate = _throughput(
-        "machine/scalar", scalar_trials,
-        lambda: run("scalar", scalar_trials), rows)
-    vector_rate = _throughput(
-        "machine/vectorized", vector_trials,
-        lambda: run("vectorized", vector_trials), rows)
-    return vector_rate / scalar_rate
+    return _speedup("machine", scalar_trials, lambda: run("scalar", scalar_trials),
+                    vector_trials, lambda: run("vectorized", vector_trials), rows)
 
 
 def test_vectorized_kernel_speedups(run_once):
@@ -192,7 +186,7 @@ def test_vectorized_kernel_speedups(run_once):
         metadata={
             "experiment": "vectorized_kernels",
             "seed": SEED,
-            "repeats": REPEATS,
+            "rounds": ROUNDS,
             "smoke": smoke_mode(),
             "cpu_count": os.cpu_count(),
             "speedup_floor": SPEEDUP_FLOOR,

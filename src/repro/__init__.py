@@ -68,7 +68,7 @@ from .errors import (
 from .runconfig import RunConfig
 from .stats import RandomSource
 
-__version__ = "9.1.0"
+__version__ = "9.2.0"
 
 __all__ = [
     "ALL_PAIRS",

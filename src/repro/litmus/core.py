@@ -29,15 +29,17 @@ set-valued walk with one memo over the test's state space, and
 :meth:`Machine.sample`, the sampled walk behind random exploration.  The
 sampled walk counts each thread's legal orders instead of listing them
 (:class:`Orders`) and takes its random integers from a
-:class:`BlockReader`.  :func:`fingerprint` digests the code of every
-function and method here, so cached outcome sets and random-mode shards
-are keyed to it.
+:class:`BlockReader`; under atomic stores it runs many trials in
+lockstep, one array operation per step.  :func:`fingerprint` digests the
+code of every function and method here, so cached outcome sets and
+random-mode shards are keyed to it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import inspect
+import itertools
 import sys
 from functools import lru_cache
 
@@ -72,6 +74,10 @@ MAX_ORDERS = 1 << 32
 
 #: Words the sampled walk pulls from its shard generator per numpy call.
 BLOCK_WORDS = 512
+
+#: Trials the store-atomic sampled walk runs in lockstep per pass: it
+#: bounds the pass's arrays and never changes a draw.
+LOCKSTEP_TRIALS = 4096
 
 
 def _depends(earlier: Operation, later: Operation) -> bool:
@@ -241,6 +247,54 @@ class BlockReader:
                     return product >> 32
             self.words = iter(self.generator.integers(
                 0, 1 << 32, size=self.block, dtype=np.uint32).tolist())
+
+    def rows(self, bounds: list[int], count: int) -> np.ndarray:
+        """``count`` passes of :meth:`below` over ``bounds``, row by row.
+
+        Row ``i`` of the ``(count, len(bounds))`` result holds pass
+        ``i``'s draws, so the array equals calling ``below(k)`` for each
+        ``k`` of ``bounds``, ``count`` times over, rejections included.
+        A run of rows in which the multiply-shift rejects no word costs
+        one numpy call for its words and one array test of the rule
+        above.  A row that meets a rejection puts its words, and the
+        later rows', back and draws them by :meth:`below`; the next run
+        is then twice as long as the clean run before the rejection, so
+        a bound that rejects often still costs time linear in the rows.
+        """
+        if not all(1 <= k <= 1 << 32 for k in bounds):
+            raise ValueError(f"can only draw below k in [1, 2**32], got {bounds}")
+        draws = np.zeros((count, len(bounds)), dtype=np.int64)
+        live = [column for column, k in enumerate(bounds) if k != 1]
+        if not live or not count:
+            return draws
+        k = np.array([bounds[column] for column in live], dtype=np.uint64)
+        threshold = (1 << 32) % k
+        done, run = 0, count
+        while done < count:
+            rows = min(run, count - done)
+            words = self._take(rows * len(live)).reshape(rows, len(live))
+            product = words * k
+            clean = ((product & 0xFFFFFFFF) >= threshold).all(axis=1)
+            good = rows if clean.all() else int(clean.argmin())
+            draws[done:done + good, live] = product[:good] >> 32
+            done += good
+            if good == rows:
+                run *= 2
+                continue
+            self.words = iter(words[good:].ravel().tolist() + list(self.words))
+            draws[done, live] = [self.below(bounds[column]) for column in live]
+            done += 1
+            run = 2 * good + 1
+        return draws
+
+    def _take(self, size: int) -> np.ndarray:
+        """The next ``size`` words: read-ahead words first, then fresh ones."""
+        head = np.fromiter(itertools.islice(self.words, size), dtype=np.uint64)
+        if head.size == size:
+            return head
+        fresh = self.generator.integers(0, 1 << 32, size=size - head.size,
+                                        dtype=np.uint32)
+        return np.concatenate([head, fresh.astype(np.uint64)])
 
 
 def _compile(operation, name, locations, registers) -> tuple[int, int, int, int]:
@@ -427,39 +481,125 @@ class Machine:
 
         Every draw comes from a :class:`BlockReader` over ``source`` and
         equals the ``source.uniform_int`` draw it stands for, so tables
-        match a draw-by-draw walk.  The walk owns ``source``: the reader
-        reads ahead, so nothing may draw from ``source`` afterwards.
+        match a draw-by-draw walk.  With atomic stores the trials run in
+        lockstep (:meth:`_lockstep`); with non-atomic ones a trial's
+        draws depend on its state, so trials run one at a time.  The
+        table's insertion order is the order outcomes are first seen.
+        The walk owns ``source``: the reader reads ahead, so nothing may
+        draw from ``source`` afterwards.
         """
         orders = self.orders()
-        below = BlockReader(source.generator).below
+        reader = BlockReader(source.generator)
+        if self.atomic:
+            return self._lockstep(reader, orders, trials)
         counts: dict[Outcome, int] = {}
         for _ in range(trials):
-            outcome = self._trial(below, orders)
+            outcome = self._trial(reader.below, orders)
             counts[outcome] = counts.get(outcome, 0) + 1
         return counts
 
+    def _lockstep(self, reader: BlockReader, orders: list[Orders],
+                  trials: int) -> dict[Outcome, int]:
+        """The store-atomic sampled walk, :data:`LOCKSTEP_TRIALS` trials a pass.
+
+        A trial draws below each thread's order count, then below ``N,
+        N - 1, ..., 1`` for its ``N`` steps: the same bounds in the same
+        order in every trial, so :meth:`BlockReader.rows` draws a pass's
+        trials as the rows of one array, and each step runs for every
+        trial of the pass at once.  A thread's drawn ranks become orders
+        once per distinct rank and pass.
+
+        A store-atomic step only copies a value: a load from a memory
+        slot to a register, a store from a register or an immediate to a
+        memory slot, a fence nowhere.  So a trial's state is a row of
+        *value codes* over columns for the memory slots, the registers,
+        a sink for a fence's copy and one constant per value a trial can
+        hold (0, the immediates and the initial memory values); every
+        operation is one ``state[to] = state[from]``, Python ints of any
+        size stay exact, and codes turn back into values only when the
+        distinct final rows are tallied.
+        """
+        lengths = [len(ops) for ops in self.ops]
+        steps = sum(lengths)
+        starts = np.cumsum([0, *lengths[:-1]])
+        ends = starts + lengths
+        slots, registers = len(self.memory), len(self.register_names)
+        sink = slots + registers  # the constant of code c is column sink + 1 + c
+        codes = {0: 0}
+        copy_from, copy_to = [], []
+        for kind, location, register, value in itertools.chain(*self.ops):
+            if kind == LOAD:
+                copy_from.append(location)
+                copy_to.append(slots + register)
+            elif kind == STORE:
+                copy_from.append(slots + register if register >= 0
+                                 else sink + 1 + codes.setdefault(value, len(codes)))
+                copy_to.append(location)
+            else:
+                copy_from.append(sink)
+                copy_to.append(sink)
+        copy_from, copy_to = np.array(copy_from, int), np.array(copy_to, int)
+        memory = [codes.setdefault(value, len(codes)) for value in self.memory]
+        initial = np.array(memory + [0] * (registers + 1) + list(range(len(codes))))
+        names = self.register_names + [name for name, _ in self.observed]
+        keys = [*range(slots, sink), *(slot for _, slot in self.observed)]
+        values = list(codes)
+        bounds = [len(choices) for choices in orders] + list(range(steps, 0, -1))
+
+        counts: dict[Outcome, int] = {}
+        for done in range(0, trials, LOCKSTEP_TRIALS):
+            rows = min(LOCKSTEP_TRIALS, trials - done)
+            draws = reader.rows(bounds, rows)
+            row = np.arange(rows)
+            # Each trial's operations, numbered across threads, in the
+            # order its drawn ranks give each thread.
+            sequence = np.empty((rows, steps), dtype=int)
+            for thread, choices in enumerate(orders):
+                ranks, which = np.unique(draws[:, thread], return_inverse=True)
+                ranked = [choices[rank] for rank in ranks.tolist()]
+                sequence[:, starts[thread]:ends[thread]] = \
+                    np.array(ranked, int)[which] + starts[thread]
+            # Schedule: the thread whose cumulative remaining count first
+            # exceeds the pick runs the operation at its cursor.
+            cursor = np.tile(starts, (rows, 1))
+            flat_cursor = cursor.reshape(-1)  # a view: it moves cursor
+            position = np.empty((steps, rows), dtype=int)
+            for step in range(steps):
+                pick = draws[:, len(orders) + step, None]
+                slot = row * len(orders) + (
+                    np.cumsum(ends - cursor, axis=1) > pick).argmax(axis=1)
+                position[step] = flat_cursor[slot]
+                flat_cursor[slot] += 1
+            # Replay: one copy per step over the pass's flattened states.
+            operation = sequence[row, position]
+            base = row * len(initial)
+            state = np.tile(initial, rows)
+            for source, target in zip(copy_from[operation] + base,
+                                      copy_to[operation] + base):
+                state[target] = state[source]
+            # Tally the distinct final rows, in the order first seen.
+            finals = state.reshape(rows, -1)[:, keys]
+            by_row = np.lexsort(finals.T) if keys else row
+            in_order = finals[by_row]
+            fresh = np.ones(rows, dtype=bool)
+            fresh[1:] = (in_order[1:] != in_order[:-1]).any(axis=1)
+            edges = np.flatnonzero(fresh)
+            first = np.minimum.reduceat(by_row, edges)
+            tally = np.diff(edges, append=rows)
+            for index in np.argsort(first).tolist():
+                outcome = tuple(sorted(zip(names, (
+                    values[code] for code in finals[first[index]].tolist()))))
+                counts[outcome] = counts.get(outcome, 0) + int(tally[index])
+        return counts
+
     def _trial(self, below, orders: list[Orders]) -> Outcome:
+        """One non-atomic trial of the sampled walk (see :meth:`sample`)."""
         n = self.n
         threads = [choices[below(len(choices))] for choices in orders]
         views, channels, registers = self.start()
         pcs = [0] * n
         step = self.step
         ops = self.ops
-        if self.atomic:
-            remaining = [len(thread) for thread in threads]
-            total = sum(remaining)
-            while total:
-                pick = below(total)
-                index = 0
-                while pick >= remaining[index]:
-                    pick -= remaining[index]
-                    index += 1
-                step(views, channels, registers, index,
-                     ops[index][threads[index][pcs[index]]])
-                pcs[index] += 1
-                remaining[index] -= 1
-                total -= 1
-            return self.outcome(views, registers)
         ready = self.ready
         while True:
             events = []  # thread k as k, a delivery on channel c as n + c

@@ -1,8 +1,13 @@
 """Reference-only code the suite checks the library against.
 
-Two pieces live here rather than in ``src/``, because no library path
+Three pieces live here rather than in ``src/``, because no library path
 runs them:
 
+* :func:`sample_store_atomic` — the store-atomic sampled litmus walk one
+  trial and one draw at a time, the loop the lockstep kernel of
+  :meth:`repro.litmus.core.Machine.sample` replaced.  It draws the same
+  words in the same order, so the kernel must equal it exactly: the same
+  table, in the same insertion order.
 * :func:`non_manifestation_scalar_batch` — the draw-by-draw §6 trial
   loop: per trial one explicit program, ``n`` reference settlings
   (:class:`repro.core.settling.SettlingProcess`) and scalar geometric
@@ -37,15 +42,53 @@ from repro.core.instructions import generate_program
 from repro.core.memory_models import MemoryModel
 from repro.core.settling import SettlingProcess
 from repro.core.shift import segments_disjoint
+from repro.litmus.core import BlockReader, Machine
 from repro.stats.intervals import normal_quantile, wilson_interval
 from repro.stats.rng import RandomSource
 
 __all__ = [
+    "sample_store_atomic",
     "non_manifestation_scalar_batch",
     "equivalence_tolerance",
     "assert_equivalent_proportions",
     "assert_contains_probability",
 ]
+
+
+def sample_store_atomic(machine: Machine, source, trials: int) -> dict:
+    """``trials`` store-atomic sampled executions, one draw at a time.
+
+    Per trial: one legal order per thread, drawn by rank (no draw when a
+    thread has one), then the next thread drawn in proportion to its
+    remaining operations until every operation has run, each one run by
+    :meth:`~repro.litmus.core.Machine.step`.  Outcomes are tallied in
+    the order they are first seen.
+    """
+    if not machine.atomic:
+        raise ValueError("the reference walks atomic stores only")
+    orders = machine.orders()
+    below = BlockReader(source.generator).below
+    counts: dict = {}
+    for _ in range(trials):
+        threads = [choices[below(len(choices))] for choices in orders]
+        views, channels, registers = machine.start()
+        pcs = [0] * machine.n
+        remaining = [len(thread) for thread in threads]
+        total = sum(remaining)
+        while total:
+            pick = below(total)
+            index = 0
+            while pick >= remaining[index]:
+                pick -= remaining[index]
+                index += 1
+            machine.step(views, channels, registers, index,
+                         machine.ops[index][threads[index][pcs[index]]])
+            pcs[index] += 1
+            remaining[index] -= 1
+            total -= 1
+        outcome = machine.outcome(views, registers)
+        counts[outcome] = counts.get(outcome, 0) + 1
+    return counts
 
 
 def non_manifestation_scalar_batch(

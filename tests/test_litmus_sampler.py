@@ -1,11 +1,14 @@
-"""Tests for the sampled walk's two parts: counted orders and block draws.
+"""Tests for the sampled walk's parts: counted orders, block draws and
+the store-atomic lockstep kernel.
 
-Random mode's tables are pinned byte for byte (``tests/data``), so both
-parts must reproduce the draw-by-draw sampler exactly:
+Random mode's tables are pinned byte for byte (``tests/data``), so every
+part must reproduce the draw-by-draw sampler exactly:
 :class:`~repro.litmus.core.BlockReader` equals ``Generator.integers``
-draw for draw, and :class:`~repro.litmus.core.Orders` equals
+draw for draw, one pass at a time too (``rows``);
+:class:`~repro.litmus.core.Orders` equals
 :func:`~repro.litmus.core.legal_orders` rank for rank without listing
-the orders.
+the orders; and the lockstep kernel equals the one-trial-at-a-time loop
+(``tests/reference.py``), table and insertion order.
 """
 
 from __future__ import annotations
@@ -18,23 +21,28 @@ import pytest
 
 from repro.errors import LitmusError
 from repro.litmus import (
+    ALL_TESTS,
     ZOO_MODELS,
     FamilySpec,
     LitmusTest,
     explore_random,
     family_member,
+    get_zoo_model,
 )
 from repro.litmus.core import (
+    LOCKSTEP_TRIALS,
     MAX_ORDERS,
     BlockReader,
+    Machine,
     Orders,
     blocker_masks,
     enabled,
     legal_orders,
 )
 from repro.runconfig import RunConfig
-from repro.sim import Store, ThreadProgram
+from repro.sim import Fence, Load, Store, ThreadProgram
 from repro.stats.rng import PhiloxSource, RandomSource
+from .reference import sample_store_atomic
 
 #: Both bit generators the library draws from: a spawned PCG64 stream
 #: (the shards') and a counter-addressed Philox stream (the family
@@ -96,6 +104,56 @@ class TestBlockReader:
     def test_out_of_range_bound_raises(self, stream, k):
         with pytest.raises(ValueError):
             BlockReader(SOURCES[stream]().generator).below(k)
+
+
+class TestBlockReaderRows:
+    """``rows`` equals :meth:`BlockReader.below` pass for pass."""
+
+    #: Bounds with heavy rejection (2**31 + 12345 and 3,000,000,001), no
+    #: rejection (2**32), small ones and ones that draw nothing.
+    BOUNDS = [7, 2**31 + 12345, 1, 3_000_000_001, 2**32, 1, 60, 2]
+
+    @staticmethod
+    def _passes(reader, bounds, count) -> list[list[int]]:
+        return [[reader.below(k) for k in bounds] for _ in range(count)]
+
+    @pytest.mark.parametrize("stream", sorted(SOURCES))
+    def test_rows_equal_below_row_by_row(self, stream):
+        reader = BlockReader(SOURCES[stream]().generator)
+        calls = []
+        below = reader.below
+        reader.below = lambda k: calls.append(k) or below(k)
+        rows = reader.rows(self.BOUNDS, 400)
+        assert calls, "no row met a rejection"
+        assert rows.tolist() == self._passes(
+            BlockReader(SOURCES[stream]().generator), self.BOUNDS, 400)
+
+    @pytest.mark.parametrize("stream", sorted(SOURCES))
+    def test_rows_continue_the_stream(self, stream):
+        # Passes split across calls, with read-ahead words from below()
+        # in between, draw what one run of passes draws.
+        reader = BlockReader(SOURCES[stream]().generator)
+        got = [*reader.rows(self.BOUNDS, 3).tolist(), [reader.below(5)],
+               *reader.rows(self.BOUNDS, 5).tolist(),
+               *reader.rows([9, 4], 700).tolist()]
+        scalar = BlockReader(SOURCES[stream]().generator)
+        want = [*self._passes(scalar, self.BOUNDS, 3), [scalar.below(5)],
+                *self._passes(scalar, self.BOUNDS, 5),
+                *self._passes(scalar, [9, 4], 700)]
+        assert got == want
+
+    def test_bounds_of_one_and_no_rows_draw_nothing(self):
+        reader = BlockReader(RandomSource(3).generator)
+        assert reader.rows([1, 1], 5).tolist() == [[0, 0]] * 5
+        assert reader.rows([9, 4], 0).shape == (0, 2)
+        assert reader.rows([], 4).shape == (4, 0)
+        assert reader.below(2**32) == RandomSource(3).generator.integers(
+            0, 2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("k", [0, -3, 2**32 + 1])
+    def test_out_of_range_bound_raises(self, k):
+        with pytest.raises(ValueError):
+            BlockReader(RandomSource(3).generator).rows([5, k], 2)
 
 
 def _blocker_cases():
@@ -206,3 +264,110 @@ class TestCountedOrdersEndToEnd:
             relaxed_outcome=(), allowed={})
         with pytest.raises(LitmusError, match="legal orders"):
             explore_random(wide, "WO", 10, config=RunConfig(shards=2))
+
+
+#: The models whose stores are atomic: the lockstep kernel runs them.
+ATOMIC_MODELS = [model for model in ZOO_MODELS if model.atomicity != "non_atomic"]
+
+
+def _test(name, *programs, observed=(), initial=None) -> LitmusTest:
+    return LitmusTest(name=name, description=name, programs=programs,
+                      relaxed_outcome=(), allowed={},
+                      observed_locations=observed,
+                      initial_memory=initial or {})
+
+
+#: Battery tests, generated members with 2 and 3 threads with and
+#: without fences, a thread with one legal order beside an empty thread,
+#: a store from a register no load writes, a test with nothing to
+#: observe, one with no operations, and 12 independent stores, whose 12!
+#: orders under PSO and WO make the order draw reject about one word in
+#: nine.
+KERNEL_CASES = {
+    **{test.name: test for test in ALL_TESTS},
+    **{f"{threads}x{ops}-fences{density}-{index}": family_member(
+        FamilySpec(threads=threads, ops_per_thread=ops, spacing=1,
+                   fence_density=density), 7, index)
+       for threads, ops in ((2, 5), (3, 4)) for density in (0.0, 0.3)
+       for index in range(2)},
+    "one-order-and-empty": _test(
+        "one-order-and-empty",
+        ThreadProgram("T0", (Store("x", value=2), Load("r1", "x"),
+                             Store("x", src="r1"))),
+        ThreadProgram("T1", ()),
+        ThreadProgram("T2", (Load("r2", "x"), Fence(), Store("y", value=3))),
+        observed=("x", "y")),
+    "unwritten-register": _test(
+        "unwritten-register",
+        ThreadProgram("T0", (Store("x", src="r9"), Load("r1", "y"))),
+        ThreadProgram("T1", (Store("y", value=4), Load("r2", "x"))),
+        initial={"x": 5}),
+    "nothing-observed": _test(
+        "nothing-observed",
+        ThreadProgram("T0", (Store("x", value=1), Store("y", value=1))),
+        ThreadProgram("T1", ())),
+    "no-operations": _test(
+        "no-operations", ThreadProgram("T0", ()), observed=("x",),
+        initial={"x": 7}),
+    "twelve-stores": _test(
+        "twelve-stores",
+        ThreadProgram("T0", tuple(Store(f"x{index}", value=index + 1)
+                                  for index in range(12))),
+        ThreadProgram("T1", (Load("r1", "x0"), Load("r2", "x11")))),
+}
+
+
+def _both_walks(test, model, trials, seed=11):
+    machine = Machine(test.programs, model, test.initial_memory,
+                      test.observed_locations)
+    kernel = machine.sample(RandomSource(seed), trials)
+    loop = sample_store_atomic(machine, RandomSource(seed), trials)
+    return kernel, loop
+
+
+class TestLockstepKernel:
+    """The lockstep kernel equals the store-atomic loop it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    @pytest.mark.parametrize("model", ATOMIC_MODELS, ids=lambda model: model.name)
+    def test_equals_the_loop(self, name, model):
+        for trials in (0, 1, 7, 156, 1000):
+            kernel, loop = _both_walks(KERNEL_CASES[name], model, trials)
+            assert kernel == loop
+            assert list(kernel) == list(loop)  # insertion order too
+            assert sum(kernel.values()) == trials
+
+    @pytest.mark.parametrize("trials", [LOCKSTEP_TRIALS - 1, LOCKSTEP_TRIALS,
+                                        LOCKSTEP_TRIALS + 1])
+    @pytest.mark.parametrize("model", ATOMIC_MODELS, ids=lambda model: model.name)
+    def test_equals_the_loop_around_a_pass(self, model, trials):
+        for name in ("IRIW", "3x4-fences0.3-1"):
+            kernel, loop = _both_walks(KERNEL_CASES[name], model, trials)
+            assert kernel == loop and list(kernel) == list(loop)
+
+    def test_values_of_any_size_stay_exact(self):
+        big = 2**70
+        test = _test(
+            "big",
+            ThreadProgram("T0", (Store("x", value=big), Load("r1", "y"))),
+            ThreadProgram("T1", (Store("y", value=-big), Load("r2", "x"),
+                                 Store("z", src="r2"))),
+            observed=("x", "z"), initial={"x": big + 1, "y": 3})
+        for model in ATOMIC_MODELS:
+            kernel, loop = _both_walks(test, model, 500)
+            assert kernel == loop and list(kernel) == list(loop)
+            values = {value for outcome in kernel for _, value in outcome}
+            assert {big, -big, big + 1} <= values
+
+    def test_one_shard_run_equals_the_loop(self):
+        # The default serial run is one shard that draws from the seed's
+        # own source, over three full passes and a part pass.
+        trials = LOCKSTEP_TRIALS * 3 + 5
+        test = KERNEL_CASES["2x5-fences0.0-0"]
+        for model in ("TSO", "PSO-WB"):
+            table = explore_random(test, model, trials, seed=42)
+            machine = Machine(test.programs, get_zoo_model(model),
+                              test.initial_memory, test.observed_locations)
+            loop = sample_store_atomic(machine, RandomSource(42), trials)
+            assert table.shards is None  # the one-shard plan
+            assert table.counts == tuple(sorted(loop.items()))
